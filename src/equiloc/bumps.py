@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
@@ -66,6 +67,10 @@ class Bump:
                     limit=200)[0]
 
 
+# grid rows per block of the cosine matrix in the BumpHat build
+_BLOCK_ROWS = 2048
+
+
 @dataclass
 class BumpHat:
     """hat b(w) = int b(x) e^{i w x} dx, real and even for even bumps.
@@ -89,8 +94,17 @@ class BumpHat:
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * w16[None, :]).ravel()
         fb = self.bump(nodes) * wts
-        vals = 2.0 * (np.cos(np.outer(grid, nodes)) @ fb)
+        # the cosine matrix in blocks of grid rows bounds peak memory;
+        # einsum keeps the reduction single-threaded
+        vals = np.empty_like(grid)
+        for lo in range(0, len(grid), _BLOCK_ROWS):
+            block = np.outer(grid[lo:lo + _BLOCK_ROWS], nodes)
+            np.cos(block, out=block)
+            vals[lo:lo + _BLOCK_ROWS] = 2.0 * np.einsum("ij,j->i", block, fb)
         self._spline = CubicSpline(grid, vals)
+        # the spline's own pieces as Python floats for `value`
+        self._knots = self._spline.x.tolist()
+        self._coeffs = self._spline.c.tolist()
 
     def _direct(self, w: float) -> float:
         from scipy.integrate import quad
@@ -99,7 +113,27 @@ class BumpHat:
                       0.0, r, limit=400)
         return 2.0 * val
 
+    def value(self, w: float) -> float:
+        """hat b at one real w, without numpy: the cached spline bit for
+        bit as the array call gives it, direct quadrature beyond wmax.
+
+        The spline piece is found as scipy's PPoly finds it (closed on the
+        right at the last knot) and summed as PPoly sums it, power by
+        power; Horner's rule would round differently.
+        """
+        w = abs(w)
+        if not w <= self.wmax:
+            return self._direct(w)
+        knots = self._knots
+        i = min(bisect_right(knots, w), len(knots) - 1) - 1
+        c0, c1, c2, c3 = self._coeffs
+        d = w - knots[i]
+        d2 = d * d
+        return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+
     def __call__(self, w):
+        if np.ndim(w) == 0:
+            return self.value(float(w))
         w = np.abs(np.asarray(w, dtype=float))
         out = np.empty_like(w)
         inside = w <= self.wmax
@@ -108,7 +142,7 @@ class BumpHat:
             flat = w[~inside].ravel()
             out[~inside] = np.array([self._direct(x) for x in flat]
                                     ).reshape(w[~inside].shape)
-        return out if out.shape else float(out)
+        return out
 
     def moment(self, k: int = 0, tail: float = 4000.0) -> float:
         """int w^k hat b(w) dw over the line (even integrand for even k)."""

@@ -604,10 +604,12 @@ def build_config(args) -> RunConfig:
         command=args.command,
         model=model,
         seed=args.seed if args.seed is not None else base.get("seed", 1),
-        tolerance=args.tolerance or base.get("tolerance", 1e-8),
+        tolerance=args.tolerance if args.tolerance is not None else base.get(
+            "tolerance", 1e-8),
         mu_sweep=(_mu_sweep_from_string(args.mu_sweep) if args.mu_sweep
                   else base.get("mu", [])),
-        order=args.order or base.get("order", 1),
+        order=args.order if args.order is not None else base.get(
+            "order", 1),
         sigma=args.sigma if args.sigma is not None else base.get(
             "sigma", 0.0),
         y_values=base.get("y_values", [0.5, 1.0, 2.0, 5.0]),

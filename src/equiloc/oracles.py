@@ -124,21 +124,21 @@ class Linrot2Oracle:
     def __post_init__(self):
         if self.bhat is None:
             self.bhat = BumpHat(self.g_bump, wmax=500.0)
-        self._ihat = quad(lambda u: float(self.bhat(u)), 0.0, 500.0,
-                          limit=800)[0]
 
     def angular(self, c: float) -> float:
         """G(c) = int_0^{2pi} bhat(c sin g) dg (even in c)."""
         c = abs(float(c))
+        bhat = self.bhat.value
         if c < 60.0:
-            val = quad(lambda g: float(self.bhat(c * math.sin(g))),
+            val = quad(lambda g: bhat(c * math.sin(g)),
                        0.0, math.pi / 2, limit=200)[0]
             return 4.0 * val
         # substitute u = c sin g: G = 4 int_0^c bhat(u) / sqrt(c^2-u^2) du
         cut = min(c * 0.5, 400.0)
-        val = quad(lambda u: float(self.bhat(u)) /
-                   math.sqrt(c * c - u * u), 0.0, cut, limit=400)[0]
-        # remaining arc carries only the bhat tail; bound it by one sample
+        val = quad(lambda u: bhat(u) / math.sqrt(c * c - u * u),
+                   0.0, cut, limit=400)[0]
+        # for c >= 60 the arc u in [min(c/2, 400), c] is dropped; nothing
+        # bounds what it carries
         return 4.0 * val
 
     def integral(self, mu: float) -> float:
@@ -187,23 +187,3 @@ def linrot2_oracle(g_bump: Bump) -> "Linrot2Oracle":
     if key not in _LINROT2_CACHE:
         _LINROT2_CACHE[key] = Linrot2Oracle(g_bump=g_bump)
     return _LINROT2_CACHE[key]
-
-
-def linrot2_reduced_3d(g_bump: Bump, mu: float, n_r: int = 80,
-                       n_gamma: int = 4001, rmax: float = 4.2) -> float:
-    """Same integral by the direct (r, s, gamma) tensor quadrature; used to
-    cross-validate the Bessel-kernel reduction at moderate mu."""
-    bhat = BumpHat(g_bump, wmax=500.0)
-    xr, wr = _cached_leggauss(n_r)
-    r = 0.5 * rmax * (xr + 1.0)
-    wr = 0.5 * rmax * wr
-    gam = 2 * math.pi * (np.arange(n_gamma) + 0.5) / n_gamma
-    wg = 2 * math.pi / n_gamma
-    total = 0.0
-    for i, ri in enumerate(r):
-        rs = ri * r                      # (n_r,)
-        args = np.outer(rs, np.sin(gam)) / mu
-        vals = bhat(np.abs(args)).sum(axis=1) * wg
-        integ = rs * np.exp(-(ri ** 2 + r ** 2)) * vals
-        total += wr[i] * float(np.dot(integ, wr))
-    return 2 * math.pi * total

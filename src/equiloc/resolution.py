@@ -107,6 +107,8 @@ class BlowupChart:
     Coordinates are named; `psi_wk`/`psi_tot` evaluate the weak and total
     transforms, `conditions` returns the residuals of (I)-(III), and
     `crit_point` builds points of Crit(psi_wk) from the parametrization.
+    `psi_wk` broadcasts over leading axes: points of shape (..., n) give
+    values of shape (...), and one point gives a float.
     """
     chain: IsotropyChain
     label: str
@@ -125,35 +127,35 @@ class BlowupChart:
     normal_equations: Optional[Callable] = None
 
     def gradient(self, pt, h: float = 1e-6) -> np.ndarray:
+        """Central differences of psi_wk; points of shape (..., n) give
+        gradients of shape (..., n), from one psi_wk call."""
         pt = np.asarray(pt, dtype=float)
-        g = np.zeros(len(pt))
-        for i in range(len(pt)):
-            e = np.zeros(len(pt))
-            e[i] = h
-            g[i] = (self.psi_wk(pt + e) - self.psi_wk(pt - e)) / (2 * h)
-        return g
+        e = h * np.eye(pt.shape[-1])
+        x = pt[..., None, :]
+        f = self.psi_wk(np.stack([x + e, x - e]))
+        return (f[0] - f[1]) / (2 * h)
 
     def hessian(self, pt, h: float = 1e-4) -> np.ndarray:
+        """Central-difference Hessian at one point, from one psi_wk call
+        on the whole stencil."""
         pt = np.asarray(pt, dtype=float)
         n = len(pt)
-        out = np.zeros((n, n))
-        f0 = self.psi_wk(pt)
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                if i == j:
-                    v = (self.psi_wk(pt + ei) - 2 * f0 +
-                         self.psi_wk(pt - ei)) / h ** 2
-                else:
-                    v = (self.psi_wk(pt + ei + ej) - self.psi_wk(pt + ei - ej)
-                         - self.psi_wk(pt - ei + ej) +
-                         self.psi_wk(pt - ei - ej)) / (4 * h ** 2)
-                out[i, j] = v
-                out[j, i] = v
+        e = h * np.eye(n)
+        iu, ju = np.triu_indices(n, 1)
+        ei, ej = e[iu], e[ju]
+        f = self.psi_wk(np.concatenate([
+            pt[None], pt + e, pt - e,
+            pt + ei + ej, pt + ei - ej, pt - ei + ej, pt - ei - ej]))
+        f0, fp, fm = f[0], f[1:n + 1], f[n + 1:2 * n + 1]
+        fpp, fpm, fmp, fmm = f[2 * n + 1:].reshape(4, -1)
+        out = np.empty((n, n))
+        out[iu, ju] = out[ju, iu] = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
+        out[np.diag_indices(n)] = (fp - 2 * f0 + fm) / h ** 2
         return out
+
+
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _unit2(theta_like):
@@ -185,11 +187,11 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
     charts = []
     for rho in (0, 1):
         def vdir(theta, _rho=rho):
-            t = float(theta)
-            n = math.sqrt(1.0 + t * t)
-            v = np.zeros(2)
-            v[_rho] = 1.0 / n
-            v[1 - _rho] = t / n
+            t = np.asarray(theta, dtype=float)
+            n = np.sqrt(1.0 + t * t)
+            v = np.empty(t.shape + (2,))
+            v[..., _rho] = 1.0 / n
+            v[..., 1 - _rho] = t / n
             return v
 
         def ambient(pt, _vdir=vdir):
@@ -200,9 +202,9 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
             return eta, np.array([beta])
 
         def psi_wk(pt, _vdir=vdir):
-            tau, theta, beta, p0, p1 = map(float, pt)
-            v = _vdir(theta)
-            return beta * float(np.dot(a @ v, [p0, p1]))
+            pt = np.asarray(pt, dtype=float)
+            av = _vdir(pt[..., 1]) @ a.T
+            return _scalar_or_array(pt[..., 2] * np.vecdot(av, pt[..., 3:5]))
 
         def psi_tot(pt, _psi=psi_wk):
             return float(pt[0]) * _psi(pt)
@@ -239,14 +241,10 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
             v = _vdir(theta)
             return np.array([tau, theta, 0.0, s * v[0], s * v[1]])
 
-        def crit_batch(taus, thetas, svals, _rho=rho):
+        def crit_batch(taus, thetas, svals, _vdir=vdir):
             """eta coordinates (4, n_tau, n_th, n_s) over the crit grid."""
-            t = np.asarray(thetas)
-            n = np.sqrt(1.0 + t * t)
-            v = np.zeros((2, len(t)))
-            v[_rho] = 1.0 / n
-            v[1 - _rho] = t / n
-            shape = (len(taus), len(t), len(svals))
+            v = _vdir(thetas).T
+            shape = (len(taus), len(thetas), len(svals))
             tt = np.asarray(taus)[None, :, None, None]
             vv = v[:, None, :, None]
             ss = np.asarray(svals)[None, None, None, :]
@@ -319,17 +317,14 @@ def _make_theta_theta_chart(model, chain, iso: int, rho: int) -> BlowupChart:
     i2, j2 = model.planes[iso].axes           # normal directions in S^3
 
     def x2(th1):
-        out = np.zeros(4)
-        out[i1] = math.cos(th1)
-        out[j1] = math.sin(th1)
-        return out
+        return _circle_point(th1, i1, j1)
 
     def v2(phi):
-        t = float(phi)
-        n = math.sqrt(1 + t * t)
-        out = np.zeros(4)
-        out[(i2, j2)[rho]] = 1.0 / n
-        out[(i2, j2)[1 - rho]] = t / n
+        t = np.asarray(phi, dtype=float)
+        n = np.sqrt(1 + t * t)
+        out = np.zeros(t.shape + (4,))
+        out[..., (i2, j2)[rho]] = 1.0 / n
+        out[..., (i2, j2)[1 - rho]] = t / n
         return out
 
     def taus(pt):
@@ -337,17 +332,19 @@ def _make_theta_theta_chart(model, chain, iso: int, rho: int) -> BlowupChart:
         return s1 * s1 * s2, s1 * s2
 
     def mpoint(pt):
-        _, t2 = taus(pt)
-        return math.cos(t2) * x2(pt[2]) + math.sin(t2) * v2(pt[3])
+        pt = np.asarray(pt, dtype=float)
+        t2 = pt[..., 0, None] * pt[..., 1, None]
+        return np.cos(t2) * x2(pt[..., 2]) + np.sin(t2) * v2(pt[..., 3])
 
     def psi_wk(pt):
-        _, t2 = taus(pt)
-        alpha, beta = float(pt[4]), float(pt[5])
-        p = np.asarray(pt[6:10], dtype=float)
-        sinc = math.sin(t2) / t2 if abs(t2) > 1e-9 else 1.0 - t2 * t2 / 6.0
-        vec = alpha * (a_alpha @ mpoint(pt)) + \
-            beta * sinc * (a_beta @ v2(pt[3]))
-        return float(np.dot(vec, p))
+        pt = np.asarray(pt, dtype=float)
+        t2 = pt[..., 0] * pt[..., 1]
+        big = np.abs(t2) > 1e-9
+        sinc = np.where(big, np.sin(t2) / np.where(big, t2, 1.0),
+                        1.0 - t2 * t2 / 6.0)
+        vec = pt[..., 4, None] * (mpoint(pt) @ a_alpha.T) + \
+            (pt[..., 5] * sinc)[..., None] * (v2(pt[..., 3]) @ a_beta.T)
+        return _scalar_or_array(np.vecdot(vec, pt[..., 6:10]))
 
     def psi_tot(pt):
         t1, t2 = taus(pt)
@@ -437,6 +434,15 @@ def _make_theta_theta_chart(model, chain, iso: int, rho: int) -> BlowupChart:
         normal_equations=normal_equations)
 
 
+def _circle_point(th1, i: int, j: int) -> np.ndarray:
+    """cos(th1) e_i + sin(th1) e_j in R^4; broadcasts over th1."""
+    th1 = np.asarray(th1, dtype=float)
+    out = np.zeros(th1.shape + (4,))
+    out[..., i] = np.cos(th1)
+    out[..., j] = np.sin(th1)
+    return out
+
+
 def _plane_matrix(model: LinearCotangent, plane_index: int) -> np.ndarray:
     out = np.zeros((4, 4))
     pl = model.planes[plane_index]
@@ -454,29 +460,26 @@ def _alpha_chart_depth2(model, chain, iso, a_alpha,
     i1, j1 = model.planes[1 - iso].axes   # circle plane
     i2, j2 = model.planes[iso].axes       # normal directions
 
-    def x2(th1):
-        out = np.zeros(4)
-        out[i1] = math.cos(th1)
-        out[j1] = math.sin(th1)
-        return out
-
     def grad_p(pt):
-        t2, th1, w0, w1, beta = map(float, pt[:5])
-        w = np.zeros(4)
-        w[i2] = w0
-        w[j2] = w1
-        nv = float(np.linalg.norm(w))
+        pt = np.asarray(pt, dtype=float)
+        t2, beta = pt[..., 0], pt[..., 4]
+        w = np.zeros(pt.shape[:-1] + (4,))
+        w[..., i2] = pt[..., 2]
+        w[..., j2] = pt[..., 3]
+        nv = np.sqrt(np.vecdot(w, w))
         arg = t2 * nv
-        if nv > 1e-12:
-            m = math.cos(arg) * x2(th1) + (math.sin(arg) / nv) * w
-        else:
-            m = x2(th1)
-        sincf = math.sin(arg) / arg if abs(arg) > 1e-9 else 1.0
-        return (a_alpha @ m) + beta * sincf * (a_beta @ w)
+        circle = _circle_point(pt[..., 1], i1, j1)
+        off = nv > 1e-12
+        m = np.where(off[..., None], np.cos(arg)[..., None] * circle +
+                     (np.sin(arg) / np.where(off, nv, 1.0))[..., None] * w,
+                     circle)
+        big = np.abs(arg) > 1e-9
+        sincf = np.where(big, np.sin(arg) / np.where(big, arg, 1.0), 1.0)
+        return m @ a_alpha.T + (beta * sincf)[..., None] * (w @ a_beta.T)
 
     def psi_wk(pt):
-        p = np.asarray(pt[5:9], dtype=float)
-        return float(np.dot(grad_p(pt), p))
+        pt = np.asarray(pt, dtype=float)
+        return _scalar_or_array(np.vecdot(grad_p(pt), pt[..., 5:9]))
 
     def psi_tot(pt):
         raise NotImplementedError("alpha chart used for gradient scans only")
@@ -521,12 +524,17 @@ class CritWitness:
 
 def crit_conditions(chart: BlowupChart, pt, tol: float = 1e-9
                     ) -> CritWitness:
+    return _witness(chart, pt, float(np.linalg.norm(chart.gradient(pt))),
+                    tol)
+
+
+def _witness(chart: BlowupChart, pt, grad_norm: float,
+             tol: float) -> CritWitness:
     res = chart.conditions(pt)
-    grad = float(np.linalg.norm(chart.gradient(pt)))
     return CritWitness(
         point=np.asarray(pt, dtype=float),
         cond_i=res["I"] <= tol, cond_ii=res["II"] <= tol,
-        cond_iii=res["III"] <= tol, grad_norm=grad)
+        cond_iii=res["III"] <= tol, grad_norm=grad_norm)
 
 
 @dataclass
@@ -880,17 +888,19 @@ def crit_equivalence_scan(chart: BlowupChart, rng, n: int = 10_000,
     """(witness count, mismatches) over a mixed grid of constructed
     critical points and random points: (I)-(III) <=> grad psi_wk = 0."""
     mism = 0
-    count = 0
     crit_pts = chart.crit_sampler(rng, n // 4)
     rand_pts = [_random_chart_point(chart, rng) for _ in range(n - len(
         crit_pts))]
-    for pt in crit_pts + rand_pts:
-        w = crit_conditions(chart, pt, tol=tol)
-        count += 1
+    pts = np.array(crit_pts + rand_pts)
+    grads = chart.gradient(pts)
+    # the same rounding as np.linalg.norm of each gradient on its own
+    grad_norms = np.sqrt(np.vecdot(grads, grads))
+    for pt, grad_norm in zip(pts, grad_norms):
+        w = _witness(chart, pt, float(grad_norm), tol)
         grad_zero = w.grad_norm <= 1e-6
         if w.all_conditions != grad_zero:
             mism += 1
-    return count, mism
+    return len(pts), mism
 
 
 def resolution_certificate(model, amplitude: Amplitude,

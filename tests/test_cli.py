@@ -85,3 +85,12 @@ def test_spexpand_cotangent_route(tmp_path):
     rep = latest_report(tmp_path)
     assert rep["results"]["fit"]["exponent"] == pytest.approx(2.0,
                                                               abs=0.15)
+
+
+def test_zero_order_and_tolerance_are_not_replaced_by_defaults(tmp_path):
+    # an explicit 0 is invalid input, not a request for the default
+    assert run(["spexpand", "--model", "cubic", "--order", "0"],
+               tmp_path) == 4
+    assert run(["localize", "--model", "sphere", "--tolerance", "0"],
+               tmp_path) == 4
+    assert not list(Path(tmp_path).glob("run-*"))

@@ -6,7 +6,8 @@ import pytest
 from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
-from equiloc.resolution import (build_charts, crit_conditions,
+from equiloc.resolution import (_random_chart_point, build_charts,
+                                crit_conditions, crit_equivalence_scan,
                                 direct_leading, factorization_check,
                                 resolution_certificate, resolved_leading,
                                 singular_sweep, stratify,
@@ -265,3 +266,83 @@ def test_sweep_eps_splitting_diagnostics():
         assert r.eps_split == pytest.approx(r.mu)     # depth 1
         assert r.inner_bound <= 10.0 * r.mu ** (rep.kappa + 1)
         assert r.remainder <= 500.0 * r.mu ** (rep.kappa + 1)
+
+
+def _all_charts():
+    m2, m4 = make_model("linrot2"), make_model("linrot4")
+    return (build_charts(m2, stratify(m2).chains[0], tau_range=4.2) +
+            build_charts(m4, stratify(m4).chains[0]))
+
+
+def _loop_gradient(chart, pt, h=1e-6):
+    g = np.zeros(len(pt))
+    for i in range(len(pt)):
+        e = np.zeros(len(pt))
+        e[i] = h
+        g[i] = (chart.psi_wk(pt + e) - chart.psi_wk(pt - e)) / (2 * h)
+    return g
+
+
+def _loop_hessian(chart, pt, h=1e-4):
+    n = len(pt)
+    out = np.zeros((n, n))
+    f0 = chart.psi_wk(pt)
+    for i in range(n):
+        for j in range(i, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            if i == j:
+                v = (chart.psi_wk(pt + ei) - 2 * f0 +
+                     chart.psi_wk(pt - ei)) / h ** 2
+            else:
+                v = (chart.psi_wk(pt + ei + ej) - chart.psi_wk(pt + ei - ej)
+                     - chart.psi_wk(pt - ei + ej) +
+                     chart.psi_wk(pt - ei - ej)) / (4 * h ** 2)
+            out[i, j] = out[j, i] = v
+    return out
+
+
+def test_psi_wk_broadcasts_over_points():
+    rng = np.random.default_rng(17)
+    for chart in _all_charts():
+        pts = np.array([[rng.uniform(lo, hi) for lo, hi in chart.domain]
+                        for _ in range(12)])
+        singles = [chart.psi_wk(pt) for pt in pts]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(chart.psi_wk(pts), singles)
+        assert chart.psi_wk(pts.reshape(3, 4, -1)).shape == (3, 4)
+
+
+def test_batched_stencils_match_per_point_loops():
+    rng = np.random.default_rng(19)
+    for chart in _all_charts():
+        pts = [np.array([rng.uniform(lo, hi) for lo, hi in chart.domain])
+               for _ in range(6)]
+        pts += chart.crit_sampler(rng, 3)
+        grads = chart.gradient(np.array(pts))
+        for pt, g in zip(pts, grads):
+            assert np.max(np.abs(g - _loop_gradient(chart, pt))) <= 1e-12
+            assert np.array_equal(chart.gradient(pt), g)
+            assert np.max(np.abs(chart.hessian(pt) -
+                                 _loop_hessian(chart, pt))) <= 1e-12
+
+
+def test_crit_scan_matches_per_point_loop():
+    for seed in (1, 7):
+        for chart in _all_charts():
+            if chart.alpha_chart:
+                continue
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            got = crit_equivalence_scan(chart, rng_a, n=400)
+            crit_pts = chart.crit_sampler(rng_b, 100)
+            pts = crit_pts + [_random_chart_point(chart, rng_b)
+                              for _ in range(300)]
+            mism = 0
+            for pt in pts:
+                w = crit_conditions(chart, pt)
+                mism += w.all_conditions != (w.grad_norm <= 1e-6)
+            assert got == (len(pts), mism) == (400, 0)
+            assert rng_a.uniform() == rng_b.uniform()
