@@ -8,13 +8,11 @@ from .mpoly import LinForm, MPoly, poly_ops
 from .symmat import SymMat, ldlt
 from .ratexp import RatExp, RatTerm
 from .piecewise import (Atom, ConeError, Piece, PiecewisePoly, Wall,
-                        WallDirectionError, admissible_cone, ft_shifted,
-                        residue_ray)
+                        WallDirectionError, admissible_cone, ft_shifted)
 from .bumps import Bump, BumpHat, SmearingKernel
 from .models import (Amplitude, CotangentCircle, FixedComponent, GroupData,
                      LinearCotangent, ModelError, Sphere, make_model,
-                     model_from_config, rotation_generator,
-                     stratum_sampler)
+                     rotation_generator, stratum_sampler)
 from .oscillatory import (BaseNode, CleanPhase, DecayResult, OrderFit,
                           SPExpansion, decay_check, order_fit,
                           oscillatory_integral, sp_coefficients)

@@ -6,10 +6,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+
+from .quadrature import composite_gl
 
 
 def _smoothstep_coeffs(m: int):
@@ -56,11 +58,6 @@ class Bump:
         s = np.where(u <= self.flat, 1.0, s)
         return np.where(u < 1.0, s, 0.0)
 
-    def second_derivative_at_zero(self) -> float:
-        if self.kind == "plateau":
-            return 0.0
-        return -2.0 * self.order / self.radius ** 2
-
     def mass(self) -> float:
         from scipy.integrate import quad
         return quad(lambda x: float(self(x)), -self.radius, self.radius,
@@ -87,12 +84,7 @@ class BumpHat:
         # vectorized composite Gauss: enough panels to resolve cos(wmax x)
         r = self.bump.radius
         panels = max(64, int(self.wmax * r / 4.0) + 16)
-        x, w16 = np.polynomial.legendre.leggauss(16)
-        edges = np.linspace(0.0, r, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w16[None, :]).ravel()
+        nodes, wts = composite_gl(0.0, r, panels)
         fb = self.bump(nodes) * wts
         # the cosine matrix in blocks of grid rows bounds peak memory;
         # einsum keeps the reduction single-threaded
@@ -144,15 +136,6 @@ class BumpHat:
                                     ).reshape(w[~inside].shape)
         return out
 
-    def moment(self, k: int = 0, tail: float = 4000.0) -> float:
-        """int w^k hat b(w) dw over the line (even integrand for even k)."""
-        from scipy.integrate import quad
-        val, _ = quad(lambda w: w ** k * float(self(w)), 0.0, self.wmax,
-                      limit=800)
-        val2, _ = quad(lambda w: w ** k * float(self(w)), self.wmax, tail,
-                       limit=400)
-        return 2.0 * (val + val2)
-
 
 class SmearingKernel:
     """Normalized bump phi on g* (here d = 1) with evaluator for phi-hat."""
@@ -168,10 +151,3 @@ class SmearingKernel:
     def phi_hat(self, x):
         """Fourier transform of phi (total integral one => phi_hat(0) = 1)."""
         return self._hat(x) / self._mass
-
-    def check_normalized(self, eps: float) -> float:
-        from scipy.integrate import quad
-        val, _ = quad(lambda x: float(self.phi(x, eps)),
-                      -self.bump.radius * eps, self.bump.radius * eps,
-                      limit=200)
-        return val

@@ -19,22 +19,19 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .bumps import Bump
-from .models import (Amplitude, ModelError, default_amplitude,
-                     model_from_config)
+from .models import MODELS, Amplitude, ModelError, default_amplitude, \
+    make_model
 from .quadrature import BudgetExceeded
 
 EXIT_OK = 0
 EXIT_CERT = 2
 EXIT_BUDGET = 3
 EXIT_CONFIG = 4
-
-COMMANDS = ("dh", "localize", "residue", "spexpand", "singular",
-            "resolve-verify", "convergence")
 
 
 class ConfigError(ValueError):
@@ -148,11 +145,6 @@ def _mu_sweep_from_string(s: str) -> List[float]:
     return list(np.geomspace(a, b, steps))
 
 
-def _amplitude_from_config(model, cfg: RunConfig) -> Amplitude:
-    bump_cfg = cfg.model.get("bump", {})
-    return default_amplitude(model, bump_cfg)
-
-
 # ---------------------------------------------------------------------------
 # command implementations (each returns (results, certificates, files))
 
@@ -160,8 +152,6 @@ def _amplitude_from_config(model, cfg: RunConfig) -> Amplitude:
 def _cmd_dh(model, cfg: RunConfig):
     from .localization import EquivariantForm, dh_measure
     from .oracles import mc_pushforward_sphere
-    if cfg.model.get("kind") != "sphere":
-        raise ConfigError(["model.kind: dh command ships for the sphere"])
     rho = EquivariantForm()
     U = dh_measure(model, rho)
     radius = float(model.radius)
@@ -198,10 +188,7 @@ def _cmd_localize(model, cfg: RunConfig):
     try:
         for y in cfg.y_values:
             val = bv_sum(model, rho, y)
-            if cfg.model.get("kind") == "sphere":
-                orc = sphere_bv_oracle(float(model.radius), y)
-            else:
-                orc = complex("nan")
+            orc = sphere_bv_oracle(float(model.radius), y)
             err = abs(val - orc)
             rows.append({"y": y, "bv_re": val.real, "bv_im": val.imag,
                          "oracle_re": orc.real, "oracle_im": orc.imag,
@@ -223,16 +210,12 @@ def _cmd_residue(model, cfg: RunConfig):
                                pairing_constant, smeared_limit)
     results = {}
     certs = []
-    kind = cfg.model.get("kind")
-    if kind == "sphere":
-        rho = EquivariantForm()
-    elif kind == "cotangent-circle":
+    if cfg.model["kind"] == "cotangent-circle":
         pb = Bump(radius=1.0, order=6, kind="poly")
         rho = EquivariantForm(
             density=lambda pts: (np.cos(pts[0]) ** 2) * pb(pts[1]))
     else:
-        raise ConfigError(["model.kind: residue ships for sphere and "
-                           "cotangent-circle"])
+        rho = EquivariantForm()
     try:
         plus = float(jk_residue(model, rho, (1,)))
         minus = float(jk_residue(model, rho, (-1,)))
@@ -264,11 +247,11 @@ def _cmd_residue(model, cfg: RunConfig):
 _SPEXPAND_PHASES = ("fresnel", "saddle", "cubic", "cotangent-circle")
 
 
-def _cmd_spexpand(model_cfg: Dict, cfg: RunConfig):
+def _cmd_spexpand(model, cfg: RunConfig):
     from .mpoly import MPoly
     from .oscillatory import (BaseNode, CleanPhase, oscillatory_integral,
                               order_fit, sp_coefficients)
-    kind = model_cfg.get("kind", "fresnel")
+    kind = cfg.model.get("kind", "fresnel")
     if kind not in _SPEXPAND_PHASES:
         raise ConfigError([f"model.kind: spexpand supports "
                            f"{_SPEXPAND_PHASES}"])
@@ -395,16 +378,13 @@ def _cot_amp(sigma: float = 0.7) -> Amplitude:
 
 def _cmd_singular(model, cfg: RunConfig):
     from .resolution import singular_sweep
-    kind = cfg.model.get("kind")
-    amp = _amplitude_from_config(model, cfg)
+    kind = cfg.model["kind"]
     if kind == "cotangent-circle":
         sigma = cfg.sigma or 0.7
         amp = _cot_amp(sigma)
-    elif kind in ("linrot2", "linear-cotangent"):
-        sigma = 0.0
     else:
-        raise ConfigError(["model.kind: singular ships for linrot2 and "
-                           "cotangent-circle"])
+        sigma = 0.0
+        amp = default_amplitude(model, cfg.model.get("bump"))
     mus = cfg.mu_sweep or list(np.geomspace(1e-2, 1e-4, 5))
     rep = singular_sweep(model, amp, mus, sigma=sigma)
     kappa = rep.kappa
@@ -454,7 +434,7 @@ def _cmd_singular(model, cfg: RunConfig):
 
 def _cmd_resolve_verify(model, cfg: RunConfig):
     from .resolution import resolution_certificate
-    amp = _amplitude_from_config(model, cfg)
+    amp = default_amplitude(model, cfg.model.get("bump"))
     cert = resolution_certificate(model, amp, seed=cfg.seed)
     d = cert.to_dict()
     certs = [
@@ -505,6 +485,18 @@ def _cmd_convergence(model, cfg: RunConfig):
 
 # ---------------------------------------------------------------------------
 
+# command -> handler(model, cfg); spexpand and convergence get no model
+_HANDLERS = {
+    "dh": _cmd_dh,
+    "localize": _cmd_localize,
+    "residue": _cmd_residue,
+    "spexpand": _cmd_spexpand,
+    "singular": _cmd_singular,
+    "resolve-verify": _cmd_resolve_verify,
+    "convergence": _cmd_convergence,
+}
+COMMANDS = tuple(_HANDLERS)
+
 
 def run(cfg: RunConfig, out_dir: Path,
         calibrate_first: bool = False) -> int:
@@ -512,7 +504,13 @@ def run(cfg: RunConfig, out_dir: Path,
         cfg.validate()
         model = None
         if cfg.command not in ("spexpand", "convergence"):
-            model = model_from_config(cfg.model)
+            kind = cfg.model["kind"]
+            model = make_model(**cfg.model)
+            _, commands = MODELS[kind]
+            if cfg.command not in commands:
+                raise ConfigError([
+                    f"model.kind: {kind!r} supports the commands "
+                    f"{', '.join(commands)}, not {cfg.command}"])
     except (ConfigError, ModelError) as exc:
         problems = exc.problems if isinstance(exc, ConfigError) else [
             str(exc)]
@@ -536,20 +534,7 @@ def run(cfg: RunConfig, out_dir: Path,
 
     t0 = time.time()
     try:
-        if cfg.command == "dh":
-            results, certs, files = _cmd_dh(model, cfg)
-        elif cfg.command == "localize":
-            results, certs, files = _cmd_localize(model, cfg)
-        elif cfg.command == "residue":
-            results, certs, files = _cmd_residue(model, cfg)
-        elif cfg.command == "spexpand":
-            results, certs, files = _cmd_spexpand(cfg.model, cfg)
-        elif cfg.command == "singular":
-            results, certs, files = _cmd_singular(model, cfg)
-        elif cfg.command == "resolve-verify":
-            results, certs, files = _cmd_resolve_verify(model, cfg)
-        else:
-            results, certs, files = _cmd_convergence(model, cfg)
+        results, certs, files = _HANDLERS[cfg.command](model, cfg)
     except BudgetExceeded as exc:
         run_dir = out_dir / f"run-{cfg.run_hash()}"
         run_dir.mkdir(parents=True, exist_ok=True)

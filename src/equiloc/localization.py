@@ -12,20 +12,11 @@ recomputes the smeared side by quadrature and returns the measured ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _cached_leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-from scipy.integrate import quad
 
 from .bumps import Bump, SmearingKernel
 from .models import (Amplitude, CotangentCircle, FixedComponent,
@@ -33,6 +24,7 @@ from .models import (Amplitude, CotangentCircle, FixedComponent,
 from .mpoly import LinForm, MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
 from .piecewise import PiecewisePoly, admissible_cone, ft_shifted
+from .quadrature import composite_gl
 from .ratexp import RatExp, RatTerm
 from .scalars import CRat, TwoPi, i_power
 
@@ -217,7 +209,6 @@ def l_alpha(model, rho: EquivariantForm, x: float,
         return float(rho.scale) * cotangent_l_alpha(
             lambda t, p: dens(_pack(t, p)), x, *p_support)
     if isinstance(model, LinearCotangent):
-        from .oracles import Linrot2Oracle
         if model.n != 2 or rho.density is not None or rho.is_exact:
             raise ModelError("LinearCotangent L-evaluator covers the "
                              "Gaussian rotation catalog entry")
@@ -230,9 +221,6 @@ def _pack(t, p):
     return np.stack([t, p])
 
 
-_ORACLE_CACHE = {}
-
-
 def _linrot2_oracle_cache(model):
     from .oracles import linrot2_oracle
     return linrot2_oracle(Bump(radius=1.0, order=6, kind="poly"))
@@ -243,9 +231,7 @@ def _sphere_l_exact(model: Sphere, rho: EquivariantForm, x: float) -> complex:
     derivative, so the value is zero up to quadrature noise."""
     f = rho.exact_beta
     r = float(model.radius)
-    z, w = _cached_leggauss(400)
-    z = z * r
-    w = w * r
+    z, w = composite_gl(-r, r, 1, 400)
     h = 1e-6
     fprime = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h)
     vals = (fprime + 1j * x * np.asarray(f(z))) * np.exp(1j * x * z)
@@ -256,9 +242,7 @@ def _cotangent_l_exact(model, rho, x, p_support) -> complex:
     f = rho.exact_beta
     th = 2 * math.pi * (np.arange(128) + 0.5) / 128
     lo, hi = p_support
-    xp, wp = _cached_leggauss(600)
-    p = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xp
-    wp = 0.5 * (hi - lo) * wp
+    p, wp = composite_gl(lo, hi, 1, 600)
     tt, pp = np.meshgrid(th, p, indexing="ij")
     h = 1e-6
     fp = (np.asarray(f(_pack(tt, pp + h))) -
@@ -285,10 +269,7 @@ def l_alpha_batch(model, rho: EquivariantForm, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if isinstance(model, Sphere) and not rho.is_exact:
         r = float(model.radius)
-        from .models import _cached_leggauss
-        z, w = _cached_leggauss(2048)
-        z = z * r
-        w = w * r
+        z, w = composite_gl(-r, r, 1, 2048)
         if rho.density is None:
             ring = 2 * math.pi * r * np.ones_like(z)
         else:
@@ -301,11 +282,7 @@ def l_alpha_batch(model, rho: EquivariantForm, xs: np.ndarray) -> np.ndarray:
         mat = np.cos(np.outer(xs, z))
         return float(rho.scale) * (mat @ (ring * w))
     if isinstance(model, CotangentCircle) and not rho.is_exact:
-        from .models import _cached_leggauss
-        xp, wp = _cached_leggauss(1024)
-        lo, hi = -2.0, 2.0
-        p = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xp
-        wp = 0.5 * (hi - lo) * wp
+        p, wp = composite_gl(-2.0, 2.0, 1, 1024)
         th = 2 * math.pi * (np.arange(128) + 0.5) / 128
         tt, pp = np.meshgrid(th, p, indexing="ij")
         dens = np.ones_like(pp) if rho.density is None else \
@@ -336,14 +313,8 @@ def smeared_limit(model, rho: EquivariantForm,
     """<F_g L, phi_eps> = int L(X) phi_hat(eps X) dX at each eps, then
     Richardson extrapolation with the even-kernel O(eps^2) ansatz."""
     kernel = kernel or default_kernel()
-    from .quadrature import _gl
-    xg, wg = _gl(16)
     panels = max(64, int(x_max / math.pi) + 1)
-    edges = np.linspace(0.0, x_max, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
+    nodes, wts = composite_gl(0.0, x_max, panels)
     lvals = l_alpha_batch(model, rho, nodes)
     vals = []
     for eps in eps_list:
@@ -352,11 +323,9 @@ def smeared_limit(model, rho: EquivariantForm,
         vals.append((eps, 2.0 * v))
     ext = list(v for _, v in vals)
     seq = ext[:]
-    eps_arr = [e for e, _ in vals]
     # Richardson on the eps^2 ladder (eps halves along the list)
     while len(seq) > 1:
         seq = [(4.0 * b - a) / 3.0 for a, b in zip(seq[:-1], seq[1:])]
-    spread = max(ext) - min(ext)
     converged = abs(seq[0] - ext[-1]) < 0.05 * (1 + abs(seq[0]))
     return SmearedResult(values=vals, extrapolated=float(seq[0]),
                          converged=converged)

@@ -18,22 +18,15 @@ matrix of the fundamental fields are exact rationals at rational points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _cached_leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 from .bumps import Bump
 from .mpoly import LinForm, MPoly
+from .quadrature import composite_gl
 from .symmat import SymMat
 
 
@@ -117,8 +110,6 @@ class Amplitude:
 class Sphere:
     """Radius-R sphere, area form, rotation about z with J = z."""
 
-    kind = "sphere"
-
     def __init__(self, radius=1):
         self.radius = Fraction(radius)
         if self.radius <= 0:
@@ -181,33 +172,11 @@ class Sphere:
             raise ModelError("X not in the isotropy algebra")
         return np.zeros((1, 1))
 
-    # measure: dA = R dz dtheta over z in [-R, R], theta in [0, 2 pi)
-
-    def area_integral(self, f: Callable, nz: int = 256,
-                      ntheta: int = 128) -> float:
-        r = float(self.radius)
-        z, wz = _cached_leggauss(nz)
-        z = z * r
-        wz = wz * r
-        th = 2 * math.pi * (np.arange(ntheta) + 0.5) / ntheta
-        wt = 2 * math.pi / ntheta
-        zz, tt = np.meshgrid(z, th, indexing="ij")
-        rho = np.sqrt(np.maximum(r ** 2 - zz ** 2, 0.0))
-        pts = np.stack([rho * np.cos(tt), rho * np.sin(tt), zz])
-        vals = f(pts)
-        return float(np.einsum("ij,i->", np.asarray(vals, float) * wt, wz)
-                     ) * 1.0
-
     def l_alpha(self, x, density: Callable = None) -> complex:
         """L(X) = int e^{i X z} rho(eta) dA, by (z, theta) quadrature."""
         r = float(self.radius)
         panels = max(16, int(abs(x) * r / 2.0) + 1)
-        xg, wg = _cached_leggauss(16)
-        edges = np.linspace(-r, r, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        z = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wz = (half[:, None] * wg[None, :]).ravel()
+        z, wz = composite_gl(-r, r, panels)
         if density is None:
             ring = 2 * math.pi * np.ones_like(z)
         else:
@@ -235,8 +204,6 @@ class Sphere:
 
 class CotangentCircle:
     """T*S^1 with coordinates (theta, p); J = p; the action is free."""
-
-    kind = "cotangent-circle"
 
     def __init__(self):
         self.group = GroupData(
@@ -312,8 +279,6 @@ class RotationPlane:
 class LinearCotangent:
     """T*R^n with commuting antisymmetric generators; J_X(q,p) = <Xq, p>."""
 
-    kind = "linear-cotangent"
-
     def __init__(self, n: int, generators: Sequence):
         self.n = int(n)
         gens = []
@@ -387,11 +352,6 @@ class LinearCotangent:
         a = self.generator_matrix(x)
         return float(a.dot(q).dot(p))
 
-    def momentum_vector(self, eta) -> np.ndarray:
-        """(J_{X_1}, ..., J_{X_k}) at eta."""
-        return np.array([self.momentum(eta, _unit(self.k, i))
-                         for i in range(self.k)])
-
     def fundamental_field(self, eta, x=None) -> np.ndarray:
         if x is None:
             x = _unit(self.k, 0)
@@ -427,21 +387,6 @@ class LinearCotangent:
                    for a in (i, j, self.n + i, self.n + j)):
                 rows.append(list(pl.speeds))
         return self.k - _rank_frac(rows)
-
-    def isotropy_basis(self, eta) -> List[np.ndarray]:
-        """Orthonormal basis of g_eta (in generator coordinates)."""
-        rows = []
-        for pl in self.planes:
-            i, j = pl.axes
-            if any(abs(float(eta[a])) > 1e-13
-                   for a in (i, j, self.n + i, self.n + j)):
-                rows.append([float(s) for s in pl.speeds])
-        if not rows:
-            return [np.eye(self.k)[i] for i in range(self.k)]
-        a = np.array(rows)
-        _, sv, vt = np.linalg.svd(a)
-        rank = int((sv > 1e-12 * max(1.0, sv[0])).sum())
-        return [vt[i] for i in range(rank, self.k)]
 
     def gram(self, eta) -> np.ndarray:
         fields = [self.fundamental_field(eta, _unit(self.k, i))
@@ -524,10 +469,6 @@ class LinearCotangent:
                 out[row, col] = float(np.dot(vec, basis_vecs[row]))
         return out
 
-    def stratum_points(self, sigma, n_r: int, n_ang: int, rmax: float,
-                       which: str = "para"):
-        raise NotImplementedError("use resolution.direct_leading quadrature")
-
 
 def _unit(k, i):
     v = np.zeros(k)
@@ -562,9 +503,6 @@ def _rank_frac(rows) -> int:
 # ---------------------------------------------------------------------------
 # catalog constructors and config ingestion
 
-J90 = [[0, -1], [1, 0]]
-
-
 def rotation_generator(n: int, plane: Tuple[int, int],
                        speed=1) -> List[List[Fraction]]:
     g = [[Fraction(0)] * n for _ in range(n)]
@@ -574,42 +512,36 @@ def rotation_generator(n: int, plane: Tuple[int, int],
     return g
 
 
-def make_model(kind: str, **kw):
-    if kind == "sphere":
-        return Sphere(kw.get("radius", 1))
-    if kind == "cotangent-circle":
-        return CotangentCircle()
-    if kind in ("linear-cotangent", "linrot2"):
-        if kind == "linrot2":
-            return LinearCotangent(2, [rotation_generator(2, (0, 1))])
-        return LinearCotangent(kw["n"], kw["generators"])
-    if kind == "linrot4":
-        return LinearCotangent(4, [rotation_generator(4, (0, 1)),
-                                   rotation_generator(4, (2, 3))])
-    raise ModelError(f"unknown model kind {kind!r}")
+def _linrot(n: int) -> LinearCotangent:
+    """T*R^n, n even, with one unit-speed rotation per coordinate plane."""
+    return LinearCotangent(n, [rotation_generator(n, (i, i + 1))
+                               for i in range(0, n, 2)])
 
 
-def model_from_config(cfg: dict):
-    """Build a model from the JSON config schema
-    {kind, n, generators:[[...]], roots:[[...]], bump:{R, order}}."""
-    kind = cfg.get("kind")
-    if kind is None:
-        raise ModelError("config missing 'kind'")
-    if kind == "sphere":
-        model = Sphere(cfg.get("radius", 1))
-    elif kind == "cotangent-circle":
-        model = CotangentCircle()
-    elif kind in ("linear-cotangent", "linrot2", "linrot4"):
-        if kind == "linrot2":
-            model = make_model("linrot2")
-        elif kind == "linrot4":
-            model = make_model("linrot4")
-        else:
-            model = LinearCotangent(cfg["n"], cfg["generators"])
-    else:
+# kind -> (constructor from the config parameters, CLI commands that
+# support the kind)
+MODELS = {
+    "sphere": (lambda p: Sphere(p.get("radius", 1)),
+               ("dh", "localize", "residue")),
+    "cotangent-circle": (lambda p: CotangentCircle(),
+                         ("localize", "residue", "singular")),
+    "linrot2": (lambda p: _linrot(2), ("singular", "resolve-verify")),
+    "linrot4": (lambda p: _linrot(4), ("resolve-verify",)),
+    "linear-cotangent": (lambda p: LinearCotangent(p["n"], p["generators"]),
+                         ("singular", "resolve-verify")),
+}
+
+
+def make_model(kind: str, **params):
+    """Build the catalog model `kind`; parameters the kind does not use
+    (such as a config's "bump") are ignored."""
+    if kind not in MODELS:
         raise ModelError(f"unknown model kind {kind!r}")
-    model.group.validate()
-    return model
+    try:
+        return MODELS[kind][0](params)
+    except KeyError as exc:
+        raise ModelError(f"model kind {kind!r} needs {exc.args[0]!r}") \
+            from None
 
 
 def default_amplitude(model, bump_cfg: Optional[dict] = None) -> Amplitude:
@@ -618,7 +550,7 @@ def default_amplitude(model, bump_cfg: Optional[dict] = None) -> Amplitude:
     order = bump_cfg.get("order", 6)
     return Amplitude(
         g_profile=Bump(radius=radius, order=order, kind="poly"),
-        gaussian=(getattr(model, "kind", "") == "linear-cotangent"))
+        gaussian=isinstance(model, LinearCotangent))
 
 
 def stratum_sampler(model, sigma: float, n: int, seed: int = 1):

@@ -7,7 +7,7 @@ zero test works (CRat, TwoPi); the piecewise-transform code relies on that.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .scalars import CRat, TwoPi
 

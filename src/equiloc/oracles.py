@@ -11,23 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _cached_leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
 from scipy.integrate import quad
 from scipy.special import k0
 
 from .bumps import Bump, BumpHat
-from .models import Amplitude, CotangentCircle, LinearCotangent, Sphere
-from .quadrature import pairwise_sum
+from .quadrature import composite_gl
 
 
 def fresnel_leading(mu: float) -> complex:
@@ -42,9 +33,7 @@ def sphere_bv_oracle(radius: float, y: float, density=None,
     nz = 256
     while nz < min(n, 200 + 12 * abs(y) * r):
         nz *= 2
-    z, w = _cached_leggauss(min(nz, 4096))
-    z = z * r
-    w = w * r
+    z, w = composite_gl(-r, r, 1, min(nz, 4096))
     ring = 2 * math.pi * np.ones_like(z) * r
     if density is not None:
         ring = ring * np.asarray(density(z), dtype=float)
@@ -79,11 +68,10 @@ def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
     ghat((p - sigma)/mu); the substitution w = (p - sigma)/mu is exact.
     """
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    x, wts = _cached_leggauss(n_w)
-    w = x * wmax
-    wts = wts * wmax
+    w, wts = composite_gl(-wmax, wmax, 1, n_w)
     tt, ww = np.meshgrid(th, w, indexing="ij")
-    vals = f_theta_p(tt, sigma + mu * ww) * bhat(ww)
+    # bhat depends on w alone: evaluate it once per node and broadcast
+    vals = f_theta_p(tt, sigma + mu * ww) * bhat(w)
     inner = vals.sum(axis=0) * (2 * math.pi / n_theta)
     return mu * float(np.dot(inner, wts))
 
@@ -92,9 +80,7 @@ def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,
                       p_hi: float, n_theta: int = 128,
                       n_p: int = 800) -> complex:
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    xp, wp = _cached_leggauss(n_p)
-    p = 0.5 * (p_lo + p_hi) + 0.5 * (p_hi - p_lo) * xp
-    wp = 0.5 * (p_hi - p_lo) * wp
+    p, wp = composite_gl(p_lo, p_hi, 1, n_p)
     tt, pp = np.meshgrid(th, p, indexing="ij")
     vals = np.asarray(f_theta_p(tt, pp), dtype=complex) * np.exp(1j * x * pp)
     inner = vals.sum(axis=0) * (2 * math.pi / n_theta)
@@ -165,13 +151,7 @@ class Linrot2Oracle:
     def l_alpha_batch(self, xs) -> np.ndarray:
         """Vectorized L(X): cached pushforward grid + cosine panels."""
         if not hasattr(self, "_rho_grid"):
-            x16, w16 = np.polynomial.legendre.leggauss(16)
-            panels = 360
-            edges = np.linspace(0.0, 30.0, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
-            wts = (half[:, None] * w16[None, :]).ravel()
+            nodes, wts = composite_gl(0.0, 30.0, 360)
             dens = np.array([self.pushforward_density(v) for v in nodes])
             self._rho_grid = (nodes, wts * dens)
         nodes, wd = self._rho_grid

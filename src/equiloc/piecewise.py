@@ -16,10 +16,10 @@ two flag orders are cross-checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .mpoly import LinForm, MPoly
 from .ratexp import RatExp, RatTerm
@@ -512,11 +512,6 @@ def _calibrated(pw: PiecewisePoly, dim: int) -> PiecewisePoly:
 
 # Laurent polynomials in one variable: dict exponent -> Fraction
 
-def _lp_scale(lp, c):
-    c = Fraction(c)
-    return {e: v * c for e, v in lp.items() if v * c != 0}
-
-
 def _lp_mul(l1, l2):
     out = {}
     for e1, v1 in l1.items():
@@ -713,6 +708,3 @@ def _unit_frac(dim, i, s=1):
     v[i] = Fraction(s)
     return v
 
-
-def residue_ray(U: PiecewisePoly, direction) -> TwoPi:
-    return U.residue_ray(direction)

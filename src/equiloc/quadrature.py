@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +35,28 @@ class QuadResult:
 
 
 @lru_cache(maxsize=None)
-def _gl(n: int):
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    One cached pair per n is shared by every caller, so both arrays are
+    read-only: an in-place write raises instead of corrupting the rule.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
+
+
+def composite_gl(a: float, b: float, panels: int, n: int = 16):
+    """(nodes, weights) of the n-point Gauss rule on each of `panels`
+    equal panels of [a, b], panel by panel."""
+    x, w = gauss_legendre(n)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def pairwise_sum(values: Sequence[complex]) -> complex:
@@ -58,11 +77,9 @@ def pairwise_sum(values: Sequence[complex]) -> complex:
 def panel_gauss(f: Callable, a: float, b: float, panels: int,
                 n: int = 16) -> complex:
     """Composite Gauss-Legendre with vectorized evaluation."""
-    x, w = _gl(n)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    _, w = gauss_legendre(n)
+    pts, _ = composite_gl(a, b, panels, n)
+    half = 0.5 * np.diff(np.linspace(a, b, panels + 1))
     vals = np.asarray(f(pts), dtype=complex).reshape(panels, n)
     cell = (vals * w[None, :]).sum(axis=1) * half
     return pairwise_sum(list(cell))
@@ -256,14 +273,8 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
     if total > max_points:
         raise BudgetExceeded(
             f"tensor oscillatory grid of {total} points over budget")
-    x, w = _gl(n)
-    axes_pts, axes_w = [], []
-    for (lo, hi), c in zip(domain, counts):
-        edges = np.linspace(lo, hi, c + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        axes_pts.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-        axes_w.append((half[:, None] * w[None, :]).ravel())
+    axes_pts, axes_w = zip(*(composite_gl(lo, hi, c, n)
+                             for (lo, hi), c in zip(domain, counts)))
     mesh = np.meshgrid(*axes_pts, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
     wts = np.ones(pts.shape[1])
@@ -275,11 +286,3 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
         1j * np.asarray(phase(pts)) / mu)
     value = complex(np.dot(vals, wts))
     return QuadResult(value, abs(value) * 1e-6, True, pts.shape[1])
-
-
-def smooth_quad(f: Callable, a: float, b: float, rtol: float = 1e-10,
-                limit: int = 400, points=None) -> float:
-    from scipy.integrate import quad
-    val, _ = quad(f, a, b, epsabs=0.0, epsrel=rtol, limit=limit,
-                  points=points)
-    return val

@@ -6,7 +6,6 @@ Fourier transform in piecewise.py consumes it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .mpoly import LinForm, MPoly

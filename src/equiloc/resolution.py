@@ -13,21 +13,14 @@ sigma-substitution tau_1 = s1^2 s2, tau_2 = s1 s2 at depth two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .models import Amplitude, CotangentCircle, LinearCotangent, ModelError
-from .quadrature import pairwise_sum
+from .quadrature import composite_gl, pairwise_sum
 from .oscillatory import OrderFit, order_fit
-
-
-@lru_cache(maxsize=None)
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -158,13 +151,6 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _unit2(theta_like):
-    t = float(theta_like)
-    n = math.sqrt(1.0 + t * t)
-    return np.array([1.0 / n, t / n]), np.array([-t / n, 1.0 / n]) / n
-    # second return: d v / d theta (norm 1/(1+t^2))
-
-
 def build_charts(model, chain: IsotropyChain,
                  tau_range: float = 1.0) -> List[BlowupChart]:
     if not isinstance(model, LinearCotangent):
@@ -256,14 +242,9 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
             """Gradients of the defining equations (I), (III) in chart
             coordinates (tau, theta, beta, p0, p1)."""
             tau, theta, beta, p0, p1 = map(float, pt)
-            t = theta
-            n = math.sqrt(1 + t * t)
             v = _vdir(theta)
-            dv = np.zeros(2)
-            dv_full = np.array([0.0, 0.0])
-            # derivative of v(theta) in chart rho
-            dv_full[1 - (0 if v[0] >= abs(v[1]) else 1)] = 0.0
-            # build numerically; exactness is not needed for pivoting
+            # derivative of v(theta), built numerically; exactness is not
+            # needed for pivoting
             h = 1e-7
             vp = _vdir(theta + h)
             vm = _vdir(theta - h)
@@ -623,9 +604,7 @@ def direct_leading(model, amplitude: Amplitude, sigma: float = 0.0,
         raise ModelError("direct_leading covers the planar rotation model")
     if sigma != 0.0:
         raise ModelError("singular leading coefficient is at sigma = 0")
-    x, w = _gl(n_r)
-    r = x * rmax
-    wr = w * rmax
+    r, wr = composite_gl(-rmax, rmax, 1, n_r)
     phi = math.pi * (np.arange(n_phi) + 0.5) / n_phi
     wphi = math.pi / n_phi
     g0 = float(amplitude.g_factor(0.0))
@@ -661,16 +640,10 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     if not isinstance(model, LinearCotangent) or model.n != 2:
         raise ModelError("resolved_leading covers the planar rotation model")
     kappa = model.group.kappa
-    xt, wt = _gl(n_tau)
-    xs, ws = _gl(n_s)
-    xa, wa = _gl(n_ang)
-    taus = xt * tau_range
-    wtau = wt * tau_range
-    svals = xs * smax
-    wsv = ws * smax
+    taus, wtau = composite_gl(-tau_range, tau_range, 1, n_tau)
+    svals, wsv = composite_gl(-smax, smax, 1, n_s)
     # angle substitution theta = tan(phi): d theta = sec^2 phi d phi
-    phis = xa * (math.pi / 2)
-    wph = wa * (math.pi / 2)
+    phis, wph = composite_gl(-math.pi / 2, math.pi / 2, 1, n_ang)
     g0 = float(amplitude.g_factor(0.0))
     total_parts = []
     for chart in charts:

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 Rat = Fraction
-
-RatLike = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
@@ -240,6 +237,3 @@ class TwoPi:
         for k in sorted(self.terms):
             bits.append(f"({self.terms[k]!r})*(2pi)^{k}")
         return " + ".join(bits)
-
-
-TWOPI_ONE = TwoPi.of(1)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from equiloc.cli import main
+from equiloc.models import MODELS
 
 
 def run(args, tmp):
@@ -94,3 +95,30 @@ def test_zero_order_and_tolerance_are_not_replaced_by_defaults(tmp_path):
     assert run(["localize", "--model", "sphere", "--tolerance", "0"],
                tmp_path) == 4
     assert not list(Path(tmp_path).glob("run-*"))
+
+
+# every (command, kind) pair the model registry does not declare
+_MODEL_COMMANDS = sorted({c for _, cmds in MODELS.values() for c in cmds})
+_UNDECLARED = [(c, k) for k, (_, cmds) in MODELS.items()
+               for c in _MODEL_COMMANDS if c not in cmds]
+_PARAMS = {"linear-cotangent": {"n": 2, "generators": [[[0, -1], [1, 0]]]}}
+
+
+def test_undeclared_pairs_include_known_crashes():
+    # these three once ran to NaN certificates, a ValueError and an
+    # IndexError instead of being rejected as input
+    assert {("localize", "linrot2"), ("localize", "linrot4"),
+            ("resolve-verify", "cotangent-circle")} <= set(_UNDECLARED)
+
+
+@pytest.mark.parametrize("command,kind", _UNDECLARED)
+def test_undeclared_command_model_pair_exits_4(command, kind, tmp_path,
+                                               capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": {"kind": kind,
+                                         **_PARAMS.get(kind, {})}}))
+    assert run([command, "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "supports the commands " + ", ".join(MODELS[kind][1]) in err
+    assert not list(tmp_path.glob("run-*"))

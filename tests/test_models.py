@@ -7,7 +7,7 @@ import pytest
 
 from equiloc.models import (Amplitude, CotangentCircle, GroupData,
                             LinearCotangent, ModelError, Sphere, make_model,
-                            model_from_config, rotation_generator)
+                            rotation_generator)
 from equiloc.mpoly import LinForm
 from equiloc.symmat import ldlt
 
@@ -207,9 +207,9 @@ def test_config_validation_names_bad_generator():
     cfg = {"kind": "linear-cotangent", "n": 2,
            "generators": [[[0, 1], [1, 0]]]}
     with pytest.raises(ModelError, match=r"\(0,1\)|antisymmetric"):
-        model_from_config(cfg)
-    ok = model_from_config({"kind": "linear-cotangent", "n": 2,
-                            "generators": [[[0, -1], [1, 0]]]})
+        make_model(**cfg)
+    ok = make_model(**{"kind": "linear-cotangent", "n": 2,
+                       "generators": [[[0, -1], [1, 0]]]})
     assert ok.group.kappa == 1
 
 
@@ -250,3 +250,16 @@ def test_stratum_sampler_level_constraint():
     pts, w = stratum_sampler(CotangentCircle(), 0.7, 64, seed=2)
     assert np.max(np.abs(pts[1] - 0.7)) < 1e-12
     assert w.sum() == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+def test_registry_builds_every_kind():
+    from equiloc.models import MODELS
+    params = {"linear-cotangent": {"n": 2,
+                                   "generators": [[[0, -1], [1, 0]]]}}
+    for kind in MODELS:
+        assert make_model(kind, **params.get(kind, {})).group.validate()
+    assert make_model("linrot4").k == 2
+    with pytest.raises(ModelError, match="'n'"):
+        make_model("linear-cotangent")
+    with pytest.raises(ModelError, match="unknown model kind"):
+        make_model("donut")
