@@ -180,24 +180,21 @@ def _cmd_dh(model, cfg: RunConfig):
 
 
 def _cmd_localize(model, cfg: RunConfig):
-    from .localization import (EquivariantForm, NoFixedPointsError, bv_sum)
+    from .localization import EquivariantForm, bv_sum
     from .oracles import sphere_bv_oracle
     rho = EquivariantForm()
     rows = []
     certs = []
-    try:
-        for y in cfg.y_values:
-            val = bv_sum(model, rho, y)
-            orc = sphere_bv_oracle(float(model.radius), y)
-            err = abs(val - orc)
-            rows.append({"y": y, "bv_re": val.real, "bv_im": val.imag,
-                         "oracle_re": orc.real, "oracle_im": orc.imag,
-                         "abs_err": err})
-            certs.append(Certificate(f"bv_vs_oracle_y_{y:g}", err,
-                                     cfg.tolerance, err <= cfg.tolerance,
-                                     "1-d height quadrature"))
-    except NoFixedPointsError as exc:
-        return ({"note": str(exc), "route": "smeared_limit"}, [], {})
+    for y in cfg.y_values:
+        val = bv_sum(model, rho, y)
+        orc = sphere_bv_oracle(float(model.radius), y)
+        err = abs(val - orc)
+        rows.append({"y": y, "bv_re": val.real, "bv_im": val.imag,
+                     "oracle_re": orc.real, "oracle_im": orc.imag,
+                     "abs_err": err})
+        certs.append(Certificate(f"bv_vs_oracle_y_{y:g}", err,
+                                 cfg.tolerance, err <= cfg.tolerance,
+                                 "1-d height quadrature"))
     csv = "y,bv_re,bv_im,oracle_re,oracle_im,abs_err\n" + "\n".join(
         f"{r['y']},{r['bv_re']!r},{r['bv_im']!r},{r['oracle_re']!r},"
         f"{r['oracle_im']!r},{r['abs_err']!r}" for r in rows) + "\n"
@@ -348,7 +345,8 @@ def _spexpand_cotangent(cfg: RunConfig):
     from .resolution import singular_sweep
     model = CotangentCircle()
     mus = cfg.mu_sweep or list(np.geomspace(1e-2, 1e-4, 5))
-    rep = singular_sweep(model, _cot_amp(), mus, sigma=cfg.sigma or 0.7)
+    sigma = cfg.sigma or 0.7
+    rep = singular_sweep(model, _cot_amp(sigma), mus, sigma=sigma)
     rows = [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
              "leading": r.leading, "remainder": r.remainder}
             for r in rep.rows]
@@ -365,7 +363,7 @@ def _spexpand_cotangent(cfg: RunConfig):
     return results, certs, {}
 
 
-def _cot_amp(sigma: float = 0.7) -> Amplitude:
+def _cot_amp(sigma: float) -> Amplitude:
     """(1 + cos^2 theta) times a momentum profile curved at the level:
     the remainder of the regular-value expansion is then genuinely of
     second order."""

@@ -26,7 +26,6 @@ import numpy as np
 
 from .bumps import Bump
 from .mpoly import LinForm, MPoly
-from .quadrature import composite_gl
 from .symmat import SymMat
 
 
@@ -171,23 +170,6 @@ class Sphere:
         if self.isotropy_dim(eta) == 0 and float(x) != 0.0:
             raise ModelError("X not in the isotropy algebra")
         return np.zeros((1, 1))
-
-    def l_alpha(self, x, density: Callable = None) -> complex:
-        """L(X) = int e^{i X z} rho(eta) dA, by (z, theta) quadrature."""
-        r = float(self.radius)
-        panels = max(16, int(abs(x) * r / 2.0) + 1)
-        z, wz = composite_gl(-r, r, panels)
-        if density is None:
-            ring = 2 * math.pi * np.ones_like(z)
-        else:
-            ntheta = 64
-            th = 2 * math.pi * (np.arange(ntheta) + 0.5) / ntheta
-            zz, tt = np.meshgrid(z, th, indexing="ij")
-            rho = np.sqrt(np.maximum(r ** 2 - zz ** 2, 0.0))
-            pts = np.stack([rho * np.cos(tt), rho * np.sin(tt), zz])
-            ring = np.asarray(density(pts), float).mean(axis=1) * 2 * math.pi
-        vals = ring * np.exp(1j * float(x) * z)
-        return complex(np.dot(vals, wz))
 
     def stratum_points(self, sigma: float, n: int):
         """Level circle {z = sigma} with its induced length measure."""
@@ -512,6 +494,14 @@ def rotation_generator(n: int, plane: Tuple[int, int],
     return g
 
 
+def check_unit_speed(model: LinearCotangent):
+    """The planar rotation entry's oracle and direct leading coefficient
+    assume speed +-1; any other speed is not that entry."""
+    if any(abs(s) != 1 for pl in model.planes for s in pl.speeds):
+        raise ModelError("the planar rotation catalog entry needs speed "
+                         "+-1 in every rotation plane")
+
+
 def _linrot(n: int) -> LinearCotangent:
     """T*R^n, n even, with one unit-speed rotation per coordinate plane."""
     return LinearCotangent(n, [rotation_generator(n, (i, i + 1))
@@ -524,7 +514,7 @@ MODELS = {
     "sphere": (lambda p: Sphere(p.get("radius", 1)),
                ("dh", "localize", "residue")),
     "cotangent-circle": (lambda p: CotangentCircle(),
-                         ("localize", "residue", "singular")),
+                         ("residue", "singular")),
     "linrot2": (lambda p: _linrot(2), ("singular", "resolve-verify")),
     "linrot4": (lambda p: _linrot(4), ("resolve-verify",)),
     "linear-cotangent": (lambda p: LinearCotangent(p["n"], p["generators"]),

@@ -217,9 +217,6 @@ class MPoly:
             out += v
         return out
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.terms), default=0)
 

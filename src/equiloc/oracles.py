@@ -144,10 +144,6 @@ class Linrot2Oracle:
                    0.0, 40.0, limit=400, points=[max(v, 1e-3)])[0]
         return 4.0 * math.pi * val
 
-    def l_alpha(self, x: float) -> float:
-        """L(X) = int e^{i J X} e^{-|eta|^2} d eta via the pushforward."""
-        return float(self.l_alpha_batch(np.array([x]))[0])
-
     def l_alpha_batch(self, xs) -> np.ndarray:
         """Vectorized L(X): cached pushforward grid + cosine panels."""
         if not hasattr(self, "_rho_grid"):

@@ -18,7 +18,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .models import Amplitude, CotangentCircle, LinearCotangent, ModelError
+from .models import (Amplitude, CotangentCircle, LinearCotangent, ModelError,
+                     check_unit_speed)
 from .quadrature import composite_gl, pairwise_sum
 from .oscillatory import OrderFit, order_fit
 
@@ -602,6 +603,7 @@ def direct_leading(model, amplitude: Amplitude, sigma: float = 0.0,
             float((vals / vols).sum() * (2 * math.pi / 512))
     if not isinstance(model, LinearCotangent) or model.n != 2:
         raise ModelError("direct_leading covers the planar rotation model")
+    check_unit_speed(model)
     if sigma != 0.0:
         raise ModelError("singular leading coefficient is at sigma = 0")
     r, wr = composite_gl(-rmax, rmax, 1, n_r)

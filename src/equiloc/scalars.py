@@ -86,9 +86,6 @@ class CRat:
             n >>= 1
         return out
 
-    def conj(self):
-        return CRat(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -40,11 +40,6 @@ class SymMat:
         i, j = ij
         return self.entries[i][j]
 
-    def apply(self, v: Sequence) -> List[Fraction]:
-        v = [Fraction(x) for x in v]
-        return [sum(self.entries[i][j] * v[j] for j in range(self.dim))
-                for i in range(self.dim)]
-
     def congruent(self, m: Sequence[Sequence]) -> "SymMat":
         """m A m^T for an arbitrary exact matrix m."""
         m = [[Fraction(x) for x in row] for row in m]

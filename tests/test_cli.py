@@ -88,6 +88,45 @@ def test_spexpand_cotangent_route(tmp_path):
                                                               abs=0.15)
 
 
+def test_spexpand_and_singular_sweep_the_same_level(tmp_path):
+    # both commands build the amplitude at the swept level --sigma
+    reports = []
+    for command in ("spexpand", "singular"):
+        out = tmp_path / command
+        assert run([command, "--model", "cotangent-circle", "--sigma",
+                    "0.5"], out) == 0
+        reports.append(latest_report(out)["results"])
+    spexpand, singular = reports
+    assert spexpand["leading"] == singular["leading"]
+    assert [r["oracle"] for r in spexpand["rows"]] == \
+        [r["oracle"] for r in singular["rows"]]
+
+
+def _linear_cotangent(tmp_path, speed):
+    cfg = tmp_path / f"speed{speed}.json"
+    cfg.write_text(json.dumps({"model": {
+        "kind": "linear-cotangent", "n": 2,
+        "generators": [[[0, -speed], [speed, 0]]]}}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["singular", "resolve-verify"])
+def test_planar_rotation_speed_other_than_one_exits_4(command, tmp_path,
+                                                      capsys):
+    # the oracle and the direct leading coefficient assume speed +-1
+    cfg = _linear_cotangent(tmp_path, 2)
+    assert run([command, "--config", cfg], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "speed" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("command", ["singular", "resolve-verify"])
+def test_planar_rotation_speed_minus_one_passes(command, tmp_path):
+    assert run([command, "--config", _linear_cotangent(tmp_path, -1)],
+               tmp_path) == 0
+
+
 def test_zero_order_and_tolerance_are_not_replaced_by_defaults(tmp_path):
     # an explicit 0 is invalid input, not a request for the default
     assert run(["spexpand", "--model", "cubic", "--order", "0"],
@@ -105,10 +144,12 @@ _PARAMS = {"linear-cotangent": {"n": 2, "generators": [[[0, -1], [1, 0]]]}}
 
 
 def test_undeclared_pairs_include_known_crashes():
-    # these three once ran to NaN certificates, a ValueError and an
-    # IndexError instead of being rejected as input
+    # the first three once ran to NaN certificates, a ValueError and an
+    # IndexError instead of being rejected as input; the fourth passed
+    # with no certificate (T*S^1 has no fixed points)
     assert {("localize", "linrot2"), ("localize", "linrot4"),
-            ("resolve-verify", "cotangent-circle")} <= set(_UNDECLARED)
+            ("resolve-verify", "cotangent-circle"),
+            ("localize", "cotangent-circle")} <= set(_UNDECLARED)
 
 
 @pytest.mark.parametrize("command,kind", _UNDECLARED)

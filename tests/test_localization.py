@@ -16,7 +16,8 @@ from equiloc.localization import (EquivariantForm, EulerExpansion,
 from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
     make_model
 from equiloc.mpoly import LinForm, MPoly
-from equiloc.oracles import mc_pushforward_sphere, sphere_bv_oracle
+from equiloc.oracles import (cotangent_l_alpha, mc_pushforward_sphere,
+                             sphere_bv_oracle)
 from equiloc.piecewise import WallDirectionError
 from equiloc.scalars import TwoPi
 
@@ -206,6 +207,15 @@ def test_exact_form_vanishing():
                             pb(pts[1]))
     sm_c = smeared_limit(c, rho_c)
     assert abs(sm_c.extrapolated) <= 1e-6
+    # cos(theta) b(p) averages to zero over theta, so its profile is zero
+    # whatever the code does with it; beta = b(p) is not.  The smeared
+    # limit sees only Re L, which vanishes by the symmetry of the nodes for
+    # an even profile whatever the sign of the d_s beta term, so the
+    # complex L(5) is checked as well
+    rho_b = EquivariantForm(exact_beta=lambda pts: pb(pts[1]))
+    assert abs(smeared_limit(c, rho_b).extrapolated) <= 1e-6
+    assert abs(l_alpha(c, rho_b, 5.0)) <= 1e-8
+    assert abs(l_alpha(s, rho, 5.0)) <= 1e-8
 
 
 def test_calibration_ratio_is_two_pi():
@@ -275,6 +285,36 @@ def test_asymptotic_l_next_coefficient_vs_oracle():
         meas = abs(l_true - lead.total(y))
         pred = abs(two.total(y) - lead.total(y))
         assert meas == pytest.approx(pred, rel=0.05)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_l_alpha_sphere_against_oracles(radius):
+    # the area form of the radius-R sphere is R dz dtheta
+    s = Sphere(radius)
+    for x in (0.5, 2.0, 7.0):
+        val = l_alpha(s, RHO1, x)
+        assert abs(val - sphere_bv_oracle(radius, x)) <= 1e-9
+        assert abs(val - bv_sum(s, RHO1, x)) <= 1e-9
+
+
+def test_l_alpha_cotangent_against_oracle():
+    c = CotangentCircle()
+    pb = Bump(radius=1.5, order=8, kind="poly")
+
+    def dens(pts):
+        # supported in -1.2 <= p <= 1.8, inside the profile's |p| < 2
+        return (1 + np.cos(pts[0]) ** 2) * pb(pts[1] - 0.3)
+
+    rho = EquivariantForm(scale=Fraction(3, 2), density=dens)
+    xs = np.array([0.5, 2.0, 7.0, 30.0])
+    vals = l_alpha(c, rho, xs)
+    for x, v in zip(xs, vals):
+        orc = 1.5 * cotangent_l_alpha(
+            lambda t, p: dens(np.stack([t, p])), x, -2.0, 2.0)
+        assert abs(v - orc) <= 1e-10 * max(1.0, abs(orc))
+        assert l_alpha(c, rho, x) == pytest.approx(v, abs=1e-12)
+    assert np.allclose(l_alpha_batch(c, rho, xs), vals.real, rtol=0,
+                       atol=1e-12)
 
 
 def test_l_alpha_batch_consistency():

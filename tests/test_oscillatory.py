@@ -158,12 +158,14 @@ def test_expansion_vs_oracle_order():
 
 def test_decay_check_routes():
     # sphere amplitude vanishing near the poles: superpolynomial decay
+    from equiloc.localization import EquivariantForm, l_alpha
     from equiloc.models import Sphere
     s = Sphere(1)
     cut = Bump(radius=0.8, order=6, kind="plateau", flat=0.4)
+    rho = EquivariantForm(density=lambda pts: cut(pts[2]))
 
     def l_eval(t):
-        return s.l_alpha(t, lambda pts: cut(pts[2]))
+        return l_alpha(s, rho, t)
 
     res = decay_check(l_eval)
     assert not res.zero_signal

@@ -31,7 +31,7 @@ def test_gauss_legendre_is_cached_and_read_only():
 @pytest.mark.parametrize("a,b,panels,n", [
     (0.0, 600.0, 191, 16),      # smeared_limit
     (0.0, 30.0, 360, 16),       # Linrot2Oracle.l_alpha_batch
-    (-1.0, 1.0, 16, 16),        # Sphere.l_alpha
+    (-1.0, 1.0, 16, 16),
     (0.0, 1.0, 141, 16),        # BumpHat build
     (-2.5, 2.5, 7, 8),          # tensor_oscillatory axis
     (-0.3, 1.7, 5, 12),
