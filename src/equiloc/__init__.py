@@ -4,7 +4,7 @@ formula cross-validated against independent brute-force quadrature.
 """
 
 from .scalars import CRat, Rat, TwoPi
-from .mpoly import LinForm, MPoly, poly_ops
+from .mpoly import LinForm, MPoly
 from .symmat import SymMat, ldlt
 from .ratexp import RatExp, RatTerm
 from .piecewise import (Atom, ConeError, Piece, PiecewisePoly, Wall,

@@ -496,6 +496,15 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+def _invalid_config(exc) -> int:
+    """Print the problems of a ConfigError or ModelError; exit 4."""
+    problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
+    print("invalid config:", file=sys.stderr)
+    for p in problems:
+        print(f"  - {p}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def run(cfg: RunConfig, out_dir: Path,
         calibrate_first: bool = False) -> int:
     try:
@@ -510,12 +519,7 @@ def run(cfg: RunConfig, out_dir: Path,
                     f"model.kind: {kind!r} supports the commands "
                     f"{', '.join(commands)}, not {cfg.command}"])
     except (ConfigError, ModelError) as exc:
-        problems = exc.problems if isinstance(exc, ConfigError) else [
-            str(exc)]
-        print("invalid config:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _invalid_config(exc)
 
     if calibrate_first:
         from .localization import calibrate
@@ -542,12 +546,7 @@ def run(cfg: RunConfig, out_dir: Path,
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ConfigError, ModelError) as exc:
-        problems = exc.problems if isinstance(exc, ConfigError) else [
-            str(exc)]
-        print("invalid config:", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _invalid_config(exc)
     elapsed = time.time() - t0
 
     report = Report(command=cfg.command, inputs_hash=cfg.run_hash(),
@@ -625,10 +624,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
     except ConfigError as exc:
-        print("invalid config:", file=sys.stderr)
-        for p in exc.problems:
-            print(f"  - {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _invalid_config(exc)
     return run(cfg, Path(args.out), calibrate_first=args.calibrate)
 
 

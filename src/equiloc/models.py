@@ -322,17 +322,22 @@ class LinearCotangent:
     # -- basic operations ---------------------------------------------------
 
     def generator_matrix(self, x) -> np.ndarray:
+        """The matrix of X = sum_i x_i g_i; x of shape (..., k) gives
+        (..., n, n)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros((self.n, self.n))
-        for g, xi in zip(self.generators, x):
-            out += xi * np.array([[float(v) for v in row] for row in g])
+        out = np.zeros(x.shape[:-1] + (self.n, self.n))
+        for g, xi in zip(self.generators, np.moveaxis(x, -1, 0)):
+            out += xi[..., None, None] * np.array(
+                [[float(v) for v in row] for row in g])
         return out
 
     def momentum(self, eta, x) -> float:
-        q, p = np.asarray(eta[:self.n], float), np.asarray(
-            eta[self.n:], float)
-        a = self.generator_matrix(x)
-        return float(a.dot(q).dot(p))
+        """<Xq, p>; eta of shape (..., 2n) and x of shape (..., k) broadcast,
+        and one point gives a float."""
+        eta = np.asarray(eta, dtype=float)
+        aq = np.vecdot(self.generator_matrix(x), eta[..., None, :self.n])
+        out = np.vecdot(aq, eta[..., self.n:])
+        return float(out) if out.ndim == 0 else out
 
     def fundamental_field(self, eta, x=None) -> np.ndarray:
         if x is None:

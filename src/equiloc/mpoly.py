@@ -254,19 +254,3 @@ class MPoly:
             bits.append(f"({self.terms[e]})*{mono}")
         return " + ".join(bits)
 
-
-def poly_ops(p: MPoly, mode: str, other=None):
-    """Dispatcher over the exact polynomial operations.
-
-    mode: "add" | "mul" (other: MPoly), "diff" (other: variable index),
-    "eval" (other: rational point).
-    """
-    if mode == "add":
-        return p + other
-    if mode == "mul":
-        return p * other
-    if mode == "diff":
-        return p.diff(int(other))
-    if mode == "eval":
-        return p.eval(other)
-    raise ValueError(f"unknown poly_ops mode {mode!r}")

@@ -20,6 +20,7 @@ import numpy as np
 FILON_THRESHOLD = 2.0 * math.pi  # per-cell phase variation before Filon
 FILON_CHUNK = 256.0 * math.pi     # phase length of one Filon chunk
 FILON_DEGREE = 10
+TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
 
 
 class BudgetExceeded(RuntimeError):
@@ -245,16 +246,10 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
 
 def tensor_oscillatory(amp: Callable, phase: Callable,
                        domain: Sequence, mu: float,
-                       base: int = 6, max_points: int = 4_000_000
-                       ) -> QuadResult:
-    """Tensor-product rule for dim <= 3: grid sized per axis by the phase
-    variation so each cell stays below the Gauss threshold."""
+                       max_points: int = 4_000_000) -> QuadResult:
+    """Tensor-product rule for 2 <= dim <= 3: grid sized per axis by the
+    phase variation so each cell stays below the Gauss threshold."""
     dims = len(domain)
-    if dims == 1:
-        return oscillatory_quad_1d(
-            lambda x: amp(x[None, :]) if False else amp(np.atleast_2d(x)),
-            lambda x: phase(np.atleast_2d(x)), domain[0][0], domain[0][1],
-            mu, max_points)
     probe = [np.linspace(lo, hi, 9) for lo, hi in domain]
     mesh = np.meshgrid(*probe, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh])
@@ -267,7 +262,8 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
             / (h * 1e-4)
         gmax = float(np.max(dps))
         span = domain[ax][1] - domain[ax][0]
-        counts.append(max(base, int(gmax * span / (mu * math.pi)) + 1))
+        counts.append(max(TENSOR_MIN_PANELS,
+                          int(gmax * span / (mu * math.pi)) + 1))
     n = 8
     total = math.prod(c * n for c in counts)
     if total > max_points:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from equiloc.mpoly import LinForm, MPoly, poly_ops
+from equiloc.mpoly import LinForm, MPoly
 
 
 def rand_poly(rng, dim, deg=3, terms=4):
@@ -31,13 +31,12 @@ def test_ring_axioms_randomized():
 def test_poly_ops_examples():
     y1sq = MPoly(1, {(2,): Fraction(1)})
     y1 = MPoly.variable(1, 0)
-    assert poly_ops(y1sq, "add", y1) == MPoly(1, {(2,): Fraction(1),
-                                                  (1,): Fraction(1)})
+    assert y1sq + y1 == MPoly(1, {(2,): Fraction(1), (1,): Fraction(1)})
     y1y2 = MPoly(2, {(1, 1): Fraction(1)})
-    assert poly_ops(y1y2, "diff", 0) == MPoly.variable(2, 1)
+    assert y1y2.diff(0) == MPoly.variable(2, 1)
     # Phi for the single root 2Y evaluated at Y = 3
     phi = LinForm([2]).to_mpoly()
-    assert poly_ops(phi, "eval", [Fraction(3)]) == Fraction(6)
+    assert phi.eval([Fraction(3)]) == Fraction(6)
 
 
 def test_dim_mismatch_errors():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
-from equiloc.resolution import (_random_chart_point, build_charts,
-                                crit_conditions, crit_equivalence_scan,
+from equiloc.resolution import (build_charts, crit_conditions,
+                                crit_equivalence_scan,
                                 direct_leading, factorization_check,
                                 resolution_certificate, resolved_leading,
                                 singular_sweep, stratify,
@@ -164,6 +165,17 @@ def test_resolved_leading_zero_amplitude():
                             n_s=8) == 0.0
 
 
+def test_resolved_leading_rejects_a_varying_ratio():
+    # psi_wk scaled by 1 + tau^2 scales |det Hess_perp| along Crit(psi_wk),
+    # so dCrit / |det Hess_perp|^(1/2) varies over the probe grid
+    m = make_model("linrot2")
+    charts = [dataclasses.replace(c, psi_wk=lambda pt, _f=c.psi_wk: _f(pt) *
+                                  (1 + np.asarray(pt)[..., 0] ** 2))
+              for c in build_charts(m, stratify(m).chains[0], tau_range=4.2)]
+    with pytest.raises(ModelError, match="not constant"):
+        resolved_leading(m, charts, GAUSS_AMP, n_tau=8, n_ang=8, n_s=8)
+
+
 def test_amplitude_off_divisor_reduces_to_regular_stratum():
     # amplitude vanishing near q = 0: the resolved integral equals the
     # direct stratum integral restricted to the same support
@@ -254,7 +266,6 @@ def test_resolution_certificate():
     assert cert.min_transversal_eig > 0
     assert cert.codim == 2 * m.group.kappa
     assert cert.rel_gap <= 0.01
-    assert cert.passed
 
 
 def test_sweep_eps_splitting_diagnostics():
@@ -304,15 +315,42 @@ def _loop_hessian(chart, pt, h=1e-4):
     return out
 
 
+def _assert_floats_equal(batch, singles):
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(batch, singles)
+
+
 def test_psi_wk_broadcasts_over_points():
+    # every chart callable broadcasts: stacked points give exactly the
+    # per-point values, and one point gives floats
     rng = np.random.default_rng(17)
+    models = {1: make_model("linrot2"), 2: make_model("linrot4")}
     for chart in _all_charts():
         pts = np.array([[rng.uniform(lo, hi) for lo, hi in chart.domain]
                         for _ in range(12)])
-        singles = [chart.psi_wk(pt) for pt in pts]
-        assert all(type(v) is float for v in singles)
-        assert np.array_equal(chart.psi_wk(pts), singles)
+        _assert_floats_equal(chart.psi_wk(pts),
+                             [chart.psi_wk(pt) for pt in pts])
         assert chart.psi_wk(pts.reshape(3, 4, -1)).shape == (3, 4)
+        for fn in (chart.psi_tot, chart.grad_p_norm):
+            if fn is not None:
+                _assert_floats_equal(fn(pts), [fn(pt) for pt in pts])
+        res = chart.conditions(pts)
+        singles = [chart.conditions(pt) for pt in pts]
+        assert sorted(res) == ["I", "II", "III"]
+        for key in res:
+            _assert_floats_equal(res[key], [one[key] for one in singles])
+        if chart.ambient_map is not None:
+            eta, x = chart.ambient_map(pts)
+            singles = [chart.ambient_map(pt) for pt in pts]
+            assert np.array_equal(eta, [e for e, _ in singles])
+            assert np.array_equal(x, [xv for _, xv in singles])
+            model = models[chart.chain.depth]
+            _assert_floats_equal(model.momentum(eta, x),
+                                 [model.momentum(e, xv) for e, xv in singles])
+        if chart.crit_param is not None:
+            tau, theta, s = pts[:, 0], pts[:, 1], pts[:, 3]
+            assert np.array_equal(chart.crit_param(tau, theta, s), [
+                chart.crit_param(*args) for args in zip(tau, theta, s)])
 
 
 def test_batched_stencils_match_per_point_loops():
@@ -320,7 +358,7 @@ def test_batched_stencils_match_per_point_loops():
     for chart in _all_charts():
         pts = [np.array([rng.uniform(lo, hi) for lo, hi in chart.domain])
                for _ in range(6)]
-        pts += chart.crit_sampler(rng, 3)
+        pts += list(chart.crit_sampler(rng, 3))
         grads = chart.gradient(np.array(pts))
         for pt, g in zip(pts, grads):
             assert np.max(np.abs(g - _loop_gradient(chart, pt))) <= 1e-12
@@ -337,8 +375,9 @@ def test_crit_scan_matches_per_point_loop():
             rng_a = np.random.default_rng(seed)
             rng_b = np.random.default_rng(seed)
             got = crit_equivalence_scan(chart, rng_a, n=400)
-            crit_pts = chart.crit_sampler(rng_b, 100)
-            pts = crit_pts + [_random_chart_point(chart, rng_b)
+            crit_pts = list(chart.crit_sampler(rng_b, 100))
+            pts = crit_pts + [np.array([rng_b.uniform(lo, hi)
+                                        for lo, hi in chart.domain])
                               for _ in range(300)]
             mism = 0
             for pt in pts:
