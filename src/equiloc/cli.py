@@ -26,6 +26,7 @@ import numpy as np
 from .bumps import Bump
 from .models import MODELS, Amplitude, ModelError, default_amplitude, \
     make_model
+from .oscillatory import fit_problem
 from .quadrature import BudgetExceeded
 
 EXIT_OK = 0
@@ -142,7 +143,18 @@ def _mu_sweep_from_string(s: str) -> List[float]:
         a, b, steps = float(a), float(b), int(steps)
     except Exception:
         raise ConfigError([f"mu-sweep: cannot parse {s!r} as a:b:steps"])
+    if not (0 < a < math.inf and 0 < b < math.inf and steps >= 1):
+        raise ConfigError([f"mu-sweep: {s!r} needs a, b > 0 and steps >= 1"])
     return list(np.geomspace(a, b, steps))
+
+
+def _sweep(cfg: RunConfig, default: List[float], fit_from: int = 4):
+    """cfg's mu sweep, or default; invalid config if the order fit, which
+    takes every sweep of fit_from points or more, cannot use it."""
+    mus = cfg.mu_sweep or default
+    if len(mus) >= fit_from and fit_problem(mus):
+        raise ConfigError([f"mu_sweep: {fit_problem(mus)} for the order fit"])
+    return mus
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +306,8 @@ def _cmd_spexpand(model, cfg: RunConfig):
                      "oracle_im": res.value.imag, "exp_re": pred.real,
                      "exp_im": pred.imag,
                      "error": abs(res.value - pred)})
-    span = math.log10(max(mus) / min(mus))
     fit = order_fit([(r["mu"], max(r["error"], 1e-300)) for r in rows]) \
-        if len(rows) >= 4 and span >= 2.0 else None
+        if fit_problem(mus) is None else None
     target = rank / 2 + cfg.order
     certs = []
     if fit is not None:
@@ -344,7 +355,7 @@ def _spexpand_cotangent(cfg: RunConfig):
     from .models import CotangentCircle
     from .resolution import singular_sweep
     model = CotangentCircle()
-    mus = cfg.mu_sweep or list(np.geomspace(1e-2, 1e-4, 5))
+    mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
     sigma = cfg.sigma or 0.7
     rep = singular_sweep(model, _cot_amp(sigma), mus, sigma=sigma)
     rows = [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
@@ -383,7 +394,7 @@ def _cmd_singular(model, cfg: RunConfig):
     else:
         sigma = 0.0
         amp = default_amplitude(model, cfg.model.get("bump"))
-    mus = cfg.mu_sweep or list(np.geomspace(1e-2, 1e-4, 5))
+    mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
     rep = singular_sweep(model, amp, mus, sigma=sigma)
     kappa = rep.kappa
     certs = []
@@ -457,7 +468,7 @@ def _cmd_convergence(model, cfg: RunConfig):
     from .oracles import fresnel_leading
     from .oscillatory import order_fit, oscillatory_integral
     bump = Bump(radius=20.0, order=4, kind="poly")
-    mus = cfg.mu_sweep or [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3]
+    mus = _sweep(cfg, [1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3], 0)
     rows = []
     worst = 0.0
     for mu in mus:

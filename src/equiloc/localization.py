@@ -64,22 +64,8 @@ class EquivariantForm:
         return v
 
 
-@dataclass
-class EulerExpansion:
-    """Nilpotent expansion record of 1/chi_NF for a non-point component:
-    the inverse weight product times the finite geometric series in
-    c_1/lambda_q (chern data kept formal; the catalog never evaluates it)."""
-    weights: tuple
-    chern_data: object
-    max_order: int
-
-
 def euler_inverse(fc: FixedComponent, y):
-    """1/prod lambda_q(Y)^m for point components; an expansion record when
-    first-Chern data is present."""
-    if fc.chern_data is not None:
-        return EulerExpansion(weights=fc.weights, chern_data=fc.chern_data,
-                              max_order=len(fc.weights))
+    """1/prod lambda_q(Y)^m for a point component."""
     exact = all(not isinstance(v, float) for v in y)
     out = Fraction(1) if exact else 1.0
     for form, mult in fc.weights:
@@ -98,8 +84,6 @@ def _bv_constant(rank_nf: int) -> complex:
 def bv_term(model, fc: FixedComponent, rho: EquivariantForm, y) -> complex:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     inv = euler_inverse(fc, list(y))
-    if isinstance(inv, EulerExpansion):
-        raise NotImplementedError("nilpotent components not in the catalog")
     jval = float(fc.j_value(
         [Fraction(v).limit_denominator(10 ** 12) for v in y]))
     val = rho.value_at([float(f) for f in fc.points])

@@ -62,7 +62,6 @@ class FixedComponent:
     j_value: LinForm               # Y -> J_Y(F)
     weights: tuple                 # tuple[(LinForm, multiplicity)]
     rank_nf: int
-    chern_data: Optional[object] = None
 
     def validate(self):
         nw = sum(m for _, m in self.weights)

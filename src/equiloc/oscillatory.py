@@ -398,14 +398,22 @@ class OrderFit:
     exact: bool = False
 
 
+def fit_problem(mus: Sequence[float]) -> Optional[str]:
+    """Why order_fit cannot fit samples at these mu, or None."""
+    if len(mus) < 4:
+        return "need at least 4 samples"
+    if np.log10(np.max(mus) / np.min(mus)) < 2.0 - 1e-9:
+        return "samples must span at least 2 decades"
+    return None
+
+
 def order_fit(samples: Sequence[Tuple[float, float]]) -> OrderFit:
     """Least squares of log err = c + e log mu + l log(-log mu)."""
     mus = np.array([m for m, _ in samples], dtype=float)
     errs = np.array([e for _, e in samples], dtype=float)
-    if len(mus) < 4:
-        raise ValueError("need at least 4 samples")
-    if np.log10(mus.max() / mus.min()) < 2.0 - 1e-9:
-        raise ValueError("samples must span at least 2 decades")
+    problem = fit_problem(mus)
+    if problem:
+        raise ValueError(problem)
     if np.all(errs == 0.0):
         return OrderFit(exponent=float("inf"), log_power=0.0, residual=0.0,
                         exact=True)

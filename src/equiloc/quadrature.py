@@ -1,11 +1,13 @@
 """Oscillation-aware quadrature engine.
 
-The 1-D driver splits the interval at stationary points, sizes panels by
-accumulated phase variation, and switches from Gauss panels to a
+The 1-D driver builds the phase table once per integral, splits it into
+zones at stationary points and sizes panels by accumulated phase
+variation; both refine passes read that table.  A monotone zone carrying
+more than FILON_THRESHOLD radians switches from Gauss panels to a
 Filon-type rule (phase substitution + Chebyshev amplitude interpolation
-against exact oscillatory moments) once a monotone stretch carries more
-than FILON_THRESHOLD radians.  Cells are independent work items and are
-reduced with a fixed pairwise order so results are run-to-run identical.
+against exact oscillatory moments), and one weight vector serves all its
+chunks.  Cells are reduced in a fixed pairwise order, so results are
+run-to-run identical.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class QuadResult:
+    """`value` of an oscillatory integral with a conservative `error`.
+
+    In the 1-D engine `value` is the refine-2 pass and `error` is
+    |v(refine 2) - v(refine 1)|, the deviation of the coarse pass; the
+    returned value is usually far more accurate (Fresnel sweep: error
+    7.6e-8 to 7.2e-7 against a true error of 1.0e-9 to 1.9e-8).
+    `converged` is error <= 1e-7 (1 + |value|), so it can read False on an
+    accurate value.  The tensor rule sets the nominal error
+    1e-6 |value|, not an estimate, and always reports converged."""
     value: complex
     error: float
     converged: bool
@@ -98,11 +109,6 @@ def _phase_table(phase: Callable, a: float, b: float, mu: float,
     return s, psi
 
 
-def _cheb_nodes(n: int):
-    k = np.arange(n + 1)
-    return np.cos(math.pi * k / n)[::-1]
-
-
 def _osc_moments(omega: float, deg: int):
     """I_k = int_{-1}^{1} x^k e^{i omega x} dx via the stable forward
     recurrence (valid because chunks guarantee omega >> deg)."""
@@ -116,31 +122,16 @@ def _osc_moments(omega: float, deg: int):
     return out
 
 
-def _filon_chunk(amp: Callable, s_nodes: np.ndarray, t_lo: float,
-                 t_hi: float, t_nodes: np.ndarray, dpsi_nodes: np.ndarray,
-                 mu: float) -> complex:
-    """integral over t in [t_lo, t_hi] of e^{it/mu} g(t) dt with
-    g = amp(s(t))/psi'(s(t)), interpolated at Chebyshev t-nodes."""
-    g = np.asarray(amp(s_nodes), dtype=complex) / dpsi_nodes
-    half = 0.5 * (t_hi - t_lo)
-    mid = 0.5 * (t_hi + t_lo)
-    deg = len(t_nodes) - 1
-    # monomial coefficients of the interpolant in x = (t - mid)/half
-    x = (t_nodes - mid) / half
-    V = np.vander(x, deg + 1, increasing=True)
-    coef = np.linalg.solve(V, g)
-    mom = _osc_moments(half / mu, deg)
-    return np.exp(1j * mid / mu) * half * np.dot(coef, mom)
-
-
 def oscillatory_quad_1d(amp: Callable, phase: Callable, a: float, b: float,
                         mu: float, max_points: int = 6_000_000
                         ) -> QuadResult:
-    """integral_a^b e^{i phase(s)/mu} amp(s) ds."""
+    """integral_a^b e^{i phase(s)/mu} amp(s) ds by two refine passes over
+    one zone table (QuadResult says what error and converged mean)."""
     if b <= a:
         return QuadResult(0.0, 0.0, True, 0)
-    v1, n1 = _osc_pass(amp, phase, a, b, mu, refine=1, max_points=max_points)
-    v2, n2 = _osc_pass(amp, phase, a, b, mu, refine=2, max_points=max_points)
+    table = _zone_table(phase, a, b, mu)
+    v1, n1 = _osc_pass(amp, phase, mu, table, 1, max_points)
+    v2, n2 = _osc_pass(amp, phase, mu, table, 2, max_points)
     err = abs(v2 - v1)
     return QuadResult(v2, err, err <= 1e-7 * (1.0 + abs(v2)), n1 + n2)
 
@@ -149,56 +140,38 @@ _GUARD = 32.0 * math.pi  # phase radians kept on Gauss panels around a
                          # stationary point (1/psi' is singular there)
 
 
-def _osc_pass(amp, phase, a, b, mu, refine: int, max_points: int):
+def _zone_table(phase, a, b, mu):
+    """(s, psi, dpsi, cum, zones) of [a, b]: the phase table, psi', the
+    accumulated phase variation / mu, and zones (i0, i1, kind) that tile
+    the table indices 0..n-1.  A "gl" zone holds every table point within
+    _GUARD radians of a stationary point (sign change of psi'); the
+    "mono" zones between them are monotone in psi."""
     s, psi = _phase_table(phase, a, b, mu)
     dpsi = np.gradient(psi, s)
     cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(psi)))]) / mu
-    total = float(cum[-1])
-    # variation-coordinates of stationary points (sign changes of psi')
-    stat_v = [float(cum[i + 1])
-              for i in np.nonzero(np.diff(np.sign(dpsi)) != 0)[0]]
-    gl_zones = []
-    for v in stat_v:
-        gl_zones.append((max(0.0, v - _GUARD), min(total, v + _GUARD)))
-    gl_zones.sort()
-    merged = []
-    for z in gl_zones:
-        if merged and z[0] <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], z[1]))
-        else:
-            merged.append(z)
-    # build the alternating zone list over [0, total]
-    zones = []
-    cursor = 0.0
-    for z0, z1 in merged:
-        if z0 > cursor:
-            zones.append((cursor, z0, "mono"))
-        zones.append((z0, z1, "gl"))
-        cursor = z1
-    if cursor < total:
-        zones.append((cursor, total, "mono"))
-    if not zones:
-        zones = [(0.0, total, "gl")]
-
-    pieces = []
-    npts = 0
-    # snap zone boundaries to table indices so the pieces tile [a, b]
-    idx_zones = []
-    prev_idx = 0
-    for v0, v1, kind in zones:
-        i1 = int(np.searchsorted(cum, v1))
-        i1 = min(max(i1, prev_idx + 1), len(s) - 1)
-        if kind == zones[-1][2] and (v0, v1, kind) == zones[-1]:
-            i1 = len(s) - 1
-        idx_zones.append((prev_idx, i1, kind))
-        prev_idx = i1
-    if idx_zones:
-        i0, i1, kind = idx_zones[-1]
-        idx_zones[-1] = (i0, len(s) - 1, kind)
-
-    for i0, i1, kind in idx_zones:
-        if i1 <= i0:
+    last = len(s) - 1
+    stat = cum[1:][np.diff(np.sign(dpsi)) != 0]
+    ends = [(0, None)]      # (end index, kind) of each zone in turn
+    for lo, hi in np.searchsorted(cum, [stat - _GUARD, stat + _GUARD]
+                                  ).T.tolist():
+        end = ends[-1][0]
+        if ends[-1][1] == "gl" and lo <= end:   # overlaps that guard
+            ends[-1] = (max(end, min(hi, last)), "gl")
             continue
+        if lo > end:
+            ends.append((lo, "mono"))
+        ends.append((min(hi, last), "gl"))
+    if ends[-1][0] < last:
+        ends.append((last, "mono"))
+    zones = [(i0, i1, kind) for (i0, _), (i1, kind) in zip(ends, ends[1:])
+             if i1 > i0]
+    return s, psi, dpsi, cum, zones
+
+
+def _osc_pass(amp, phase, mu, table, refine: int, max_points: int):
+    s, psi, dpsi, cum, zones = table
+    pieces, npts = [], 0
+    for i0, i1, kind in zones:
         lo, hi = float(s[i0]), float(s[i1])
         var = float(cum[i1] - cum[i0])
         if kind == "gl" or var <= max(FILON_THRESHOLD, _GUARD) * refine:
@@ -217,6 +190,11 @@ def _osc_pass(amp, phase, a, b, mu, refine: int, max_points: int):
 
 
 def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
+    """Filon rule on a monotone zone: in t = psi(s) the integrand is
+    e^{it/mu} g(t), g = amp(s(t))/|psi'(s(t))|.  Every chunk has width
+    2*half and the same Chebyshev nodes x, so one weight vector
+    w = V(x)^-T m(half/mu) against the exact moments m serves them all:
+    chunk c contributes e^{i mid_c/mu} half (g_c . w)."""
     ss = s[i0:i1 + 1]       # increasing in s
     pp = psi[i0:i1 + 1]
     dd = dpsi[i0:i1 + 1]
@@ -224,24 +202,23 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
         return panel_gauss(lambda x: np.asarray(amp(x)) *
                            np.exp(1j * np.interp(x, s, psi) / mu),
                            float(ss[0]), float(ss[-1]), 4)
-    decreasing = pp[0] > pp[-1]
-    tt = pp[::-1] if decreasing else pp       # increasing in t
-    st = ss[::-1] if decreasing else ss
+    rev = slice(None, None, -1 if pp[0] > pp[-1] else 1)
+    tt, st = pp[rev], ss[rev]       # increasing in t
     t_lo, t_hi = float(tt[0]), float(tt[-1])
     nchunk = max(1, int((t_hi - t_lo) / (mu * FILON_CHUNK / refine)) + 1)
     edges = np.linspace(t_lo, t_hi, nchunk + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (t_hi - t_lo) / nchunk
     deg = FILON_DEGREE + 2 * (refine - 1)
-    xc = _cheb_nodes(deg)
-    vals = []
-    for c0, c1 in zip(edges[:-1], edges[1:]):
-        tn = 0.5 * (c0 + c1) + 0.5 * (c1 - c0) * xc
-        sn = np.interp(tn, tt, st)
-        dn = np.interp(sn, ss, dd)
-        pn = np.interp(sn, ss, pp)
-        sn = sn - (pn - tn) / dn           # Newton polish on the table
-        dn = np.abs(np.interp(sn, ss, dd))
-        vals.append(_filon_chunk(amp, sn, c0, c1, tn, dn, mu))
-    return pairwise_sum(vals)
+    xc = np.cos(math.pi * np.arange(deg + 1) / deg)[::-1]   # Chebyshev nodes
+    w = np.linalg.solve(np.vander(xc, increasing=True).T,
+                        _osc_moments(half / mu, deg))
+    tn = (mid[:, None] + half * xc[None, :]).ravel()
+    sn = np.interp(tn, tt, st)
+    sn = sn - (np.interp(sn, ss, pp) - tn) / np.interp(sn, ss, dd)  # Newton
+    g = np.asarray(amp(sn), dtype=complex) / np.abs(np.interp(sn, ss, dd))
+    vals = np.exp(1j * mid / mu) * half * (g.reshape(nchunk, -1) @ w)
+    return pairwise_sum(list(vals))
 
 
 def tensor_oscillatory(amp: Callable, phase: Callable,

@@ -88,6 +88,23 @@ def test_spexpand_cotangent_route(tmp_path):
                                                               abs=0.15)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spexpand", "--model", "fresnel", "--mu-sweep", "1e-1:1e-2:0"],
+    ["spexpand", "--model", "fresnel", "--mu-sweep", "1e-1:1e-2:-1"],
+    ["spexpand", "--model", "fresnel", "--mu-sweep", "0:1e-2:5"],
+    ["convergence", "--mu-sweep", "1e-1:1e-2:3"],
+    ["singular", "--model", "cotangent-circle", "--mu-sweep",
+     "1e-2:1e-3:4"],
+])
+def test_malformed_or_unfittable_mu_sweep_exits_4(argv, tmp_path, capsys):
+    # these once ran a default sweep, raised from np.geomspace or raised
+    # from order_fit
+    assert run(argv, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
 def test_spexpand_and_singular_sweep_the_same_level(tmp_path):
     # both commands build the amplitude at the swept level --sigma
     reports = []

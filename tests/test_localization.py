@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from equiloc.bumps import Bump
-from equiloc.localization import (EquivariantForm, EulerExpansion,
-                                  NoFixedPointsError, RegularityError,
-                                  asymptotic_l, bv_sum, bv_term, calibrate,
-                                  dh_measure, euler_inverse, jk_residue,
-                                  kirwan_integral, l_alpha, l_alpha_batch,
-                                  pairing_constant, smeared_limit,
-                                  u_f_symbolic, weyl_factor)
+from equiloc.localization import (EquivariantForm, NoFixedPointsError,
+                                  RegularityError, asymptotic_l, bv_sum,
+                                  bv_term, calibrate, dh_measure,
+                                  euler_inverse, jk_residue, kirwan_integral,
+                                  l_alpha, l_alpha_batch, pairing_constant,
+                                  smeared_limit, u_f_symbolic, weyl_factor)
 from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
     make_model
 from equiloc.mpoly import LinForm, MPoly
@@ -36,14 +35,6 @@ def test_euler_inverse_examples():
     assert euler_inverse(fc, [Fraction(3)]) == Fraction(-1, 9)
     with pytest.raises(RegularityError):
         euler_inverse(fc, [Fraction(0)])
-
-
-def test_euler_inverse_chern_record():
-    fc = FixedComponent(points=(0,), j_value=LinForm([0]),
-                        weights=((LinForm([1]), 1),), rank_nf=2,
-                        chern_data={"c1": "formal"})
-    rec = euler_inverse(fc, [Fraction(1)])
-    assert isinstance(rec, EulerExpansion)
 
 
 def test_bv_sum_matches_oracle():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from equiloc.quadrature import (composite_gl, gauss_legendre, pairwise_sum,
+from equiloc import quadrature
+from equiloc.quadrature import (composite_gl, gauss_legendre,
+                                oscillatory_quad_1d, pairwise_sum,
                                 panel_gauss)
 
 
@@ -73,3 +76,82 @@ def test_panel_gauss_keeps_its_per_cell_reduction():
     w = np.polynomial.legendre.leggauss(16)[1]
     cell = (f(pts).reshape(panels, 16) * w[None, :]).sum(axis=1) * half
     assert panel_gauss(f, a, b, panels) == pairwise_sum(list(cell))
+
+
+# the mu of the spexpand-fresnel benchmark job, 1e-1 down to 3.16e-4
+FRESNEL_MUS = list(np.geomspace(1e-1, 3.1622776601683795e-4, 6))
+
+
+def _fresnel_exact(mu, r=20.0):
+    """int_{-r}^{r} e^{i s^2/2mu} (1 - s^2/r^2)^4 ds in closed form from the
+    moments M_k = int s^{2k} e^{a s^2} ds, a = i/2mu (M_0 by the complex
+    error function, M_k by parts)."""
+    a = 1j / (2.0 * mu)
+    m = [np.sqrt(math.pi / -a) * erf(np.sqrt(-a) * r)]
+    for k in range(1, 5):
+        m.append(r ** (2 * k - 1) * np.exp(a * r * r) / a -
+                 (2 * k - 1) / (2 * a) * m[-1])
+    return sum(math.comb(4, k) * (-1) ** k * m[k] / r ** (2 * k)
+               for k in range(5))
+
+
+@pytest.mark.parametrize("mu", FRESNEL_MUS)
+def test_fresnel_against_closed_form(mu):
+    res = oscillatory_quad_1d(lambda s: (1.0 - np.asarray(s) ** 2 / 400.0)
+                              ** 4, lambda s: 0.5 * np.asarray(s) ** 2,
+                              -20.0, 20.0, mu)
+    gap = abs(res.value - _fresnel_exact(mu))
+    assert gap <= 5e-8
+    # error is the coarse pass's deviation, so it bounds the returned value
+    assert res.error >= gap
+
+
+ZONE_PHASES = {
+    "fresnel": (lambda s: 0.5 * s ** 2, lambda s: s, (-20.0, 20.0)),
+    "cubic": (lambda s: 0.5 * s ** 2 + s ** 3, lambda s: s + 3 * s ** 2,
+              (-0.25, 0.25)),
+    "sin3": (lambda s: np.sin(3 * s), lambda s: 3 * np.cos(3 * s),
+             (-3.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZONE_PHASES))
+@pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_zones_tile_the_table(name, mu):
+    phase, dphase, (a, b) = ZONE_PHASES[name]
+    s, psi, dpsi, cum, zones = quadrature._zone_table(phase, a, b, mu)
+    assert zones[0][0] == 0 and zones[-1][1] == len(s) - 1
+    assert all(z[1] > z[0] for z in zones)
+    assert all(z0[1] == z1[0] for z0, z1 in zip(zones, zones[1:]))
+    # overlapping guards are merged, so the kinds alternate
+    assert all(z0[2] != z1[2] for z0, z1 in zip(zones, zones[1:]))
+    # sign changes of the exact psi' between table points i and i + 1
+    flips = np.nonzero(np.diff(np.sign(dphase(s))) != 0)[0]
+    assert len(flips) > 0
+    for i in flips:
+        home = [kind for i0, i1, kind in zones if i0 <= i and i + 1 <= i1]
+        assert home == ["gl"]
+    again = quadrature._zone_table(phase, a, b, mu)
+    assert again[4] == zones
+    for x, y in zip(again[:4], (s, psi, dpsi, cum)):
+        assert np.array_equal(x, y)
+
+
+def test_one_table_per_integral_and_one_solve_per_filon_zone(monkeypatch):
+    calls = {"table": 0, "zone": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(quadrature, "_phase_table",
+                        counted("table", quadrature._phase_table))
+    monkeypatch.setattr(quadrature, "_filon_zone",
+                        counted("zone", quadrature._filon_zone))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    oscillatory_quad_1d(lambda s: np.exp(-np.asarray(s) ** 2),
+                        lambda s: np.sin(3 * np.asarray(s)), -3.0, 5.0, 1e-3)
+    assert calls["table"] == 1
+    assert calls["zone"] > 0 and calls["solve"] == calls["zone"]
