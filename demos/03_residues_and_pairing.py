@@ -28,7 +28,7 @@ kw = kirwan_integral(sphere, rho)
 print(f"pairing constant: {pairing_constant(sphere):.12f}")
 print(f"residue * pairing = {float(plus) * pairing_constant(sphere):.8f}")
 print(f"smeared limit     = {sm.extrapolated:.8f}")
-print(f"stratum integral  = {kw:.8f}   (4 pi^2 = "
+print(f"Kirwan integral   = {kw:.8f}   (4 pi^2 = "
       f"{4 * np.pi ** 2:.8f})")
 
 print("\ncalibration stamp:", calibrate().to_dict())
@@ -44,5 +44,5 @@ except NoFixedPointsError as exc:
 sm_c = smeared_limit(circle, rho_c)
 kw_c = kirwan_integral(circle, rho_c)
 print(f"smeared route     = {sm_c.extrapolated:.8f}")
-print(f"stratum integral  = {kw_c:.8f}   (2 pi^2 = "
+print(f"Kirwan integral   = {kw_c:.8f}   (2 pi^2 = "
       f"{2 * np.pi ** 2:.8f})")

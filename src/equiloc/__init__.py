@@ -12,7 +12,7 @@ from .piecewise import (Atom, ConeError, Piece, PiecewisePoly, Wall,
 from .bumps import Bump, BumpHat, SmearingKernel
 from .models import (Amplitude, CotangentCircle, FixedComponent, GroupData,
                      LinearCotangent, ModelError, Sphere, make_model,
-                     rotation_generator, stratum_sampler)
+                     rotation_generator)
 from .oscillatory import (BaseNode, CleanPhase, DecayResult, OrderFit,
                           SPExpansion, decay_check, order_fit,
                           oscillatory_integral, sp_coefficients)

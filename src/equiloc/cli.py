@@ -42,6 +42,34 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _number(v, kind=(int, float)) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+# RunConfig field -> (test, what the field must be), the schema of
+# docs/formats.md; each test checks the type before it compares
+_SCHEMA = {
+    "seed": (lambda v: _number(v, int) and v >= 0, "a nonnegative integer"),
+    "tolerance": (lambda v: _number(v) and v > 0, "a positive number"),
+    "mu_sweep": (lambda v: _numbers(v) and all(m > 0 for m in v),
+                 "a list of positive numbers"),
+    "order": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
+    "sigma": (_number, "a number"),
+    "y_values": (lambda v: _numbers(v) and len(v) > 0 and 0 not in v,
+                 "a nonempty list of nonzero numbers"),
+    "mc_samples": (lambda v: _number(v, int) and v > 0, "a positive integer"),
+    "bins": (lambda v: _number(v, int) and v > 0, "a positive integer"),
+    "eps_list": (lambda v: _numbers(v) and len(v) > 0 and
+                 all(e > 0 for e in v), "a nonempty list of positive numbers"),
+    "calibration": (lambda v: v is None or isinstance(v, dict),
+                    "an object or null"),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -65,18 +93,9 @@ class RunConfig:
             problems.append(f"command: unknown {self.command!r}")
         if not isinstance(self.model, dict) or "kind" not in self.model:
             problems.append("model: must be an object with a 'kind'")
-        if self.tolerance <= 0:
-            problems.append("tolerance: must be positive")
-        if self.mc_samples <= 0:
-            problems.append("mc_samples: must be positive")
-        if self.order < 1:
-            problems.append("order: must be >= 1")
-        if any(m <= 0 for m in self.mu_sweep):
-            problems.append("mu_sweep: entries must be positive")
-        if any(e <= 0 for e in self.eps_list):
-            problems.append("eps_list: entries must be positive")
-        if self.seed < 0:
-            problems.append("seed: must be nonnegative")
+        for name, (ok, what) in _SCHEMA.items():
+            if not ok(getattr(self, name)):
+                problems.append(f"{name}: must be {what}")
         if problems:
             raise ConfigError(problems)
         return self
@@ -559,6 +578,11 @@ def run(cfg: RunConfig, out_dir: Path,
     except (ConfigError, ModelError) as exc:
         return _invalid_config(exc)
     elapsed = time.time() - t0
+    if not certs:
+        # a report with no certificate could only pass vacuously
+        return _invalid_config(ConfigError([
+            f"{cfg.command}: this configuration leaves no certificate to "
+            f"evaluate"]))
 
     report = Report(command=cfg.command, inputs_hash=cfg.run_hash(),
                     seed=cfg.seed, results=results, certificates=certs,
@@ -588,6 +612,11 @@ def build_config(args) -> RunConfig:
             raise ConfigError([f"config: file not found {args.config}"])
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config: invalid JSON ({exc})"])
+        if not isinstance(base, dict):
+            raise ConfigError(["config: must be a JSON object"])
+        if base.get("mu") == []:
+            # an empty list would stand for the command's default sweep
+            raise ConfigError(["mu: must not be empty"])
     model = base.get("model", {})
     if args.model:
         model = {"kind": args.model}

@@ -19,8 +19,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bumps import Bump, SmearingKernel
-from .models import (Amplitude, CotangentCircle, FixedComponent,
-                     LinearCotangent, ModelError, Sphere, check_unit_speed)
+from .models import (CotangentCircle, FixedComponent, LinearCotangent,
+                     ModelError, Sphere, check_unit_speed, default_amplitude,
+                     reduced_integral)
 from .mpoly import LinForm, MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
 from .piecewise import PiecewisePoly, admissible_cone, ft_shifted
@@ -309,26 +310,15 @@ def smeared_limit(model, rho: EquivariantForm,
                          converged=converged)
 
 
-def kirwan_integral(model, rho: EquivariantForm, n: int = 2048) -> float:
-    """(2 pi)^d vol G / |H| * int_{Reg Omega_0} r(rho) / vol O_eta."""
+def kirwan_integral(model, rho: EquivariantForm) -> float:
+    """(2 pi)^d vol G / |H| * int_{Reg Omega_0} r(rho) / vol O_eta; a form
+    without a density integrates the model's default amplitude."""
     g = model.group
     if g.kappa != g.d:
         raise ModelError("kirwan_integral requires kappa = d")
-    pref = (2 * math.pi) ** g.d * g.vol_g / g.principal_isotropy_order
-    if isinstance(model, (Sphere, CotangentCircle)):
-        pts, w = model.stratum_points(0.0, n)
-        dens = np.ones(pts.shape[1])
-        if rho.density is not None:
-            dens = np.asarray(rho.density(pts), dtype=float)
-        vols = np.array([model.orbit_volume(pts[:, i])
-                         for i in range(pts.shape[1])])
-        return pref * float(rho.scale) * float(np.dot(w, dens / vols))
-    if isinstance(model, LinearCotangent):
-        from .resolution import direct_leading
-        amp = Amplitude(gaussian=True,
-                        g_profile=Bump(radius=1.0, order=6, kind="poly"))
-        return (2 * math.pi) ** g.d * direct_leading(model, amp)
-    raise ModelError("no stratum quadrature for this model")
+    dens = rho.density or default_amplitude(model).eta_factor
+    return (2 * math.pi) ** g.d * float(rho.scale) * reduced_integral(
+        model, dens)
 
 
 @dataclass

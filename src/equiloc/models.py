@@ -26,11 +26,19 @@ import numpy as np
 
 from .bumps import Bump
 from .mpoly import LinForm, MPoly
+from .quadrature import composite_gl
 from .symmat import SymMat
+
+LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
+REDUCED_CHUNK = 16_384     # points per call of f in reduced_integral
 
 
 class ModelError(ValueError):
     pass
+
+
+def _level_angles() -> np.ndarray:
+    return 2 * math.pi * (np.arange(LEVEL_NODES) + 0.5) / LEVEL_NODES
 
 
 @dataclass(frozen=True)
@@ -170,17 +178,18 @@ class Sphere:
             raise ModelError("X not in the isotropy algebra")
         return np.zeros((1, 1))
 
-    def stratum_points(self, sigma: float, n: int):
-        """Level circle {z = sigma} with its induced length measure."""
+    def reduced_rule(self, sigma: float):
+        """The level circle {z = sigma} at LEVEL_NODES midpoints.  Each
+        arc 2 pi rho / LEVEL_NODES over the orbit volume 2 pi rho leaves
+        the weight 1 / LEVEL_NODES."""
         r = float(self.radius)
         if abs(sigma) >= r:
             raise ModelError("empty stratum")
         rho = math.sqrt(r * r - sigma * sigma)
-        th = 2 * math.pi * (np.arange(n) + 0.5) / n
+        th = _level_angles()
         pts = np.stack([rho * np.cos(th), rho * np.sin(th),
-                        np.full(n, sigma)])
-        w = np.full(n, 2 * math.pi * rho / n)
-        return pts, w
+                        np.full(th.size, sigma)])
+        return pts, np.full(th.size, 1.0 / th.size)
 
 
 class CotangentCircle:
@@ -218,11 +227,12 @@ class CotangentCircle:
             raise ModelError("X not in the isotropy algebra")
         return np.zeros((1, 1))
 
-    def stratum_points(self, sigma: float, n: int):
-        th = 2 * math.pi * (np.arange(n) + 0.5) / n
-        pts = np.stack([th, np.full(n, sigma)])
-        w = np.full(n, 2 * math.pi / n)
-        return pts, w
+    def reduced_rule(self, sigma: float):
+        """The level circle {p = sigma} at LEVEL_NODES midpoints; each arc
+        2 pi / LEVEL_NODES over the orbit volume 2 pi."""
+        th = _level_angles()
+        return (np.stack([th, np.full(th.size, sigma)]),
+                np.full(th.size, 1.0 / th.size))
 
 
 def _antisym_check(m):
@@ -421,14 +431,30 @@ class LinearCotangent:
         gram = np.array([[float(np.dot(fields[i], fields[j]))
                           for j in active] for i in active])
         det = float(np.linalg.det(gram))
-        # period lattice: unit-speed catalog generators have period 2 pi
-        return (2 * math.pi) ** len(active) * math.sqrt(max(det, 0.0)) \
-            / self._stabilizer_order(eta)
+        # period lattice: unit-speed catalog generators have period 2 pi;
+        # they act with coprime integer speeds, so the finite stabilizer of
+        # a point off the fixed set is trivial
+        return (2 * math.pi) ** len(active) * math.sqrt(max(det, 0.0))
 
-    def _stabilizer_order(self, eta) -> int:
-        # catalog generators act with coprime integer speeds; the finite
-        # stabilizer of a point off the fixed set is trivial
-        return 1
+    def reduced_rule(self, sigma: float):
+        """The planar rotation's singular level: Omega minus the origin is
+        {(r u, s u)} with u = (cos phi, sin phi), (r, s) in R^2, phi in
+        [0, pi).  96 Gauss r and s on [-4.2, 4.2] and 64 phi midpoints, phi
+        slowest.  The surface measure sqrt(r^2 + s^2) dr ds dphi over the
+        orbit volume 2 pi sqrt(r^2 + s^2) leaves the weight
+        w_r w_s dphi / 2 pi."""
+        if self.n != 2:
+            raise ModelError("reduced_rule covers the planar rotation model")
+        check_unit_speed(self)
+        if sigma != 0.0:
+            raise ModelError("singular leading coefficient is at sigma = 0")
+        r, wr = composite_gl(-4.2, 4.2, 1, 96)
+        phi = math.pi * (np.arange(64) + 0.5) / 64
+        u = np.stack([np.cos(phi), np.sin(phi)])[:, :, None, None]
+        pts = np.empty((4, phi.size, r.size, r.size))
+        pts[:2], pts[2:] = u * r[:, None], u * r
+        w = np.outer(wr, wr) * (math.pi / 64) / (2 * math.pi)
+        return pts.reshape(4, -1), np.tile(w.ravel(), phi.size)
 
     def lie_derivative_map(self, eta, x) -> np.ndarray:
         """Matrix of the bracket action of X in g_eta on the orbit tangent."""
@@ -499,8 +525,8 @@ def rotation_generator(n: int, plane: Tuple[int, int],
 
 
 def check_unit_speed(model: LinearCotangent):
-    """The planar rotation entry's oracle and direct leading coefficient
-    assume speed +-1; any other speed is not that entry."""
+    """The planar rotation entry's oracle and reduced rule assume speed
+    +-1; any other speed is not that entry."""
     if any(abs(s) != 1 for pl in model.planes for s in pl.speeds):
         raise ModelError("the planar rotation catalog entry needs speed "
                          "+-1 in every rotation plane")
@@ -547,48 +573,14 @@ def default_amplitude(model, bump_cfg: Optional[dict] = None) -> Amplitude:
         gaussian=isinstance(model, LinearCotangent))
 
 
-def stratum_sampler(model, sigma: float, n: int, seed: int = 1):
-    """Quasi-random points of Reg Omega_sigma with surface-measure weights.
-
-    Stratified-jittered sampling; weights are cell measures, so their sum
-    estimates the stratum measure of the sampled region.  Every sample
-    satisfies |J(eta) - sigma| < 1e-12 and has principal isotropy.
-    """
-    rng = np.random.default_rng(seed)
-    if isinstance(model, (Sphere, CotangentCircle)):
-        pts, w = model.stratum_points(sigma, n)
-        jitter = (rng.uniform(-0.5, 0.5, size=n)) * (2 * math.pi / n)
-        pts = pts.copy()
-        if isinstance(model, Sphere):
-            th = np.arctan2(pts[1], pts[0]) + jitter
-            rho = np.hypot(pts[0, 0], pts[1, 0])
-            pts = np.stack([rho * np.cos(th), rho * np.sin(th), pts[2]])
-        else:
-            pts = np.stack([(pts[0] + jitter) % (2 * math.pi), pts[1]])
-        return pts, w
-    if isinstance(model, LinearCotangent) and model.n == 2:
-        if sigma != 0.0:
-            raise ModelError("planar rotation stratum sampled at the "
-                             "singular level 0")
-        # Omega \ {0} = {(r u, s u)}: (r, s) in R^2, phi in [0, pi);
-        # surface measure sqrt(r^2 + s^2) dr ds dphi
-        rmax = 4.0
-        k = max(2, int(round(n ** (1.0 / 3.0))))
-        n_phi = max(2, n // (k * k))
-        rs = np.linspace(-rmax, rmax, k + 1)
-        phis = np.linspace(0.0, math.pi, n_phi + 1)
-        pts = []
-        wts = []
-        dr = rs[1] - rs[0]
-        dphi = phis[1] - phis[0]
-        for i in range(k):
-            for j in range(k):
-                for l in range(n_phi):
-                    r = rs[i] + rng.uniform(0, dr)
-                    s = rs[j] + rng.uniform(0, dr)
-                    ph = phis[l] + rng.uniform(0, dphi)
-                    u = np.array([math.cos(ph), math.sin(ph)])
-                    pts.append(np.concatenate([r * u, s * u]))
-                    wts.append(math.hypot(r, s) * dr * dr * dphi)
-        return np.stack(pts, axis=1), np.asarray(wts)
-    raise ModelError("no stratum sampler for this model")
+def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:
+    """vol G / |H| * int_{Reg Omega_sigma} f / vol O_eta by the model's
+    reduced_rule; f maps points (dim, m) to m values and is called on
+    chunks of REDUCED_CHUNK points."""
+    pts, w = model.reduced_rule(sigma)
+    total = 0.0
+    for i in range(0, w.size, REDUCED_CHUNK):
+        part = slice(i, i + REDUCED_CHUNK)
+        total += float(w[part] @ np.asarray(f(pts[:, part]), dtype=float))
+    g = model.group
+    return g.vol_g / g.principal_isotropy_order * total

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .models import (Amplitude, CotangentCircle, LinearCotangent, ModelError,
-                     check_unit_speed)
+                     reduced_integral)
 from .quadrature import composite_gl, pairwise_sum
 from .oscillatory import OrderFit, order_fit
 
@@ -569,44 +569,12 @@ def _pivot_columns(grads: List[np.ndarray]) -> List[int]:
 # leading coefficients
 
 
-def direct_leading(model, amplitude: Amplitude, sigma: float = 0.0,
-                   n_r: int = 96, n_phi: int = 64, rmax: float = 4.2
-                   ) -> float:
-    """L0 = (vol G / vol H) int_{Reg Omega} [int_{g_eta} a dX] / vol O_eta.
-
-    For kappa = d the inner integral is a(eta, 0).  The planar rotation
-    stratum {p parallel to q} is parametrized by (r, s, phi); the cotangent
-    circle at a regular level reduces to the angular integral.
-    """
-    if isinstance(model, CotangentCircle):
-        th = 2 * math.pi * (np.arange(512) + 0.5) / 512
-        pts = np.stack([th, np.full_like(th, sigma)])
-        vals = amplitude.eta_factor(pts) * float(amplitude.g_factor(0.0))
-        vols = 2 * math.pi * np.ones_like(th)
-        return model.group.vol_g / model.group.principal_isotropy_order * \
-            float((vals / vols).sum() * (2 * math.pi / 512))
-    if not isinstance(model, LinearCotangent) or model.n != 2:
-        raise ModelError("direct_leading covers the planar rotation model")
-    check_unit_speed(model)
-    if sigma != 0.0:
-        raise ModelError("singular leading coefficient is at sigma = 0")
-    r, wr = composite_gl(-rmax, rmax, 1, n_r)
-    phi = math.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = math.pi / n_phi
-    g0 = float(amplitude.g_factor(0.0))
-    total = 0.0
-    volg = model.group.vol_g
-    for ph in phi:
-        u = np.array([math.cos(ph), math.sin(ph)])
-        rr, ss = np.meshgrid(r, r, indexing="ij")
-        # eta = (r u, s u); surface measure sqrt(r^2+s^2) dr ds dphi
-        coords = np.stack([rr * u[0], rr * u[1], ss * u[0], ss * u[1]])
-        vals = amplitude.eta_factor(coords.reshape(4, -1)).reshape(rr.shape)
-        norm = np.sqrt(rr ** 2 + ss ** 2)
-        orbv = 2 * math.pi * norm              # vol O_eta = 2 pi |eta|
-        integ = vals * norm / np.maximum(orbv, 1e-300)
-        total += wphi * float(wr @ integ @ wr)
-    return volg * g0 * total
+def direct_leading(model, amplitude: Amplitude,
+                   sigma: float = 0.0) -> float:
+    """L0 = (vol G / |H|) int_{Reg Omega_sigma} [int_{g_eta} a dX] /
+    vol O_eta.  For kappa = d the inner integral is a(eta, 0)."""
+    return float(amplitude.g_factor(0.0)) * reduced_integral(
+        model, amplitude.eta_factor, sigma)
 
 
 def resolved_leading(model, charts: Sequence[BlowupChart],

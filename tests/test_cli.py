@@ -105,6 +105,42 @@ def test_malformed_or_unfittable_mu_sweep_exits_4(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("command,fields", [
+    ("convergence", {"mu": []}),
+    ("convergence", {"mu": ["a"]}),
+    ("convergence", {"mu": 0.01}),
+    ("convergence", {"seed": "1"}),
+    ("dh", {"model": {"kind": "sphere"}, "mc_samples": "x"}),
+    ("residue", {"model": {"kind": "sphere"}, "eps": []}),
+    ("dh", {"model": {"kind": "sphere"}, "bins": 0}),
+    ("localize", {"model": {"kind": "sphere"}, "y_values": []}),
+    ("localize", {"model": {"kind": "sphere"}, "y_values": [0]}),
+])
+def test_config_fields_off_the_schema_exit_4(command, fields, tmp_path,
+                                             capsys):
+    # these once ran the default sweep, raised a TypeError, IndexError or
+    # ValueError, or passed with no certificate
+    cfg = tmp_path / "fields.json"
+    cfg.write_text(json.dumps(fields))
+    assert run([command, "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "fresnel", "--mu-sweep", "1e-1:1e-2:5"],
+    ["--model", "cubic", "--mu-sweep", "1e-3:1e-4:3"],
+    ["--model", "cotangent-circle", "--mu-sweep", "1e-2:1e-4:3"],
+])
+def test_run_that_certifies_nothing_exits_4(argv, tmp_path, capsys):
+    # each sweep is too short for the order fit, the only gate of its
+    # model, so the report would pass with no certificate
+    assert run(["spexpand"] + argv, tmp_path) == 4
+    assert "no certificate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run-*"))
+
+
 def test_spexpand_and_singular_sweep_the_same_level(tmp_path):
     # both commands build the amplitude at the swept level --sigma
     reports = []

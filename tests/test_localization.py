@@ -328,6 +328,12 @@ def test_pairing_linear_cotangent():
     assert sm.extrapolated == pytest.approx(kw, rel=1e-2)
 
 
+def test_kirwan_integral_honours_scale_on_linear_cotangent():
+    m = make_model("linrot2")
+    kw = kirwan_integral(m, EquivariantForm(scale=Fraction(2)))
+    assert kw == pytest.approx(4 * math.pi ** 3, rel=1e-6)
+
+
 def test_dh_measure_rank_two_formal():
     # T^2 on T*R^4: the fixed-point term transforms through the iterated
     # rank-2 machinery (both flag orders agree); the formal density lives

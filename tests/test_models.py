@@ -173,23 +173,24 @@ def test_lie_derivative_flow_conjugation():
     assert np.allclose(fd, 0.0, atol=1e-7)   # commuting: bracket zero
 
 
-def test_stratum_samplers():
-    s = Sphere(1)
-    pts, w = s.stratum_points(0.0, 256)
-    assert w.sum() == pytest.approx(2 * math.pi, rel=1e-12)
-    assert np.max(np.abs(pts[2])) < 1e-12
-    for i in range(0, 256, 37):
-        assert abs(s.momentum(pts[:, i]) - 0.0) < 1e-12
-        assert s.isotropy_dim(pts[:, i]) == 0
-    c = CotangentCircle()
-    pts, w = c.stratum_points(0.7, 128)
-    assert w.sum() == pytest.approx(2 * math.pi, rel=1e-12)
-    assert np.max(np.abs(pts[1] - 0.7)) < 1e-15
+def test_reduced_rule_level_circles():
+    # w * vol O_eta sums to the length of the level circle, and every point
+    # lies on the level with principal isotropy
+    for model, sigma, length in ((Sphere(1), 0.0, 2 * math.pi),
+                                 (Sphere(2), 1.0, 2 * math.pi * math.sqrt(3)),
+                                 (CotangentCircle(), 0.7, 2 * math.pi)):
+        pts, w = model.reduced_rule(sigma)
+        vols = np.array([model.orbit_volume(pts[:, i])
+                         for i in range(w.size)])
+        assert float(w @ vols) == pytest.approx(length, rel=1e-12)
+        for i in range(0, w.size, 97):
+            assert abs(model.momentum(pts[:, i]) - sigma) < 1e-12
+            assert model.isotropy_dim(pts[:, i]) == 0
 
 
 def test_sphere_stratum_empty():
     with pytest.raises(ModelError):
-        Sphere(1).stratum_points(1.5, 16)
+        Sphere(1).reduced_rule(1.5)
 
 
 def test_group_data_validation():
@@ -230,26 +231,34 @@ def test_amplitude_factors():
     assert amp.g_factor(2.0) == pytest.approx(0.0)
 
 
-def test_stratum_sampler_planar_rotation():
-    from equiloc.models import stratum_sampler
+def test_reduced_rule_planar_rotation():
     m = make_model("linrot2")
-    pts, w = stratum_sampler(m, 0.0, 14 ** 3, seed=3)
-    for i in range(0, pts.shape[1], 211):
-        eta = pts[:, i]
-        assert abs(m.momentum(eta, [1.0])) < 1e-12
-        assert m.isotropy_dim(eta) == m.group.d - m.group.kappa
-    # weight sum estimates the stratum measure of the sampled box
-    from scipy.integrate import dblquad
-    ref = math.pi * dblquad(lambda s, r: math.hypot(r, s), -4.0, 4.0,
-                            -4.0, 4.0)[0]
-    assert float(w.sum()) == pytest.approx(ref, rel=0.02)
+    pts, w = m.reduced_rule(0.0)
+    # phi is the slowest index of the rule and vol O_eta does not depend
+    # on phi, so w * vol O_eta sums to 64 times its sum over one phi slice
+    size = w.size // 64
+    vols = np.array([m.orbit_volume(pts[:, i]) for i in range(size)])
+    for i in range(0, w.size, 4999):
+        assert m.orbit_volume(pts[:, i]) == pytest.approx(
+            vols[i % size], rel=1e-12)
+        assert w[i] == w[i % size]
+        assert abs(m.momentum(pts[:, i], [1.0])) < 1e-12
+        assert m.isotropy_dim(pts[:, i]) == m.group.d - m.group.kappa
+    # the stratum measure pi * int int sqrt(r^2 + s^2) dr ds over the box
+    # [-a, a]^2, in closed form
+    a = 4.2
+    measure = math.pi * 4 * a ** 3 / 3 * (math.sqrt(2) + math.asinh(1))
+    assert 64 * float(w[:size] @ vols) == pytest.approx(measure, rel=2e-6)
 
 
-def test_stratum_sampler_level_constraint():
-    from equiloc.models import stratum_sampler
-    pts, w = stratum_sampler(CotangentCircle(), 0.7, 64, seed=2)
-    assert np.max(np.abs(pts[1] - 0.7)) < 1e-12
-    assert w.sum() == pytest.approx(2 * math.pi, rel=1e-12)
+def test_reduced_rule_planar_rotation_rejects():
+    with pytest.raises(ModelError, match="sigma = 0"):
+        make_model("linrot2").reduced_rule(0.5)
+    with pytest.raises(ModelError, match="planar rotation"):
+        make_model("linrot4").reduced_rule(0.0)
+    with pytest.raises(ModelError, match="speed"):
+        LinearCotangent(2, [rotation_generator(2, (0, 1), 2)]).reduced_rule(
+            0.0)
 
 
 def test_registry_builds_every_kind():
