@@ -6,7 +6,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -66,21 +65,22 @@ class Bump:
 
 # grid rows per block of the cosine matrix in the BumpHat build
 _BLOCK_ROWS = 2048
+HAT_SAMPLES = 8192      # spline knots of a BumpHat on [0, wmax]
 
 
 @dataclass
 class BumpHat:
     """hat b(w) = int b(x) e^{i w x} dx, real and even for even bumps.
 
-    Dense cubic-spline cache; direct quadrature beyond the cached range.
+    Dense cubic-spline cache of HAT_SAMPLES knots on [0, wmax]; direct
+    quadrature beyond the cached range.
     """
 
     bump: Bump
     wmax: float = 400.0
-    samples: int = 8192
 
     def __post_init__(self):
-        grid = np.linspace(0.0, self.wmax, self.samples)
+        grid = np.linspace(0.0, self.wmax, HAT_SAMPLES)
         # vectorized composite Gauss: enough panels to resolve cos(wmax x)
         r = self.bump.radius
         panels = max(64, int(self.wmax * r / 4.0) + 16)
@@ -138,15 +138,13 @@ class BumpHat:
 
 
 class SmearingKernel:
-    """Normalized bump phi on g* (here d = 1) with evaluator for phi-hat."""
+    """The normalized bump phi = b / int b on g* (here d = 1), b the
+    radius-1 order-4 poly bump, with evaluator for phi-hat."""
 
-    def __init__(self, bump: Optional[Bump] = None):
-        self.bump = bump or Bump(radius=1.0, order=4, kind="poly")
+    def __init__(self):
+        self.bump = Bump(radius=1.0, order=4, kind="poly")
         self._mass = self.bump.mass()
         self._hat = BumpHat(self.bump, wmax=600.0)
-
-    def phi(self, xi, eps: float = 1.0):
-        return self.bump(np.asarray(xi) / eps) / (self._mass * eps)
 
     def phi_hat(self, x):
         """Fourier transform of phi (total integral one => phi_hat(0) = 1)."""

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -101,15 +101,7 @@ class RunConfig:
         return self
 
     def canonical(self) -> str:
-        payload = {
-            "command": self.command, "model": self.model,
-            "seed": self.seed, "tolerance": self.tolerance,
-            "mu_sweep": self.mu_sweep, "order": self.order,
-            "sigma": self.sigma, "y_values": self.y_values,
-            "mc_samples": self.mc_samples, "bins": self.bins,
-            "eps_list": self.eps_list, "calibration": self.calibration,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def run_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
@@ -371,12 +363,7 @@ def _cmd_spexpand(model, cfg: RunConfig):
 
 
 def _spexpand_cotangent(cfg: RunConfig):
-    from .models import CotangentCircle
-    from .resolution import singular_sweep
-    model = CotangentCircle()
-    mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
-    sigma = cfg.sigma or 0.7
-    rep = singular_sweep(model, _cot_amp(sigma), mus, sigma=sigma)
+    rep = _cot_sweep(cfg, _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5))))
     rows = [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
              "leading": r.leading, "remainder": r.remainder}
             for r in rep.rows]
@@ -393,6 +380,16 @@ def _spexpand_cotangent(cfg: RunConfig):
     return results, certs, {}
 
 
+def _cot_sweep(cfg: RunConfig, mus):
+    """The T*S^1 singular_sweep at the level cfg.sigma, or 0.7 when that
+    is 0."""
+    from .models import CotangentCircle
+    from .resolution import singular_sweep
+    sigma = cfg.sigma or 0.7
+    return singular_sweep(CotangentCircle(), _cot_amp(sigma), mus,
+                          sigma=sigma)
+
+
 def _cot_amp(sigma: float) -> Amplitude:
     """(1 + cos^2 theta) times a momentum profile curved at the level:
     the remainder of the regular-value expansion is then genuinely of
@@ -407,14 +404,12 @@ def _cot_amp(sigma: float) -> Amplitude:
 def _cmd_singular(model, cfg: RunConfig):
     from .resolution import singular_sweep
     kind = cfg.model["kind"]
-    if kind == "cotangent-circle":
-        sigma = cfg.sigma or 0.7
-        amp = _cot_amp(sigma)
-    else:
-        sigma = 0.0
-        amp = default_amplitude(model, cfg.model.get("bump"))
     mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
-    rep = singular_sweep(model, amp, mus, sigma=sigma)
+    if kind == "cotangent-circle":
+        rep = _cot_sweep(cfg, mus)
+    else:
+        rep = singular_sweep(model, default_amplitude(
+            model, cfg.model.get("bump")), mus)
     kappa = rep.kappa
     certs = []
     for r in rep.rows:
@@ -603,6 +598,13 @@ def run(cfg: RunConfig, out_dir: Path,
     return EXIT_OK if report.passed else EXIT_CERT
 
 
+# config-file key -> RunConfig field
+_CONFIG_KEYS = {"seed": "seed", "tolerance": "tolerance", "mu": "mu_sweep",
+                "order": "order", "sigma": "sigma", "y_values": "y_values",
+                "mc_samples": "mc_samples", "bins": "bins", "eps": "eps_list",
+                "calibration": "calibration"}
+
+
 def build_config(args) -> RunConfig:
     base: Dict = {}
     if args.config:
@@ -622,25 +624,15 @@ def build_config(args) -> RunConfig:
         model = {"kind": args.model}
     if not model and args.command in ("spexpand", "convergence"):
         model = {"kind": "fresnel"}
-    cfg = RunConfig(
-        command=args.command,
-        model=model,
-        seed=args.seed if args.seed is not None else base.get("seed", 1),
-        tolerance=args.tolerance if args.tolerance is not None else base.get(
-            "tolerance", 1e-8),
-        mu_sweep=(_mu_sweep_from_string(args.mu_sweep) if args.mu_sweep
-                  else base.get("mu", [])),
-        order=args.order if args.order is not None else base.get(
-            "order", 1),
-        sigma=args.sigma if args.sigma is not None else base.get(
-            "sigma", 0.0),
-        y_values=base.get("y_values", [0.5, 1.0, 2.0, 5.0]),
-        mc_samples=base.get("mc_samples", 1_000_000),
-        bins=base.get("bins", 10),
-        eps_list=base.get("eps", [0.2, 0.1, 0.05, 0.025]),
-        calibration=base.get("calibration"),
-    )
-    return cfg
+    # the RunConfig defaults stand for whatever neither source gives
+    values = {name: base[key] for key, name in _CONFIG_KEYS.items()
+              if key in base}
+    for name in ("seed", "tolerance", "order", "sigma"):
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    if args.mu_sweep:
+        values["mu_sweep"] = _mu_sweep_from_string(args.mu_sweep)
+    return RunConfig(command=args.command, model=model, **values)
 
 
 def main(argv=None) -> int:

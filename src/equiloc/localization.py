@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,12 +48,11 @@ class EquivariantForm:
     density: callable on model coordinates, or None for the constant 1;
     scale: exact rational multiple; exact_beta: profile function f defining
     beta = f * dtheta in the model's angular coordinate (the catalog's Dbeta
-    family); poly_coeff: optional S(g*) coefficient.
+    family).
     """
     scale: Fraction = Fraction(1)
     density: Optional[Callable] = None
     exact_beta: Optional[Callable] = None
-    poly_coeff: Optional[MPoly] = None
 
     @property
     def is_exact(self) -> bool:
@@ -124,14 +124,14 @@ def weyl_factor(roots: Sequence[LinForm]):
     return phi, phi * phi
 
 
-def weight_cone(model, prefer=None) -> List[LinForm]:
+def weight_cone(model) -> List[LinForm]:
     forms = []
     for fc in model.fixed_components():
         for form, _ in fc.weights:
             forms.append(form)
     if not forms:
         raise NoFixedPointsError()
-    return admissible_cone(forms, model.group.d_t, prefer=prefer)
+    return admissible_cone(forms, model.group.d_t)
 
 
 def dh_measure(model, rho: EquivariantForm,
@@ -148,11 +148,10 @@ def dh_measure(model, rho: EquivariantForm,
     return ft_shifted(u, cone)
 
 
-def jk_residue(model, rho: EquivariantForm, direction,
-               cone: Optional[Sequence[LinForm]] = None) -> TwoPi:
-    """sum_F Res^{Lambda, sigma} of the transformed u_F Phi^2 terms, in the
-    pushforward normalization (multiply by the pairing constant to match
-    the smeared limit)."""
+def jk_residue(model, rho: EquivariantForm, direction) -> TwoPi:
+    """sum_F Res^{Lambda, sigma} of the transformed u_F Phi^2 terms over
+    the weight cone, in the pushforward normalization (multiply by the
+    pairing constant to match the smeared limit)."""
     comps = model.fixed_components()
     if not comps:
         raise NoFixedPointsError()
@@ -160,8 +159,7 @@ def jk_residue(model, rho: EquivariantForm, direction,
     u = RatExp(model.group.d_t, [])
     for fc in comps:
         u = u + u_f_symbolic(model, fc, rho).mul_poly(phi2)
-    cone = cone or weight_cone(model)
-    U = ft_shifted(u, cone)
+    U = ft_shifted(u, weight_cone(model))
     return U.residue_ray(direction)
 
 
@@ -261,7 +259,6 @@ class SmearedResult:
     values: List[Tuple[float, float]]
     extrapolated: float
     converged: bool
-    route: str = "smeared"
 
 
 def l_alpha_batch(model, rho: EquivariantForm, xs: np.ndarray) -> np.ndarray:
@@ -276,24 +273,23 @@ def l_alpha_batch(model, rho: EquivariantForm, xs: np.ndarray) -> np.ndarray:
     return float(rho.scale) * (np.cos(np.outer(xs, s)) @ a)
 
 
-_DEFAULT_KERNEL: List[SmearingKernel] = []
-
-
+@lru_cache(maxsize=None)
 def default_kernel() -> SmearingKernel:
-    if not _DEFAULT_KERNEL:
-        _DEFAULT_KERNEL.append(SmearingKernel())
-    return _DEFAULT_KERNEL[0]
+    return SmearingKernel()
+
+
+SMEAR_X_MAX = 600.0     # the smeared limit integrates |X| <= SMEAR_X_MAX
 
 
 def smeared_limit(model, rho: EquivariantForm,
-                  kernel: Optional[SmearingKernel] = None,
-                  eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025),
-                  x_max: float = 600.0) -> SmearedResult:
-    """<F_g L, phi_eps> = int L(X) phi_hat(eps X) dX at each eps, then
-    Richardson extrapolation with the even-kernel O(eps^2) ansatz."""
-    kernel = kernel or default_kernel()
-    panels = max(64, int(x_max / math.pi) + 1)
-    nodes, wts = composite_gl(0.0, x_max, panels)
+                  eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025)
+                  ) -> SmearedResult:
+    """<F_g L, phi_eps> = int L(X) phi_hat(eps X) dX over |X| <= SMEAR_X_MAX
+    at each eps, with phi the default smearing kernel, then Richardson
+    extrapolation with the even-kernel O(eps^2) ansatz."""
+    kernel = default_kernel()
+    panels = max(64, int(SMEAR_X_MAX / math.pi) + 1)
+    nodes, wts = composite_gl(0.0, SMEAR_X_MAX, panels)
     lvals = l_alpha_batch(model, rho, nodes)
     vals = []
     for eps in eps_list:
@@ -334,13 +330,13 @@ class CalibrationStamp:
                 "model": self.model}
 
 
-def calibrate(kernel: Optional[SmearingKernel] = None) -> CalibrationStamp:
+def calibrate() -> CalibrationStamp:
     """Fix the transform normalization on the unit-sphere oracle: the
     smeared limit of the area form must equal 4 pi^2, while the exact
     residue side gives 2 pi; the ratio is the pairing constant."""
     sphere = Sphere(1)
     rho = EquivariantForm()
-    sm = smeared_limit(sphere, rho, kernel)
+    sm = smeared_limit(sphere, rho)
     res = jk_residue(sphere, rho, (1,))
     exact_side = float(res) * sphere.group.vol_g / (
         sphere.group.weyl_order * sphere.group.vol_t)
@@ -362,13 +358,15 @@ class AsymptoticL:
     order: int
 
 
-def asymptotic_l(model, rho: EquivariantForm, order: int = 1,
-                 tube: float = 0.8) -> AsymptoticL:
+def asymptotic_l(model, rho: EquivariantForm,
+                 order: int = 1) -> AsymptoticL:
     """Per-fixed-component stationary-phase expansions of L(Y) in 1/|Y|
-    (mu = 1/|Y|), assembled from orthographic charts at the poles."""
+    (mu = 1/|Y|), assembled from orthographic charts at the poles, each cut
+    off at 0.8 R."""
     if not isinstance(model, Sphere):
         raise ModelError("asymptotic_l is shipped for the sphere catalog")
     r = float(model.radius)
+    tube = 0.8
     expansions = []
     for sgn in (+1.0, -1.0):
         def psi(s, _sgn=sgn):

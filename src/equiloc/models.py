@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bumps import Bump
-from .mpoly import LinForm, MPoly
+from .mpoly import LinForm
 from .quadrature import composite_gl
 from .symmat import SymMat
 
@@ -80,11 +80,10 @@ class FixedComponent:
 
 @dataclass
 class Amplitude:
-    """poly(eta) * radial cutoff(|eta|) * optional g-profile(X), with an
-    optional Gaussian factor e^{-|eta|^2} used by the singular catalog and
-    an optional free density factor on the phase-space coordinates."""
-    poly: Optional[MPoly] = None
-    cutoff: Optional[Bump] = None
+    """a(eta, X) = eta-factor(eta) * g-profile(X): the eta-factor is the
+    product of an optional Gaussian e^{-|eta|^2} (the singular catalog)
+    and an optional free density on the phase-space coordinates, 1 when
+    neither is given; the g-profile is 1 when absent."""
     g_profile: Optional[Bump] = None
     gaussian: bool = False
     density: Optional[Callable] = None
@@ -93,11 +92,6 @@ class Amplitude:
         coords = np.asarray(coords, dtype=float)
         r2 = (coords ** 2).sum(axis=0)
         out = np.ones_like(r2)
-        if self.poly is not None:
-            out = out * np.real(np.array(
-                [self.poly.eval_float(c) for c in coords.T]))
-        if self.cutoff is not None:
-            out = out * self.cutoff(np.sqrt(r2))
         if self.gaussian:
             out = out * np.exp(-r2)
         if self.density is not None:
@@ -422,15 +416,11 @@ class LinearCotangent:
         return gq + gp
 
     def orbit_volume(self, eta) -> float:
-        fields = [np.asarray([float(v) for v in self._field_exact(eta, i)])
-                  for i in range(self.k)]
-        active = [i for i in range(self.k)
-                  if np.linalg.norm(fields[i]) > 1e-13]
-        if not active:
+        gram = self.gram(eta)
+        active = np.flatnonzero(np.sqrt(np.diag(gram)) > 1e-13)
+        if not active.size:
             return 0.0
-        gram = np.array([[float(np.dot(fields[i], fields[j]))
-                          for j in active] for i in active])
-        det = float(np.linalg.det(gram))
+        det = float(np.linalg.det(gram[np.ix_(active, active)]))
         # period lattice: unit-speed catalog generators have period 2 pi;
         # they act with coprime integer speeds, so the finite stabilizer of
         # a point off the fixed set is trivial

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,17 +26,15 @@ def fresnel_leading(mu: float) -> complex:
         math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 
-def sphere_bv_oracle(radius: float, y: float, density=None,
-                     n: int = 4000) -> complex:
-    """int_{S^2_R} e^{i y z} rho dA by the 1-D height quadrature."""
+def sphere_bv_oracle(radius: float, y: float) -> complex:
+    """int_{S^2_R} e^{i y z} dA by the 1-D height quadrature on 256 Gauss
+    z-nodes, doubled while under 200 + 12 |y| R, at most 4096."""
     r = float(radius)
     nz = 256
-    while nz < min(n, 200 + 12 * abs(y) * r):
+    while nz < min(4096, 200 + 12 * abs(y) * r):
         nz *= 2
-    z, w = composite_gl(-r, r, 1, min(nz, 4096))
+    z, w = composite_gl(-r, r, 1, nz)
     ring = 2 * math.pi * np.ones_like(z) * r
-    if density is not None:
-        ring = ring * np.asarray(density(z), dtype=float)
     return complex(np.dot(ring * np.exp(1j * y * z), w))
 
 
@@ -59,16 +57,16 @@ def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
 
 
 def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
-                               sigma: float, mu: float,
-                               wmax: float = 400.0, n_w: int = 1200,
-                               n_theta: int = 256) -> float:
-    """I_sigma(mu) = mu * int int f(theta, sigma + mu w) bhat(w) dtheta dw.
+                               sigma: float, mu: float) -> float:
+    """I_sigma(mu) = mu * int int f(theta, sigma + mu w) bhat(w) dtheta dw
+    on 256 theta midpoints and 1200 Gauss w-nodes of |w| <= 400.
 
     The X-integral of e^{i (p - sigma) X / mu} g(X) is exactly
     ghat((p - sigma)/mu); the substitution w = (p - sigma)/mu is exact.
     """
+    n_theta = 256
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    w, wts = composite_gl(-wmax, wmax, 1, n_w)
+    w, wts = composite_gl(-400.0, 400.0, 1, 1200)
     tt, ww = np.meshgrid(th, w, indexing="ij")
     # bhat depends on w alone: evaluate it once per node and broadcast
     vals = f_theta_p(tt, sigma + mu * ww) * bhat(w)
@@ -77,8 +75,9 @@ def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
 
 
 def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,
-                      p_hi: float, n_theta: int = 128,
-                      n_p: int = 800) -> complex:
+                      p_hi: float, n_p: int = 800) -> complex:
+    """L(X) of T*S^1 on 128 theta midpoints and n_p Gauss p-nodes."""
+    n_theta = 128
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
     p, wp = composite_gl(p_lo, p_hi, 1, n_p)
     tt, pp = np.meshgrid(th, p, indexing="ij")
@@ -105,11 +104,9 @@ class Linrot2Oracle:
     """
 
     g_bump: Bump
-    bhat: Optional[BumpHat] = None
 
     def __post_init__(self):
-        if self.bhat is None:
-            self.bhat = BumpHat(self.g_bump, wmax=500.0)
+        self.bhat = BumpHat(self.g_bump, wmax=500.0)
 
     def angular(self, c: float) -> float:
         """G(c) = int_0^{2pi} bhat(c sin g) dg (even in c)."""

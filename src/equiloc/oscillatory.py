@@ -56,10 +56,10 @@ class CleanPhase:
     psi0: float
     nodes: List[BaseNode]
 
-    def validate(self, tol: float = 1e-8):
-        """Check the cleanness data: vanishing gradient on the base,
-        nonsingular transversal Hessian, and H = psi - psi0 - <s, Hess s>/2
-        vanishing to third order."""
+    def validate(self):
+        """Check the cleanness data: vanishing gradient on the base (to
+        1e-8), nonsingular transversal Hessian, and H = psi - psi0 -
+        <s, Hess s>/2 vanishing to third order."""
         for node in self.nodes:
             hess = node_hessian(node, self.rank)
             res = ldlt(hess)
@@ -69,7 +69,7 @@ class CleanPhase:
             if abs(small) > 1e-10:
                 raise PhaseError("H does not vanish to third order")
             g = _grad_at_zero(node, self.rank)
-            if np.linalg.norm(g) > tol:
+            if np.linalg.norm(g) > 1e-8:
                 raise PhaseError("gradient does not vanish on the base")
         return self
 
@@ -173,8 +173,7 @@ def _apply_operator(poly: MPoly, ainv) -> MPoly:
     return out
 
 
-def term_value_symbolic(psi: MPoly, amp: MPoly, r: int, k: int,
-                        psi0=None) -> CRat:
+def term_value_symbolic(psi: MPoly, amp: MPoly, r: int, k: int) -> CRat:
     """Value of the (r, k) inner term at s = 0 (exact)."""
     hess = _poly_hessian(psi)
     res = ldlt(hess)
@@ -220,11 +219,10 @@ def _fd_stencil(m: int):
     return pts, w
 
 
-def fd_partial(g: Callable, alpha: Sequence[int], scale: float = 1.0
-               ) -> float:
+def fd_partial(g: Callable, alpha: Sequence[int]) -> float:
     """Mixed partial d^alpha g(0) with 4th-order central differences and
-    one Richardson level; h = eps^(1/6) * scale per the engine defaults."""
-    h0 = (np.finfo(float).eps) ** (1.0 / 6.0) * scale
+    one Richardson level from the step h = eps^(1/6)."""
+    h0 = (np.finfo(float).eps) ** (1.0 / 6.0)
 
     def d_at(h: float) -> float:
         grids = [_fd_stencil(m) for m in alpha]
@@ -343,16 +341,14 @@ def sp_coefficients(phase: CleanPhase, order: int,
 
 
 def oscillatory_integral(phase: Callable, amplitude: Callable, mu: float,
-                         domain: Sequence[Tuple[float, float]],
-                         max_points: int = 6_000_000) -> QuadResult:
+                         domain: Sequence[Tuple[float, float]]) -> QuadResult:
     """Brute-force oracle: int_domain e^{i phase/mu} amplitude."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if len(domain) == 1:
         return oscillatory_quad_1d(amplitude, phase, domain[0][0],
-                                   domain[0][1], mu, max_points)
-    return tensor_oscillatory(amplitude, phase, domain, mu,
-                              max_points=max_points)
+                                   domain[0][1], mu)
+    return tensor_oscillatory(amplitude, phase, domain, mu)
 
 
 @dataclass
@@ -362,16 +358,16 @@ class DecayResult:
     samples: List[Tuple[float, float]] = field(default_factory=list)
 
 
-def decay_check(l_eval: Callable, ts: Optional[Sequence[float]] = None,
-                floor: float = 1e-300) -> DecayResult:
-    """Log-log fit of |l_eval(t)| over t in [4, 64]."""
+def decay_check(l_eval: Callable, ts: Optional[Sequence[float]] = None
+                ) -> DecayResult:
+    """Log-log fit of |l_eval(t)| (floored at 1e-300) over t in [4, 64]."""
     if ts is None:
         ts = np.geomspace(4.0, 64.0, 9)
     vals = np.array([abs(complex(l_eval(t))) for t in ts])
     if np.max(vals) < 1e-14:
         return DecayResult(slope=None, zero_signal=True,
                            samples=list(zip(ts, vals)))
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, 1e-300)
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     return DecayResult(slope=float(slope), zero_signal=False,
                        samples=list(zip(ts, vals)))

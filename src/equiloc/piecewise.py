@@ -418,18 +418,14 @@ def interior_point(cone: Sequence[LinForm], dim: int):
     raise ConeError("cone has empty interior")
 
 
-def admissible_cone(forms: Sequence[LinForm], dim: int,
-                    prefer=None) -> List[LinForm]:
+def admissible_cone(forms: Sequence[LinForm], dim: int) -> List[LinForm]:
     """An open cone on which every given form is nonvanishing: take a
     generic direction Z and orient every form positively at Z."""
-    cands = []
-    if prefer is not None:
-        cands.append(tuple(Fraction(x) for x in prefer))
     if dim == 1:
-        cands += [(Fraction(1),), (Fraction(-1),)]
+        cands = [(Fraction(1),), (Fraction(-1),)]
     else:
-        cands += [(Fraction(a), Fraction(b))
-                  for a in (1, 2, 3, -1, 5) for b in (1, 2, -3, 7, -1)]
+        cands = [(Fraction(a), Fraction(b))
+                 for a in (1, 2, 3, -1, 5) for b in (1, 2, -3, 7, -1)]
     for z in cands:
         vals = [f(z) for f in forms]
         if all(v != 0 for v in vals):
@@ -441,8 +437,7 @@ def admissible_cone(forms: Sequence[LinForm], dim: int,
 # the transform
 
 
-def ft_shifted(u: RatExp, cone: Sequence[LinForm],
-               check_flags: bool = True) -> PiecewisePoly:
+def ft_shifted(u: RatExp, cone: Sequence[LinForm]) -> PiecewisePoly:
     """Cone-shifted Fourier transform of u as a PiecewisePoly.
 
     dim 1 is closed-form; dim 2 iterates along both variable flags and
@@ -458,10 +453,8 @@ def ft_shifted(u: RatExp, cone: Sequence[LinForm],
     if dim == 1:
         return _ft_dim1(u, z)
     out = _ft_dim2(u, z, flag=(0, 1))
-    if check_flags:
-        alt = _ft_dim2(u, z, flag=(1, 0))
-        if not out.piecewise_equal(alt):
-            raise AssertionError("flag orders disagree in ft_shifted")
+    if not out.piecewise_equal(_ft_dim2(u, z, flag=(1, 0))):
+        raise AssertionError("flag orders disagree in ft_shifted")
     return out
 
 

@@ -7,7 +7,8 @@ more than FILON_THRESHOLD radians switches from Gauss panels to a
 Filon-type rule (phase substitution + Chebyshev amplitude interpolation
 against exact oscillatory moments), and one weight vector serves all its
 chunks.  Cells are reduced in a fixed pairwise order, so results are
-run-to-run identical.
+run-to-run identical.  One integral uses at most MAX_POINTS points, over
+both refine passes, Gauss panels and Filon chunks alike.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ FILON_THRESHOLD = 2.0 * math.pi  # per-cell phase variation before Filon
 FILON_CHUNK = 256.0 * math.pi     # phase length of one Filon chunk
 FILON_DEGREE = 10
 TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
+PANEL_NODES = 16                  # Gauss nodes per panel of panel_gauss
+MAX_POINTS = 6_000_000            # point budget of one oscillatory integral
 
 
 class BudgetExceeded(RuntimeError):
@@ -86,19 +89,19 @@ def pairwise_sum(values: Sequence[complex]) -> complex:
     return vals[0]
 
 
-def panel_gauss(f: Callable, a: float, b: float, panels: int,
-                n: int = 16) -> complex:
-    """Composite Gauss-Legendre with vectorized evaluation."""
-    _, w = gauss_legendre(n)
-    pts, _ = composite_gl(a, b, panels, n)
+def panel_gauss(f: Callable, a: float, b: float, panels: int) -> complex:
+    """Composite PANEL_NODES-point Gauss-Legendre with vectorized
+    evaluation."""
+    _, w = gauss_legendre(PANEL_NODES)
+    pts, _ = composite_gl(a, b, panels, PANEL_NODES)
     half = 0.5 * np.diff(np.linspace(a, b, panels + 1))
-    vals = np.asarray(f(pts), dtype=complex).reshape(panels, n)
+    vals = np.asarray(f(pts), dtype=complex).reshape(panels, PANEL_NODES)
     cell = (vals * w[None, :]).sum(axis=1) * half
     return pairwise_sum(list(cell))
 
 
-def _phase_table(phase: Callable, a: float, b: float, mu: float,
-                 base: int = 513, cap: int = 2_000_000):
+def _phase_table(phase: Callable, a: float, b: float, mu: float):
+    base, cap = 513, 2_000_000
     s = np.linspace(a, b, base)
     psi = np.asarray(phase(s), dtype=float)
     var = float(np.abs(np.diff(psi)).sum()) / mu
@@ -123,15 +126,15 @@ def _osc_moments(omega: float, deg: int):
 
 
 def oscillatory_quad_1d(amp: Callable, phase: Callable, a: float, b: float,
-                        mu: float, max_points: int = 6_000_000
-                        ) -> QuadResult:
+                        mu: float) -> QuadResult:
     """integral_a^b e^{i phase(s)/mu} amp(s) ds by two refine passes over
-    one zone table (QuadResult says what error and converged mean)."""
+    one zone table (QuadResult says what error and converged mean); the
+    two passes share the MAX_POINTS budget."""
     if b <= a:
         return QuadResult(0.0, 0.0, True, 0)
     table = _zone_table(phase, a, b, mu)
-    v1, n1 = _osc_pass(amp, phase, mu, table, 1, max_points)
-    v2, n2 = _osc_pass(amp, phase, mu, table, 2, max_points)
+    v1, n1 = _osc_pass(amp, phase, mu, table, 1, MAX_POINTS)
+    v2, n2 = _osc_pass(amp, phase, mu, table, 2, MAX_POINTS - n1)
     err = abs(v2 - v1)
     return QuadResult(v2, err, err <= 1e-7 * (1.0 + abs(v2)), n1 + n2)
 
@@ -168,7 +171,9 @@ def _zone_table(phase, a, b, mu):
     return s, psi, dpsi, cum, zones
 
 
-def _osc_pass(amp, phase, mu, table, refine: int, max_points: int):
+def _osc_pass(amp, phase, mu, table, refine: int, budget: int):
+    """(value, points) of one refine pass; each zone, Gauss or Filon, is
+    charged against `budget` before its work is done."""
     s, psi, dpsi, cum, zones = table
     pieces, npts = [], 0
     for i0, i1, kind in zones:
@@ -176,16 +181,16 @@ def _osc_pass(amp, phase, mu, table, refine: int, max_points: int):
         var = float(cum[i1] - cum[i0])
         if kind == "gl" or var <= max(FILON_THRESHOLD, _GUARD) * refine:
             panels = max(1, int(var / math.pi) + 1) * refine
-            npts += panels * 16
-            if npts > max_points:
-                raise BudgetExceeded("oscillatory quadrature budget")
-            pieces.append(panel_gauss(
+            npts += panels * PANEL_NODES
+            work = lambda: panel_gauss(
                 lambda x: np.asarray(amp(x)) *
-                np.exp(1j * np.asarray(phase(x)) / mu), lo, hi, panels))
+                np.exp(1j * np.asarray(phase(x)) / mu), lo, hi, panels)
         else:
-            pieces.append(_filon_zone(amp, s, psi, dpsi, i0, i1, mu,
-                                      refine))
             npts += int(var / FILON_CHUNK + 1) * (FILON_DEGREE + 3)
+            work = lambda: _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine)
+        if npts > budget:
+            raise BudgetExceeded("oscillatory quadrature budget")
+        pieces.append(work())
     return pairwise_sum(pieces), npts
 
 
@@ -222,10 +227,10 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
 
 
 def tensor_oscillatory(amp: Callable, phase: Callable,
-                       domain: Sequence, mu: float,
-                       max_points: int = 4_000_000) -> QuadResult:
+                       domain: Sequence, mu: float) -> QuadResult:
     """Tensor-product rule for 2 <= dim <= 3: grid sized per axis by the
-    phase variation so each cell stays below the Gauss threshold."""
+    phase variation so each cell stays below the Gauss threshold, within
+    the MAX_POINTS budget."""
     dims = len(domain)
     probe = [np.linspace(lo, hi, 9) for lo, hi in domain]
     mesh = np.meshgrid(*probe, indexing="ij")
@@ -243,7 +248,7 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
                           int(gmax * span / (mu * math.pi)) + 1))
     n = 8
     total = math.prod(c * n for c in counts)
-    if total > max_points:
+    if total > MAX_POINTS:
         raise BudgetExceeded(
             f"tensor oscillatory grid of {total} points over budget")
     axes_pts, axes_w = zip(*(composite_gl(lo, hi, c, n)

@@ -36,6 +36,7 @@ class IsotropyChain:
     types: tuple                 # descriptors, most singular first
     levels: Tuple[ChainLevel, ...]
     lam: int                     # maximal chain length over the model
+    iso_generator: Optional[int]  # deeper circle type's generator, depth 2
 
     @property
     def depth(self) -> int:
@@ -73,7 +74,7 @@ def stratify(model) -> StratifyResult:
         chain = IsotropyChain(
             types=("(G)",),
             levels=(ChainLevel(c=model.n, d=0, e=1),),
-            lam=2)
+            lam=2, iso_generator=None)
         return StratifyResult(chains=[chain], lam=2, types=["(G)", "(e)"])
     if k == 2 and len(planes) == 2:
         # T^2 on R^4: chains (T^2) > (S^1_a) and (T^2) > (S^1_b)
@@ -83,7 +84,7 @@ def stratify(model) -> StratifyResult:
                 types=("(T^2)", f"(S^1_{second})"),
                 levels=(ChainLevel(c=4, d=0, e=2),
                         ChainLevel(c=2, d=1, e=1)),
-                lam=3))
+                lam=3, iso_generator=second))
         return StratifyResult(chains=chains, lam=3,
                               types=["(T^2)", "(S^1_0)", "(S^1_1)", "(e)"])
     raise ModelError("stratify supports the shipped linear catalog "
@@ -140,11 +141,12 @@ class BlowupChart:
         f = self.psi_wk(np.stack([x + e, x - e]))
         return (f[0] - f[1]) / (2 * h)
 
-    def hessian(self, pt, h: float = 1e-4) -> np.ndarray:
-        """Central-difference Hessian at one point, from one psi_wk call
-        on the whole stencil."""
+    def hessian(self, pt) -> np.ndarray:
+        """Central-difference Hessian at one point (step 1e-4), from one
+        psi_wk call on the whole stencil."""
         pt = np.asarray(pt, dtype=float)
         n = len(pt)
+        h = 1e-4
         e = h * np.eye(n)
         iu, ju = np.triu_indices(n, 1)
         ei, ej = e[iu], e[ju]
@@ -286,7 +288,7 @@ def _charts_depth2(model: LinearCotangent, chain: IsotropyChain,
     x2(th1) lies in the plane fixed by the deeper isotropy circle, and
     v2(phi) covers a hemisphere of its normal directions inside S^3.
     """
-    iso = int(chain.types[1][-2])       # generator index of the deeper type
+    iso = chain.iso_generator
     charts = [_make_theta_theta_chart(model, chain, iso, rho)
               for rho in (0, 1)]
     charts.append(_alpha_chart_depth2(
@@ -493,13 +495,15 @@ class CritWitness:
         return self.cond_i and self.cond_ii and self.cond_iii
 
 
-def crit_conditions(chart: BlowupChart, pt, tol: float = 1e-9
-                    ) -> CritWitness:
+CRIT_TOL = 1e-9     # a residual of (I)-(III) at most this holds
+
+
+def crit_conditions(chart: BlowupChart, pt) -> CritWitness:
     res = chart.conditions(pt)
     return CritWitness(
         point=np.asarray(pt, dtype=float),
-        cond_i=res["I"] <= tol, cond_ii=res["II"] <= tol,
-        cond_iii=res["III"] <= tol,
+        cond_i=res["I"] <= CRIT_TOL, cond_ii=res["II"] <= CRIT_TOL,
+        cond_iii=res["III"] <= CRIT_TOL,
         grad_norm=float(np.linalg.norm(chart.gradient(pt))))
 
 
@@ -579,23 +583,22 @@ def direct_leading(model, amplitude: Amplitude,
 
 def resolved_leading(model, charts: Sequence[BlowupChart],
                      amplitude: Amplitude, n_tau: int = 160,
-                     n_ang: int = 40, n_s: int = 120, smax: float = 4.2,
-                     tau_range: float = 4.2,
-                     ratio_probe: int = 5) -> float:
+                     n_ang: int = 40, n_s: int = 120) -> float:
     """Sum of chart integrals over Crit(psi_wk) with the surviving
     |tau|^{c+sum d-1-kappa} density, the partition-of-unity weights, and
-    the measure-consistent transversal Hessian.
+    the measure-consistent transversal Hessian, on n_tau Gauss tau and
+    n_s Gauss s in [-4.2, 4.2] and n_ang Gauss angles.
 
-    The ratio dCrit / |det Hess_perp|^{1/2} is sampled on a probe grid and
-    must be constant to 1e-8 (the planar catalog cancels it exactly); the
-    verified constant then carries the fine grid.  A ratio that varies
-    raises ModelError.
+    The ratio dCrit / |det Hess_perp|^{1/2} is sampled on a probe grid of
+    about 5 points per axis and must be constant to 1e-8 (the planar
+    catalog cancels it exactly); the verified constant then carries the
+    fine grid.  A ratio that varies raises ModelError.
     """
     if not isinstance(model, LinearCotangent) or model.n != 2:
         raise ModelError("resolved_leading covers the planar rotation model")
     kappa = model.group.kappa
-    taus, wtau = composite_gl(-tau_range, tau_range, 1, n_tau)
-    svals, wsv = composite_gl(-smax, smax, 1, n_s)
+    taus, wtau = composite_gl(-4.2, 4.2, 1, n_tau)
+    svals, wsv = composite_gl(-4.2, 4.2, 1, n_s)
     # angle substitution theta = tan(phi): d theta = sec^2 phi d phi
     phis, wph = composite_gl(-math.pi / 2, math.pi / 2, 1, n_ang)
     g0 = float(amplitude.g_factor(0.0))
@@ -612,9 +615,9 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
                 abs(hh.det))
 
         probes = [meas_ratio(t, math.tan(ph), s)
-                  for t in taus[::max(1, n_tau // ratio_probe)]
-                  for ph in phis[::max(1, n_ang // ratio_probe)]
-                  for s in svals[::max(1, n_s // ratio_probe)]]
+                  for t in taus[::max(1, n_tau // 5)]
+                  for ph in phis[::max(1, n_ang // 5)]
+                  for s in svals[::max(1, n_s // 5)]]
         if max(probes) - min(probes) > 1e-8 * max(1.0, abs(probes[0])):
             raise ModelError(
                 f"chart {chart.label}: dCrit / |det Hess_perp|^(1/2) is not "
@@ -635,12 +638,12 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     return float(pairwise_sum(total_parts))
 
 
-def _crit_measure(chart: BlowupChart, tau, theta, s,
-                  h: float = 1e-6) -> float:
+def _crit_measure(chart: BlowupChart, tau, theta, s) -> float:
     """sqrt Gram of the crit parametrization tangents (tau, theta, s) at
     crit_param(tau, theta, s).  s is read back from that point as |p| with
     the sign of s, which can differ from s in the last bit; the 1e-6 step
     amplifies such a change, so it is kept."""
+    h = 1e-6
     v = chart.crit_param(tau, theta, s)[3:5]
     s = float(np.dot(v, v)) ** 0.5 * (1.0 if s >= 0 else -1.0)
     tangents = []
@@ -683,7 +686,6 @@ def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
     """Oracle I(mu) against (2 pi mu)^kappa L0 with the remainder fit."""
     kappa = model.group.kappa
     if isinstance(model, CotangentCircle):
-        lam = 1
         from .bumps import BumpHat
         from .oracles import cotangent_regular_integral
         bhat = BumpHat(amplitude.g_profile, wmax=500.0)
@@ -694,7 +696,6 @@ def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
                 lambda t, p: amplitude.eta_factor(np.stack([t, p])),
                 bhat, sigma, mu)
     elif isinstance(model, LinearCotangent) and model.n == 2:
-        lam = 2
         from .oracles import linrot2_oracle
         orc = linrot2_oracle(amplitude.g_profile)
         l0 = direct_leading(model, amplitude)
@@ -703,6 +704,7 @@ def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
             return orc.integral(mu)
     else:
         raise ModelError("singular_sweep covers the shipped catalog")
+    lam = stratify(model).lam
     depth = max(1, lam - 1)
     rows = []
     for mu in mus:
@@ -765,8 +767,8 @@ def factorization_check(chart: BlowupChart, model, rng,
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def crit_equivalence_scan(chart: BlowupChart, rng, n: int = 10_000,
-                          tol: float = 1e-9) -> Tuple[int, int]:
+def crit_equivalence_scan(chart: BlowupChart, rng,
+                          n: int = 10_000) -> Tuple[int, int]:
     """(witness count, mismatches) over a mixed grid of constructed
     critical points and random points: (I)-(III) <=> grad psi_wk = 0."""
     crit_pts = chart.crit_sampler(rng, n // 4)
@@ -776,7 +778,8 @@ def crit_equivalence_scan(chart: BlowupChart, rng, n: int = 10_000,
     # the same rounding as np.linalg.norm of each gradient on its own
     grad_zero = np.sqrt(np.vecdot(grads, grads)) <= 1e-6
     res = chart.conditions(pts)
-    crit = (res["I"] <= tol) & (res["II"] <= tol) & (res["III"] <= tol)
+    crit = (res["I"] <= CRIT_TOL) & (res["II"] <= CRIT_TOL) & \
+        (res["III"] <= CRIT_TOL)
     return len(pts), int(np.count_nonzero(crit != grad_zero))
 
 

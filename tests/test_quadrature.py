@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from equiloc import quadrature
+from equiloc.bumps import Bump
 from equiloc.quadrature import (composite_gl, gauss_legendre,
                                 oscillatory_quad_1d, pairwise_sum,
                                 panel_gauss)
@@ -155,3 +156,18 @@ def test_one_table_per_integral_and_one_solve_per_filon_zone(monkeypatch):
                         lambda s: np.sin(3 * np.asarray(s)), -3.0, 5.0, 1e-3)
     assert calls["table"] == 1
     assert calls["zone"] > 0 and calls["solve"] == calls["zone"]
+
+
+def test_filon_zones_count_against_the_budget(monkeypatch):
+    """The Fresnel phase at mu = 1e-6 takes its points almost all in Filon
+    zones; the budget stops it before they are evaluated.  The zone work
+    is stubbed out, so the test only counts."""
+    bump = Bump(radius=20.0, order=4, kind="poly")
+    monkeypatch.setattr(quadrature, "_filon_zone", lambda *args: 0j)
+    with pytest.raises(quadrature.BudgetExceeded):
+        oscillatory_quad_1d(bump, lambda s: 0.5 * np.asarray(s) ** 2,
+                            -20.0, 20.0, 1e-6)
+    # the smallest benchmark mu stays far inside the budget
+    res = oscillatory_quad_1d(bump, lambda s: 0.5 * np.asarray(s) ** 2,
+                              -20.0, 20.0, 3.1622776601683795e-4)
+    assert 0 < res.points <= quadrature.MAX_POINTS
