@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.integrate import quad
 
 from .quadrature import composite_gl
 
@@ -58,83 +56,41 @@ class Bump:
         return np.where(u < 1.0, s, 0.0)
 
     def mass(self) -> float:
-        from scipy.integrate import quad
         return quad(lambda x: float(self(x)), -self.radius, self.radius,
                     limit=200)[0]
 
 
-# grid rows per block of the cosine matrix in the BumpHat build
-_BLOCK_ROWS = 2048
-HAT_SAMPLES = 8192      # spline knots of a BumpHat on [0, wmax]
+BASE_PANELS = 64    # panels of [0, R] of every call with max|w| R below 196
 
 
 @dataclass
 class BumpHat:
-    """hat b(w) = int b(x) e^{i w x} dx, real and even for even bumps.
-
-    Dense cubic-spline cache of HAT_SAMPLES knots on [0, wmax]; direct
-    quadrature beyond the cached range.
-    """
+    """hat b(w) = int b(x) e^{i w x} dx = 2 int_0^R b(x) cos(w x) dx, real
+    and even for even bumps: one composite-Gauss product per call, whose
+    panels span at most 4 radians of cos(w x) at the call's max |w|."""
 
     bump: Bump
-    wmax: float = 400.0
 
     def __post_init__(self):
-        grid = np.linspace(0.0, self.wmax, HAT_SAMPLES)
-        # vectorized composite Gauss: enough panels to resolve cos(wmax x)
-        r = self.bump.radius
-        panels = max(64, int(self.wmax * r / 4.0) + 16)
-        nodes, wts = composite_gl(0.0, r, panels)
-        fb = self.bump(nodes) * wts
-        # the cosine matrix in blocks of grid rows bounds peak memory;
-        # einsum keeps the reduction single-threaded
-        vals = np.empty_like(grid)
-        for lo in range(0, len(grid), _BLOCK_ROWS):
-            block = np.outer(grid[lo:lo + _BLOCK_ROWS], nodes)
-            np.cos(block, out=block)
-            vals[lo:lo + _BLOCK_ROWS] = 2.0 * np.einsum("ij,j->i", block, fb)
-        self._spline = CubicSpline(grid, vals)
-        # the spline's own pieces as Python floats for `value`
-        self._knots = self._spline.x.tolist()
-        self._coeffs = self._spline.c.tolist()
+        self._base = self._gauss(BASE_PANELS)
 
-    def _direct(self, w: float) -> float:
-        from scipy.integrate import quad
-        r = self.bump.radius
-        val, _ = quad(lambda x: float(self.bump(x)) * math.cos(w * x),
-                      0.0, r, limit=400)
-        return 2.0 * val
+    def _gauss(self, panels: int):
+        x, dx = composite_gl(0.0, self.bump.radius, panels)
+        return x, 2.0 * self.bump(x) * dx
 
-    def value(self, w: float) -> float:
-        """hat b at one real w, without numpy: the cached spline bit for
-        bit as the array call gives it, direct quadrature beyond wmax.
-
-        The spline piece is found as scipy's PPoly finds it (closed on the
-        right at the last knot) and summed as PPoly sums it, power by
-        power; Horner's rule would round differently.
-        """
-        w = abs(w)
-        if not w <= self.wmax:
-            return self._direct(w)
-        knots = self._knots
-        i = min(bisect_right(knots, w), len(knots) - 1) - 1
-        c0, c1, c2, c3 = self._coeffs
-        d = w - knots[i]
-        d2 = d * d
-        return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+    def rule(self, wmax: float):
+        """(x, 2 b(x) dx) on [0, R] for frequencies up to wmax, with
+        max(BASE_PANELS, int(wmax R / 4) + 16) panels."""
+        panels = int(wmax * self.bump.radius / 4.0) + 16
+        return self._base if panels <= BASE_PANELS else self._gauss(panels)
 
     def __call__(self, w):
-        if np.ndim(w) == 0:
-            return self.value(float(w))
         w = np.abs(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        inside = w <= self.wmax
-        out[inside] = self._spline(w[inside])
-        if np.any(~inside):
-            flat = w[~inside].ravel()
-            out[~inside] = np.array([self._direct(x) for x in flat]
-                                    ).reshape(w[~inside].shape)
-        return out
+        x, fb = self.rule(float(np.max(w, initial=0.0)))
+        block = np.multiply.outer(w, x)
+        np.cos(block, out=block)
+        # einsum keeps the reduction single-threaded
+        return np.einsum("...j,j->...", block, fb)
 
 
 class SmearingKernel:
@@ -144,7 +100,7 @@ class SmearingKernel:
     def __init__(self):
         self.bump = Bump(radius=1.0, order=4, kind="poly")
         self._mass = self.bump.mass()
-        self._hat = BumpHat(self.bump, wmax=600.0)
+        self._hat = BumpHat(self.bump)
 
     def phi_hat(self, x):
         """Fourier transform of phi (total integral one => phi_hat(0) = 1)."""

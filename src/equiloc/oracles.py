@@ -2,6 +2,7 @@
 
 Everything here is built from quadrature-level identities only (exact
 Fourier reduction of the Lie-algebra integral, rotational symmetry, the
+Bessel integral int_0^{2 pi} cos(c x sin g) dg = 2 pi J_0(c x), the
 Catalan/Bessel kernel int_0^inf e^{-t - w/t} dt/t = 2 K_0(2 sqrt(w))), so
 the values are independent of every localization formula and every
 stationary-phase expansion they are used to test.
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import k0
+from scipy.special import j0, k0
 
 from .bumps import Bump, BumpHat
 from .quadrature import composite_gl
@@ -101,28 +102,35 @@ class Linrot2Oracle:
     pair reduces to the Bessel kernel, leaving honest 1-D quadratures:
 
         I(mu) = 2 pi * int_0^inf G(v / mu) K_0(2 v) v dv.
+
+    G has two exact forms, neither with a quad call.  The J_0 identity
+    int_0^{2 pi} cos(c x sin gamma) d gamma = 2 pi J_0(c x) gives
+
+        G(c) = 4 pi int_0^R b(x) J_0(c x) dx,
+
+    used for c < 2U on BumpHat's rule sized from c R.  u = c sin gamma
+    gives G(c) = 4 int_0^c bhat(u) (c^2 - u^2)^(-1/2) du, used for c >= 2U
+    on a bhat table over [0, U] built once, U = 400 / R; past U the hat of
+    the order-6 poly bump is below 1e-13 bhat(0).
     """
 
     g_bump: Bump
 
     def __post_init__(self):
-        self.bhat = BumpHat(self.g_bump, wmax=500.0)
+        self.bhat = BumpHat(self.g_bump)
+        self.u_max = 400.0 / self.g_bump.radius
+        # bhat(u) turns like cos(u R) and U R = 400: 4 radians a panel
+        self._u, du = composite_gl(0.0, self.u_max, int(400.0 / 4.0) + 16)
+        self._bhat_du = self.bhat(self._u) * du
 
     def angular(self, c: float) -> float:
         """G(c) = int_0^{2pi} bhat(c sin g) dg (even in c)."""
         c = abs(float(c))
-        bhat = self.bhat.value
-        if c < 60.0:
-            val = quad(lambda g: bhat(c * math.sin(g)),
-                       0.0, math.pi / 2, limit=200)[0]
-            return 4.0 * val
-        # substitute u = c sin g: G = 4 int_0^c bhat(u) / sqrt(c^2-u^2) du
-        cut = min(c * 0.5, 400.0)
-        val = quad(lambda u: bhat(u) / math.sqrt(c * c - u * u),
-                   0.0, cut, limit=400)[0]
-        # for c >= 60 the arc u in [min(c/2, 400), c] is dropped; nothing
-        # bounds what it carries
-        return 4.0 * val
+        if c < 2.0 * self.u_max:
+            x, fb = self.bhat.rule(c)
+            return 2.0 * math.pi * float(np.dot(j0(c * x), fb))
+        return 4.0 * float(np.dot(self._bhat_du,
+                                  1.0 / np.sqrt(c * c - self._u ** 2)))
 
     def integral(self, mu: float) -> float:
         def f(v):

@@ -186,12 +186,25 @@ def _osc_pass(amp, phase, mu, table, refine: int, budget: int):
                 lambda x: np.asarray(amp(x)) *
                 np.exp(1j * np.asarray(phase(x)) / mu), lo, hi, panels)
         else:
-            npts += int(var / FILON_CHUNK + 1) * (FILON_DEGREE + 3)
+            nchunk, nodes = _filon_plan(i1 - i0 + 1, abs(psi[i1] - psi[i0]),
+                                        mu, refine)
+            npts += nchunk * nodes
             work = lambda: _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine)
         if npts > budget:
             raise BudgetExceeded("oscillatory quadrature budget")
         pieces.append(work())
     return pairwise_sum(pieces), npts
+
+
+def _filon_plan(size: int, span: float, mu: float, refine: int):
+    """(chunks, amp points per chunk) of a monotone zone of `size` table
+    points spanning `span` radians of phase: Filon chunks of
+    FILON_DEGREE + 2 (refine - 1) + 1 Chebyshev nodes, or 4 Gauss panels
+    when the zone has under 4 table points."""
+    if size < 4:
+        return 4, PANEL_NODES
+    nchunk = max(1, int(span / (mu * FILON_CHUNK / refine)) + 1)
+    return nchunk, FILON_DEGREE + 2 * (refine - 1) + 1
 
 
 def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
@@ -203,18 +216,18 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
     ss = s[i0:i1 + 1]       # increasing in s
     pp = psi[i0:i1 + 1]
     dd = dpsi[i0:i1 + 1]
-    if len(ss) < 4:
-        return panel_gauss(lambda x: np.asarray(amp(x)) *
-                           np.exp(1j * np.interp(x, s, psi) / mu),
-                           float(ss[0]), float(ss[-1]), 4)
     rev = slice(None, None, -1 if pp[0] > pp[-1] else 1)
     tt, st = pp[rev], ss[rev]       # increasing in t
     t_lo, t_hi = float(tt[0]), float(tt[-1])
-    nchunk = max(1, int((t_hi - t_lo) / (mu * FILON_CHUNK / refine)) + 1)
+    nchunk, nodes = _filon_plan(len(ss), t_hi - t_lo, mu, refine)
+    if len(ss) < 4:
+        return panel_gauss(lambda x: np.asarray(amp(x)) *
+                           np.exp(1j * np.interp(x, s, psi) / mu),
+                           float(ss[0]), float(ss[-1]), nchunk)
     edges = np.linspace(t_lo, t_hi, nchunk + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (t_hi - t_lo) / nchunk
-    deg = FILON_DEGREE + 2 * (refine - 1)
+    deg = nodes - 1
     xc = np.cos(math.pi * np.arange(deg + 1) / deg)[::-1]   # Chebyshev nodes
     w = np.linalg.solve(np.vander(xc, increasing=True).T,
                         _osc_moments(half / mu, deg))

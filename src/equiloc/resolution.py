@@ -688,7 +688,7 @@ def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
     if isinstance(model, CotangentCircle):
         from .bumps import BumpHat
         from .oracles import cotangent_regular_integral
-        bhat = BumpHat(amplitude.g_profile, wmax=500.0)
+        bhat = BumpHat(amplitude.g_profile)
         l0 = direct_leading(model, amplitude, sigma=sigma)
 
         def oracle(mu):

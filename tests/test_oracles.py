@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j0
 
+from equiloc import EquivariantForm, l_alpha, make_model
 from equiloc.bumps import Bump
 from equiloc.oracles import linrot2_oracle
+from equiloc.quadrature import composite_gl
+
+G_BUMP = Bump(radius=1.0, order=6, kind="poly")
 
 
 def _hankel_closed_form(g_bump: Bump, mu: float) -> float:
@@ -23,7 +28,50 @@ def _hankel_closed_form(g_bump: Bump, mu: float) -> float:
 
 @pytest.mark.parametrize("mu", list(np.geomspace(1e-2, 1e-4, 5)))
 def test_linrot2_oracle_against_hankel_closed_form(mu):
-    # the sweep of `singular --model linrot2`; the error is 2e-8 to 1.4e-7
-    g_bump = Bump(radius=1.0, order=6, kind="poly")
-    exact = _hankel_closed_form(g_bump, mu)
-    assert abs(linrot2_oracle(g_bump).integral(mu) - exact) <= 5e-7 * exact
+    # the sweep of `singular --model linrot2`; the error is 9.6e-9 to 3.1e-8,
+    # what the outer quad over v leaves
+    exact = _hankel_closed_form(G_BUMP, mu)
+    assert abs(linrot2_oracle(G_BUMP).integral(mu) - exact) <= 5e-8 * exact
+
+
+def _angular_reference(c: float) -> float:
+    """G(c) = 4 pi int_0^R b(x) J_0(c x) dx on max(64, c R + 64) panels,
+    summed 20,000 panels at a time."""
+    r = G_BUMP.radius
+    panels = max(64, int(c * r) + 64)
+    total = 0.0
+    for lo in range(0, panels, 20_000):
+        hi = min(panels, lo + 20_000)
+        x, w = composite_gl(lo * r / panels, hi * r / panels, hi - lo)
+        total += float(np.dot(G_BUMP(x) * j0(c * x), w))
+    return 4.0 * math.pi * total
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 59.9, 60.0, 61.0, 799.0, 800.0,
+                               801.0, 5000.0, 6e5])
+def test_linrot2_angular_at_its_regime_edges(c):
+    # c = 800 = 2 * 400 / R is where the J_0 rule hands over to the bhat
+    # table
+    exact = _angular_reference(c)
+    orc = linrot2_oracle(G_BUMP)
+    assert abs(orc.angular(c) - exact) <= 1e-12 * exact
+    assert orc.angular(-c) == orc.angular(c)
+
+
+@pytest.mark.parametrize("v", [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+def test_linrot2_pushforward_closed_form(v):
+    # int_0^inf K_0(2 sqrt(v^2 + x^2)) dx = (pi / 4) e^{-2 |v|}
+    exact = math.pi ** 2 * math.exp(-2.0 * v)
+    orc = linrot2_oracle(G_BUMP)
+    assert abs(orc.pushforward_density(v) - exact) <= 1e-10 * exact
+    assert orc.pushforward_density(-v) == orc.pushforward_density(v)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 3.0, 10.0, 30.0, 50.0])
+def test_linrot2_l_alpha_closed_form(x):
+    # 2 int_0^inf pi^2 e^{-2v} cos(X v) dv = 4 pi^2 / (4 + X^2); past
+    # X = 50 the pushforward grid, which stops at v = 30, no longer holds
+    # 1e-10
+    exact = 4.0 * math.pi ** 2 / (4.0 + x * x)
+    val = l_alpha(make_model("linrot2"), EquivariantForm(), x)
+    assert abs(val - exact) <= 1e-10 * exact

@@ -36,7 +36,7 @@ def test_gauss_legendre_is_cached_and_read_only():
     (0.0, 600.0, 191, 16),      # smeared_limit
     (0.0, 30.0, 360, 16),       # Linrot2Oracle.l_alpha_batch
     (-1.0, 1.0, 16, 16),
-    (0.0, 1.0, 141, 16),        # BumpHat build
+    (0.0, 1.0, 141, 16),        # BumpHat.rule at max|w| R = 500
     (-2.5, 2.5, 7, 8),          # tensor_oscillatory axis
     (-0.3, 1.7, 5, 12),
 ])
@@ -171,3 +171,33 @@ def test_filon_zones_count_against_the_budget(monkeypatch):
     res = oscillatory_quad_1d(bump, lambda s: 0.5 * np.asarray(s) ** 2,
                               -20.0, 20.0, 3.1622776601683795e-4)
     assert 0 < res.points <= quadrature.MAX_POINTS
+
+
+def test_points_charged_are_the_points_evaluated(monkeypatch):
+    """Each refine pass charges exactly the amp points it evaluates, Filon
+    zones included: at refine 2 they take chunks half as wide and two
+    more nodes per chunk."""
+    bump = Bump(radius=20.0, order=4, kind="poly")
+    evaluated = []
+
+    def amp(s):
+        evaluated[-1] += np.size(s)
+        return bump(s)
+
+    charged = []
+    osc_pass = quadrature._osc_pass
+
+    def counted(amp, phase, mu, table, refine, budget):
+        evaluated.append(0)
+        value, npts = osc_pass(amp, phase, mu, table, refine, budget)
+        charged.append(npts)
+        return value, npts
+
+    monkeypatch.setattr(quadrature, "_osc_pass", counted)
+    res = oscillatory_quad_1d(amp, lambda s: 0.5 * np.asarray(s) ** 2,
+                              -20.0, 20.0, 3.1622776601683795e-4)
+    assert charged == evaluated
+    assert res.points == sum(evaluated)
+    # 18,354 then 42,978: the fine pass halves every cell and has 13 Filon
+    # nodes per chunk against 11
+    assert evaluated[1] > 2 * evaluated[0]
