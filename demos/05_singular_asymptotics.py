@@ -28,7 +28,7 @@ print(f"isotropy chain {chain.types}, Lambda = {strat.lam}, "
       f"levels c/d/e = "
       f"{[(l.c, l.d, l.e) for l in chain.levels]}")
 
-charts = build_charts(model, chain, tau_range=4.2)
+charts = build_charts(model, chain)
 l_res = resolved_leading(model, charts, amp)
 l_dir = direct_leading(model, amp)
 print(f"resolved leading  {l_res:.10f}")

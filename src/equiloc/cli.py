@@ -168,6 +168,28 @@ def _sweep(cfg: RunConfig, default: List[float], fit_from: int = 4):
     return mus
 
 
+def _csv(header: str, rows: List[Dict]) -> str:
+    """A CSV side file: the header line, then one line per row dict whose
+    cells, in key order, are repr of a Python float (shortest
+    round-trip)."""
+    return header + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row.values()) + "\n"
+        for row in rows)
+
+
+def _fit_payload(fit) -> Optional[Dict]:
+    """The report entry of an OrderFit, or None."""
+    return None if fit is None else {"exponent": fit.exponent,
+                                     "log_power": fit.log_power}
+
+
+def _sweep_rows(rep) -> List[Dict]:
+    """The report rows of a singular_sweep."""
+    return [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
+             "leading": r.leading, "remainder": r.remainder}
+            for r in rep.rows]
+
+
 # ---------------------------------------------------------------------------
 # command implementations (each returns (results, certificates, files))
 
@@ -198,7 +220,8 @@ def _cmd_dh(model, cfg: RunConfig):
                              f"MC pushforward ({cfg.mc_samples} samples)"))
     results = {"piecewise": U.to_json_dict(), "mass": exact_mass,
                "area": area, "mc_bin_worst_rel": worst}
-    files = {"density.csv": U.sample_csv(-1.5 * radius, 1.5 * radius, 201)}
+    files = {"density.csv": _csv("xi,density", U.samples(
+        -1.5 * radius, 1.5 * radius, 201))}
     return results, certs, files
 
 
@@ -218,9 +241,7 @@ def _cmd_localize(model, cfg: RunConfig):
         certs.append(Certificate(f"bv_vs_oracle_y_{y:g}", err,
                                  cfg.tolerance, err <= cfg.tolerance,
                                  "1-d height quadrature"))
-    csv = "y,bv_re,bv_im,oracle_re,oracle_im,abs_err\n" + "\n".join(
-        f"{r['y']},{r['bv_re']!r},{r['bv_im']!r},{r['oracle_re']!r},"
-        f"{r['oracle_im']!r},{r['abs_err']!r}" for r in rows) + "\n"
+    csv = _csv("y,bv_re,bv_im,oracle_re,oracle_im,abs_err", rows)
     return {"rows": rows}, certs, {"localize.csv": csv}
 
 
@@ -352,31 +373,22 @@ def _cmd_spexpand(model, cfg: RunConfig):
     results = {"coefficients": [[c.real, c.imag]
                                 for c in exp.coefficients],
                "signature": exp.signature, "rank": exp.rank,
-               "rows": rows,
-               "fit": None if fit is None else
-               {"exponent": fit.exponent, "log_power": fit.log_power}}
-    csv = "mu,oracle_re,oracle_im,expansion_re,expansion_im,error\n" + \
-        "\n".join(f"{r['mu']!r},{r['oracle_re']!r},{r['oracle_im']!r},"
-                  f"{r['exp_re']!r},{r['exp_im']!r},{r['error']!r}"
-                  for r in rows) + "\n"
+               "rows": rows, "fit": _fit_payload(fit)}
+    csv = _csv("mu,oracle_re,oracle_im,expansion_re,expansion_im,error",
+               rows)
     return results, certs, {"spexpand.csv": csv}
 
 
 def _spexpand_cotangent(cfg: RunConfig):
     rep = _cot_sweep(cfg, _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5))))
-    rows = [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
-             "leading": r.leading, "remainder": r.remainder}
-            for r in rep.rows]
     certs = []
     if rep.fit_scaled:
         certs.append(Certificate(
             "remainder_exponent", rep.fit_scaled.exponent, 0.15,
             abs(rep.fit_scaled.exponent - 2.0) <= 0.15,
             "order fit of the scaled remainder"))
-    results = {"rows": rows, "leading": rep.leading,
-               "fit": None if rep.fit_scaled is None else
-               {"exponent": rep.fit_scaled.exponent,
-                "log_power": rep.fit_scaled.log_power}}
+    results = {"rows": _sweep_rows(rep), "leading": rep.leading,
+               "fit": _fit_payload(rep.fit_scaled)}
     return results, certs, {}
 
 
@@ -403,9 +415,8 @@ def _cot_amp(sigma: float) -> Amplitude:
 
 def _cmd_singular(model, cfg: RunConfig):
     from .resolution import singular_sweep
-    kind = cfg.model["kind"]
     mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
-    if kind == "cotangent-circle":
+    if cfg.model["kind"] == "cotangent-circle":
         rep = _cot_sweep(cfg, mus)
     else:
         rep = singular_sweep(model, default_amplitude(
@@ -423,8 +434,9 @@ def _cmd_singular(model, cfg: RunConfig):
         rel = abs(last.scaled - rep.leading) / abs(rep.leading)
         certs.append(Certificate("scaled_vs_leading_at_min_mu", rel, 0.01,
                                  rel <= 0.01, "independent quadratures"))
-    if kind == "cotangent-circle" and rep.fit_scaled:
-        # regular value: the normalized remainder is second order, no log
+    if rep.lam == 1 and rep.fit_scaled:
+        # one isotropy type, so a regular value: the normalized remainder
+        # is second order, no log
         certs.append(Certificate(
             "remainder_exponent", rep.fit_scaled.exponent, 0.15,
             abs(rep.fit_scaled.exponent - 2.0) <= 0.15, "order fit"))
@@ -438,20 +450,11 @@ def _cmd_singular(model, cfg: RunConfig):
         certs.append(Certificate(
             "remainder_log_power", rep.fit.log_power, float(rep.lam - 1),
             rep.fit.log_power <= (rep.lam - 1) + 0.2, "order fit"))
-    rows = [{"mu": r.mu, "oracle": r.oracle, "scaled": r.scaled,
-             "leading": r.leading, "remainder": r.remainder}
-            for r in rep.rows]
-    csv = "mu,oracle,scaled,leading,remainder\n" + "\n".join(
-        f"{r['mu']!r},{r['oracle']!r},{r['scaled']!r},{r['leading']!r},"
-        f"{r['remainder']!r}" for r in rows) + "\n"
+    rows = _sweep_rows(rep)
+    csv = _csv("mu,oracle,scaled,leading,remainder", rows)
     results = {"rows": rows, "leading": rep.leading, "kappa": kappa,
-               "lambda": rep.lam,
-               "fit": None if rep.fit is None else
-               {"exponent": rep.fit.exponent,
-                "log_power": rep.fit.log_power},
-               "fit_scaled": None if rep.fit_scaled is None else
-               {"exponent": rep.fit_scaled.exponent,
-                "log_power": rep.fit_scaled.log_power}}
+               "lambda": rep.lam, "fit": _fit_payload(rep.fit),
+               "fit_scaled": _fit_payload(rep.fit_scaled)}
     return results, certs, {"singular.csv": csv}
 
 
@@ -499,11 +502,8 @@ def _cmd_convergence(model, cfg: RunConfig):
         Certificate("fresnel_remainder_exponent", fit.exponent, 0.1,
                     abs(fit.exponent - 1.5) <= 0.1, "order fit"),
     ]
-    csv = "mu,error,bound\n" + "\n".join(
-        f"{r['mu']!r},{r['error']!r},{r['bound']!r}" for r in rows) + "\n"
-    return ({"rows": rows, "fit": {"exponent": fit.exponent,
-                                   "log_power": fit.log_power}},
-            certs, {"convergence.csv": csv})
+    return ({"rows": rows, "fit": _fit_payload(fit)}, certs,
+            {"convergence.csv": _csv("mu,error,bound", rows)})
 
 
 # ---------------------------------------------------------------------------

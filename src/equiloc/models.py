@@ -119,7 +119,6 @@ class Sphere:
             d=1, d_t=1, roots=(), vol_g=2 * math.pi * r,
             vol_t=2 * math.pi * r, weyl_order=1,
             principal_isotropy_order=1, kappa=1).validate()
-        self.ambient_dim = 2
 
     # points are (x, y, z) with |.| = R; the chart language below works in
     # cylindrical coordinates (z, theta) where the area form is R dz dtheta.
@@ -193,7 +192,6 @@ class CotangentCircle:
         self.group = GroupData(
             d=1, d_t=1, roots=(), vol_g=2 * math.pi, vol_t=2 * math.pi,
             weyl_order=1, principal_isotropy_order=1, kappa=1).validate()
-        self.ambient_dim = 2
 
     def momentum(self, eta, x=1.0) -> float:
         return float(x) * float(eta[1])
@@ -279,7 +277,6 @@ class LinearCotangent:
         self.generators = gens
         self.k = len(gens)
         self.planes = self._extract_planes()
-        self.ambient_dim = 2 * self.n
         covered = {a for pl in self.planes for a in pl.axes}
         if len(covered) < self.n:
             raise ModelError("generators leave a common fixed subspace; "

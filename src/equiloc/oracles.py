@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,9 +58,11 @@ def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
 
 
 def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
-                               sigma: float, mu: float) -> float:
+                               sigma: float,
+                               mus: Sequence[float]) -> List[float]:
     """I_sigma(mu) = mu * int int f(theta, sigma + mu w) bhat(w) dtheta dw
-    on 256 theta midpoints and 1200 Gauss w-nodes of |w| <= 400.
+    for each mu of a sweep, on 256 theta midpoints and 1200 Gauss w-nodes
+    of |w| <= 400.
 
     The X-integral of e^{i (p - sigma) X / mu} g(X) is exactly
     ghat((p - sigma)/mu); the substitution w = (p - sigma)/mu is exact.
@@ -69,10 +71,14 @@ def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
     w, wts = composite_gl(-400.0, 400.0, 1, 1200)
     tt, ww = np.meshgrid(th, w, indexing="ij")
-    # bhat depends on w alone: evaluate it once per node and broadcast
-    vals = f_theta_p(tt, sigma + mu * ww) * bhat(w)
-    inner = vals.sum(axis=0) * (2 * math.pi / n_theta)
-    return mu * float(np.dot(inner, wts))
+    # bhat depends on w alone: evaluate it once per sweep and broadcast
+    bw = bhat(w)
+    out = []
+    for mu in mus:
+        inner = (f_theta_p(tt, sigma + mu * ww) * bw).sum(axis=0) * (
+            2 * math.pi / n_theta)
+        out.append(mu * float(np.dot(inner, wts)))
+    return out
 
 
 def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,

@@ -19,7 +19,7 @@ that.  A nested central finite-difference path covers non-polynomial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -355,7 +355,6 @@ def oscillatory_integral(phase: Callable, amplitude: Callable, mu: float,
 class DecayResult:
     slope: Optional[float]
     zero_signal: bool
-    samples: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def decay_check(l_eval: Callable, ts: Optional[Sequence[float]] = None
@@ -365,19 +364,16 @@ def decay_check(l_eval: Callable, ts: Optional[Sequence[float]] = None
         ts = np.geomspace(4.0, 64.0, 9)
     vals = np.array([abs(complex(l_eval(t))) for t in ts])
     if np.max(vals) < 1e-14:
-        return DecayResult(slope=None, zero_signal=True,
-                           samples=list(zip(ts, vals)))
+        return DecayResult(slope=None, zero_signal=True)
     vals = np.maximum(vals, 1e-300)
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
-    return DecayResult(slope=float(slope), zero_signal=False,
-                       samples=list(zip(ts, vals)))
+    return DecayResult(slope=float(slope), zero_signal=False)
 
 
 @dataclass
 class OrderFit:
     exponent: float
     log_power: float
-    residual: float
     exact: bool = False
 
 
@@ -398,18 +394,15 @@ def order_fit(samples: Sequence[Tuple[float, float]]) -> OrderFit:
     if problem:
         raise ValueError(problem)
     if np.all(errs == 0.0):
-        return OrderFit(exponent=float("inf"), log_power=0.0, residual=0.0,
-                        exact=True)
+        return OrderFit(exponent=float("inf"), log_power=0.0, exact=True)
     if np.any(errs <= 0.0):
         errs = np.maximum(errs, errs[errs > 0].min() * 1e-6)
     a = np.stack([np.ones_like(mus), np.log(mus), np.log(-np.log(mus))],
                  axis=1)
     if np.linalg.matrix_rank(a) < 3:
         raise ValueError("degenerate design matrix")
-    sol, res, *_ = np.linalg.lstsq(a, np.log(errs), rcond=None)
-    resid = float(np.sqrt(res[0]) if len(res) else 0.0)
-    return OrderFit(exponent=float(sol[1]), log_power=float(sol[2]),
-                    residual=resid)
+    sol, *_ = np.linalg.lstsq(a, np.log(errs), rcond=None)
+    return OrderFit(exponent=float(sol[1]), log_power=float(sol[2]))
 
 
 def selection_rule_terms(psi: MPoly, amp: MPoly, jmax: int):

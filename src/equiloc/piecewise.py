@@ -32,7 +32,6 @@ class ConeError(ValueError):
 
 class WallDirectionError(ValueError):
     def __init__(self, wall):
-        self.wall = wall
         super().__init__(f"wall direction: ray lies on wall {wall}")
 
 
@@ -319,17 +318,18 @@ class PiecewisePoly:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-    def sample_csv(self, lo: float, hi: float, n: int) -> str:
-        """CSV of sampled densities for plotting (dim 1)."""
+    def samples(self, lo: float, hi: float, n: int) -> List[Dict]:
+        """Rows {xi, density} at n equispaced points of [lo, hi], a point
+        on a wall moved off it by 1e-9, for plotting (dim 1)."""
         if self.dim != 1:
             raise NotImplementedError
-        rows = ["xi,density"]
+        rows = []
         for k in range(n):
             x = Fraction(lo) + Fraction(k, n - 1) * (Fraction(hi) - Fraction(lo))
             if any(w.value((x,)) == 0 for w in self.wall_lines()):
                 x += Fraction(1, 10 ** 9)
-            rows.append(f"{float(x)},{self.value_float((x,))}")
-        return "\n".join(rows) + "\n"
+            rows.append({"xi": float(x), "density": self.value_float((x,))})
+        return rows
 
 
 def _common_two_pi_power(dens: MPoly) -> int:

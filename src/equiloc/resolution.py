@@ -58,14 +58,13 @@ class IsotropyChain:
 class StratifyResult:
     chains: List[IsotropyChain]
     lam: int
-    types: List[str]
 
 
 def stratify(model) -> StratifyResult:
     """Isotropy lattice of the linear catalog actions, ordered so that more
     singular types come first."""
     if isinstance(model, CotangentCircle):
-        return StratifyResult(chains=[], lam=1, types=["(e)"])
+        return StratifyResult(chains=[], lam=1)
     if not isinstance(model, LinearCotangent):
         raise ModelError("stratify covers the linear catalog")
     planes = model.planes
@@ -75,7 +74,7 @@ def stratify(model) -> StratifyResult:
             types=("(G)",),
             levels=(ChainLevel(c=model.n, d=0, e=1),),
             lam=2, iso_generator=None)
-        return StratifyResult(chains=[chain], lam=2, types=["(G)", "(e)"])
+        return StratifyResult(chains=[chain], lam=2)
     if k == 2 and len(planes) == 2:
         # T^2 on R^4: chains (T^2) > (S^1_a) and (T^2) > (S^1_b)
         chains = []
@@ -85,8 +84,7 @@ def stratify(model) -> StratifyResult:
                 levels=(ChainLevel(c=4, d=0, e=2),
                         ChainLevel(c=2, d=1, e=1)),
                 lam=3, iso_generator=second))
-        return StratifyResult(chains=chains, lam=3,
-                              types=["(T^2)", "(S^1_0)", "(S^1_1)", "(e)"])
+        return StratifyResult(chains=chains, lam=3)
     raise ModelError("stratify supports the shipped linear catalog "
                      "(depth <= 2)")
 
@@ -94,43 +92,43 @@ def stratify(model) -> StratifyResult:
 # ---------------------------------------------------------------------------
 # charts
 
+# tau extent of the depth-1 chart domain, its crit sampler and the
+# resolved_leading tau grid
+TAU_RANGE = 4.2
+
 
 @dataclass
 class BlowupChart:
-    """One chart of the iterated monoidal transformation.
+    """One direction chart of the iterated monoidal transformation, a chart
+    that carries Crit(psi_wk).
 
-    Coordinates are named; `psi_wk`/`psi_tot` evaluate the weak and total
-    transforms, `ambient_map` sends a chart point to (eta, X) upstairs,
-    `conditions` returns the residuals of (I)-(III), and `crit_sampler`
-    and `crit_param` build points of Crit(psi_wk).  Every callable
-    broadcasts over leading axes: points of shape (..., n) give values of
-    shape (...) (`conditions` a dict of them, `ambient_map` eta of shape
-    (..., 2n) and X of shape (..., k)), and one point gives floats.
-    `crit_sampler(rng, m)` returns an (m, n) array, and `crit_batch`
-    builds the eta coordinates of a whole (tau, theta, s) grid of
-    Crit(psi_wk) from broadcast views.
+    `psi_wk`/`psi_tot` evaluate the weak and total transforms,
+    `ambient_map` sends a chart point to (eta, X) upstairs, `conditions`
+    returns the residuals of (I)-(III), `normal_equations` their gradients
+    at one point, and `crit_sampler` and `crit_param` build points of
+    Crit(psi_wk).  Every callable broadcasts over leading axes: points of
+    shape (..., n) give values of shape (...) (`conditions` a dict of them,
+    `ambient_map` eta of shape (..., 2n) and X of shape (..., k)), and one
+    point gives floats.  `crit_sampler(rng, m)` returns an (m, n) array,
+    and `crit_batch` builds the eta coordinates of a whole (tau, theta, s)
+    grid of Crit(psi_wk) from broadcast views.
+
+    The alpha chart, where the algebra direction is the projective unit,
+    is no BlowupChart: psi_wk has no critical points there, so it only
+    certifies the non-stationarity bound (`alpha_grad_norm`).
     """
     chain: IsotropyChain
     label: str
-    coord_names: tuple
     domain: tuple                       # per-coordinate (lo, hi)
-    alpha_chart: bool
     psi_wk: Callable
-    psi_tot: Optional[Callable]         # None on the alpha chart
-    ambient_map: Optional[Callable]     # None on the alpha chart
+    psi_tot: Callable
+    ambient_map: Callable
     jac_exponents: tuple
     conditions: Callable                # points -> dict of named residuals
     crit_sampler: Callable              # rng, m -> (m, n) critical points
+    normal_equations: Callable          # point -> gradients of (I)-(III)
     crit_param: Optional[Callable] = None       # (tau, theta, s) -> point
     crit_batch: Optional[Callable] = None       # taus, thetas, svals -> eta
-    normal_equations: Optional[Callable] = None
-    grad_p_norm: Optional[Callable] = None      # alpha chart: |d_p psi_wk|
-
-    def uniform_points(self, rng, m: int) -> np.ndarray:
-        """m points uniform on the domain, shape (m, n), drawn coordinate
-        by coordinate and point after point."""
-        lo, hi = np.array(self.domain, dtype=float).T
-        return rng.uniform(lo, hi, size=(m, len(lo)))
 
     def gradient(self, pt, h: float = 1e-6) -> np.ndarray:
         """Central differences of psi_wk; points of shape (..., n) give
@@ -161,6 +159,13 @@ class BlowupChart:
         return out
 
 
+def uniform_points(domain, rng, m: int) -> np.ndarray:
+    """m points uniform on a domain of per-coordinate (lo, hi), shape
+    (m, n), drawn coordinate by coordinate and point after point."""
+    lo, hi = np.array(domain, dtype=float).T
+    return rng.uniform(lo, hi, size=(m, len(lo)))
+
+
 def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
@@ -170,19 +175,23 @@ def _residuals(i, ii, iii) -> dict:
             "III": _scalar_or_array(iii)}
 
 
-def build_charts(model, chain: IsotropyChain,
-                 tau_range: float = 1.0) -> List[BlowupChart]:
+def build_charts(model, chain: IsotropyChain) -> List[BlowupChart]:
+    """The direction charts of the resolution along chain: the charts that
+    carry Crit(psi_wk) and the leading coefficient.  The depth-2 alpha
+    chart only certifies the non-stationarity bound; `alpha_grad_norm`
+    gives what that needs."""
     if not isinstance(model, LinearCotangent):
         raise ModelError("build_charts covers the linear catalog")
     if chain.depth == 1:
-        return _charts_depth1(model, chain, tau_range)
+        return _charts_depth1(model, chain)
     if chain.depth == 2:
-        return _charts_depth2(model, chain, tau_range)
+        return [_make_theta_theta_chart(model, chain, rho)
+                for rho in (0, 1)]
     raise ModelError("chain depth above 2 is not constructed")
 
 
-def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
-                   tau_range: float) -> List[BlowupChart]:
+def _charts_depth1(model: LinearCotangent,
+                   chain: IsotropyChain) -> List[BlowupChart]:
     """S^1 on R^2: center {0} x g; two direction charts covering the
     hemispheres v_rho > 0; no alpha charts (d = 0)."""
     if model.n != 2 or model.k != 1:
@@ -229,8 +238,8 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
                              s * v[..., 0], s * v[..., 1]], axis=-1)
 
         def crit_sampler(rng, n, _param=crit_param):
-            tau, theta, s = rng.uniform((-tau_range, -3.0, -3.0),
-                                        (tau_range, 3.0, 3.0),
+            tau, theta, s = rng.uniform((-TAU_RANGE, -3.0, -3.0),
+                                        (TAU_RANGE, 3.0, 3.0),
                                         size=(n, 3)).T
             return _param(tau, theta, s)
 
@@ -266,10 +275,8 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
 
         charts.append(BlowupChart(
             chain=chain, label=f"theta{rho}",
-            coord_names=("tau", "theta", "beta", "p0", "p1"),
-            domain=((-tau_range, tau_range), (-6.0, 6.0), (-2.0, 2.0),
+            domain=((-TAU_RANGE, TAU_RANGE), (-6.0, 6.0), (-2.0, 2.0),
                     (-6.0, 6.0), (-6.0, 6.0)),
-            alpha_chart=False,
             psi_wk=psi_wk, psi_tot=psi_tot, ambient_map=ambient,
             jac_exponents=tuple(chain.jacobian_exponents()),
             conditions=conditions, crit_sampler=crit_sampler,
@@ -278,8 +285,7 @@ def _charts_depth1(model: LinearCotangent, chain: IsotropyChain,
     return charts
 
 
-def _charts_depth2(model: LinearCotangent, chain: IsotropyChain,
-                   tau_range: float) -> List[BlowupChart]:
+def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
     """T^2 on R^4, chain (T^2) > (S^1): first blow-up at the origin of R^4,
     second along the singular circle in the direction sphere S^3.
 
@@ -289,15 +295,6 @@ def _charts_depth2(model: LinearCotangent, chain: IsotropyChain,
     v2(phi) covers a hemisphere of its normal directions inside S^3.
     """
     iso = chain.iso_generator
-    charts = [_make_theta_theta_chart(model, chain, iso, rho)
-              for rho in (0, 1)]
-    charts.append(_alpha_chart_depth2(
-        model, chain, iso, _plane_matrix(model, 1 - iso),
-        _plane_matrix(model, iso)))
-    return charts
-
-
-def _make_theta_theta_chart(model, chain, iso: int, rho: int) -> BlowupChart:
     a_alpha = _plane_matrix(model, 1 - iso)   # rotates the circle plane
     a_beta = _plane_matrix(model, iso)        # the isotropy generator
     i1, j1 = model.planes[1 - iso].axes       # circle of singular points
@@ -399,11 +396,8 @@ def _make_theta_theta_chart(model, chain, iso: int, rho: int) -> BlowupChart:
 
     return BlowupChart(
         chain=chain, label=f"theta-theta{rho}",
-        coord_names=("s1", "s2", "th1", "phi", "alpha", "beta",
-                     "p0", "p1", "p2", "p3"),
         domain=((-1, 1), (-1, 1), (0, 2 * math.pi), (-6, 6), (-2, 2),
                 (-2, 2), (-6, 6), (-6, 6), (-6, 6), (-6, 6)),
-        alpha_chart=False,
         psi_wk=psi_wk, psi_tot=psi_tot, ambient_map=ambient,
         jac_exponents=tuple(chain.jacobian_exponents()),
         conditions=conditions, crit_sampler=crit_sampler,
@@ -428,15 +422,25 @@ def _plane_matrix(model: LinearCotangent, plane_index: int) -> np.ndarray:
     return out
 
 
-def _alpha_chart_depth2(model, chain, iso, a_alpha,
-                        a_beta) -> BlowupChart:
-    """Second-level alpha chart: the algebra direction is the projective
-    unit; the weak transform has no critical points here (the p-gradient
-    never vanishes), so it only certifies the non-stationary bound."""
+# (t2, th1, w0, w1, beta, p0..p3) ranges of the depth-2 alpha chart
+ALPHA_DOMAIN = ((-1, 1), (0, 2 * math.pi), (-1, 1), (-1, 1), (-2, 2),
+                (-6, 6), (-6, 6), (-6, 6), (-6, 6))
+
+
+def alpha_grad_norm(model: LinearCotangent, chain: IsotropyChain) -> Callable:
+    """|d_p psi_wk| on the second-level alpha chart of a depth-2 chain,
+    where the algebra direction is the projective unit, as a function of
+    points (..., 9) in ALPHA_DOMAIN.  psi_wk = <grad_p, p> is linear in p,
+    so this gradient never vanishing means the weak transform has no
+    critical points there: the chart only certifies the non-stationarity
+    bound."""
+    iso = chain.iso_generator
+    a_alpha = _plane_matrix(model, 1 - iso)
+    a_beta = _plane_matrix(model, iso)
     i1, j1 = model.planes[1 - iso].axes   # circle plane
     i2, j2 = model.planes[iso].axes       # normal directions
 
-    def grad_p(pt):
+    def grad_norm(pt):
         pt = np.asarray(pt, dtype=float)
         t2, beta = pt[..., 0], pt[..., 4]
         w = np.zeros(pt.shape[:-1] + (4,))
@@ -451,31 +455,11 @@ def _alpha_chart_depth2(model, chain, iso, a_alpha,
                      circle)
         big = np.abs(arg) > 1e-9
         sincf = np.where(big, np.sin(arg) / np.where(big, arg, 1.0), 1.0)
-        return m @ a_alpha.T + (beta * sincf)[..., None] * (w @ a_beta.T)
-
-    def psi_wk(pt):
-        pt = np.asarray(pt, dtype=float)
-        return _scalar_or_array(np.vecdot(grad_p(pt), pt[..., 5:9]))
-
-    def conditions(pt):
-        one = np.ones(np.shape(pt)[:-1])
-        return _residuals(one, 0 * one, 0 * one)
-
-    def grad_p_norm(pt):
-        g = grad_p(pt)
+        g = m @ a_alpha.T + (beta * sincf)[..., None] * (w @ a_beta.T)
         # the same rounding as np.linalg.norm of one vector
         return _scalar_or_array(np.sqrt(np.vecdot(g, g)))
 
-    return BlowupChart(
-        chain=chain, label="alpha",
-        coord_names=("t2", "th1", "w0", "w1", "beta", "p0", "p1", "p2",
-                     "p3"),
-        domain=((-1, 1), (0, 2 * math.pi), (-1, 1), (-1, 1), (-2, 2),
-                (-6, 6), (-6, 6), (-6, 6), (-6, 6)),
-        alpha_chart=True, psi_wk=psi_wk, psi_tot=None, ambient_map=None,
-        jac_exponents=tuple(chain.jacobian_exponents()),
-        conditions=conditions, crit_sampler=lambda rng, n: np.empty((0, 9)),
-        grad_p_norm=grad_p_norm)
+    return grad_norm
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +468,6 @@ def _alpha_chart_depth2(model, chain, iso, a_alpha,
 
 @dataclass
 class CritWitness:
-    point: np.ndarray
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
@@ -501,7 +484,6 @@ CRIT_TOL = 1e-9     # a residual of (I)-(III) at most this holds
 def crit_conditions(chart: BlowupChart, pt) -> CritWitness:
     res = chart.conditions(pt)
     return CritWitness(
-        point=np.asarray(pt, dtype=float),
         cond_i=res["I"] <= CRIT_TOL, cond_ii=res["II"] <= CRIT_TOL,
         cond_iii=res["III"] <= CRIT_TOL,
         grad_norm=float(np.linalg.norm(chart.gradient(pt))))
@@ -513,7 +495,6 @@ class TransversalHessian:
     signature: int
     min_abs_eig: float
     rank: int
-    frame: str
 
 
 def transversal_hessian(chart: BlowupChart, pt,
@@ -536,9 +517,7 @@ def transversal_hessian(chart: BlowupChart, pt,
             det=det, signature=sig,
             min_abs_eig=float(np.abs(nonzero).min()) if len(nonzero)
             else 0.0,
-            rank=len(nonzero), frame=frame)
-    if chart.normal_equations is None:
-        raise ModelError("chart has no defining-equation data")
+            rank=len(nonzero))
     grads = chart.normal_equations(np.asarray(pt, dtype=float))
     idx = _pivot_columns(grads)
     sub = full[np.ix_(idx, idx)]
@@ -547,7 +526,7 @@ def transversal_hessian(chart: BlowupChart, pt,
     sig = int((eigs > 0).sum() - (eigs < 0).sum())
     return TransversalHessian(det=det, signature=sig,
                               min_abs_eig=float(np.abs(eigs).min()),
-                              rank=len(nonzero), frame=frame)
+                              rank=len(nonzero))
 
 
 def _pivot_columns(grads: List[np.ndarray]) -> List[int]:
@@ -597,15 +576,13 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     if not isinstance(model, LinearCotangent) or model.n != 2:
         raise ModelError("resolved_leading covers the planar rotation model")
     kappa = model.group.kappa
-    taus, wtau = composite_gl(-4.2, 4.2, 1, n_tau)
+    taus, wtau = composite_gl(-TAU_RANGE, TAU_RANGE, 1, n_tau)
     svals, wsv = composite_gl(-4.2, 4.2, 1, n_s)
     # angle substitution theta = tan(phi): d theta = sec^2 phi d phi
     phis, wph = composite_gl(-math.pi / 2, math.pi / 2, 1, n_ang)
     g0 = float(amplitude.g_factor(0.0))
     total_parts = []
     for chart in charts:
-        if chart.alpha_chart:
-            continue
         exp_surv = chart.jac_exponents[0] - kappa
 
         def meas_ratio(t, theta, s):
@@ -667,8 +644,6 @@ class SweepRow:
     scaled: float
     leading: float
     remainder: float
-    eps_split: float = 0.0     # the tau-splitting scale mu^(1/N)
-    inner_bound: float = 0.0   # divisor-window budget ~ eps^(N (kappa+1))
 
 
 @dataclass
@@ -688,37 +663,25 @@ def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
     if isinstance(model, CotangentCircle):
         from .bumps import BumpHat
         from .oracles import cotangent_regular_integral
-        bhat = BumpHat(amplitude.g_profile)
         l0 = direct_leading(model, amplitude, sigma=sigma)
-
-        def oracle(mu):
-            return cotangent_regular_integral(
-                lambda t, p: amplitude.eta_factor(np.stack([t, p])),
-                bhat, sigma, mu)
+        vals = cotangent_regular_integral(
+            lambda t, p: amplitude.eta_factor(np.stack([t, p])),
+            BumpHat(amplitude.g_profile), sigma, mus)
     elif isinstance(model, LinearCotangent) and model.n == 2:
         from .oracles import linrot2_oracle
         orc = linrot2_oracle(amplitude.g_profile)
         l0 = direct_leading(model, amplitude)
-
-        def oracle(mu):
-            return orc.integral(mu)
+        vals = [orc.integral(mu) for mu in mus]
     else:
         raise ModelError("singular_sweep covers the shipped catalog")
     lam = stratify(model).lam
-    depth = max(1, lam - 1)
     rows = []
-    for mu in mus:
-        val = float(oracle(mu))
+    for mu, val in zip(mus, vals):
+        val = float(val)
         scaled = val / (2 * math.pi * mu) ** kappa
-        # divisor-window accounting: the |tau| < eps = mu^(1/N) block of
-        # the resolved integral is bounded by eps^(N (kappa+1)) times the
-        # uniform coefficient bound, matching the remainder order
-        eps = mu ** (1.0 / depth)
-        inner = 2.0 * abs(l0) / (kappa + 1) * eps ** (depth * (kappa + 1))
         rows.append(SweepRow(mu=mu, oracle=val, scaled=scaled, leading=l0,
                              remainder=abs(val - (2 * math.pi * mu)
-                                           ** kappa * l0),
-                             eps_split=eps, inner_bound=inner))
+                                           ** kappa * l0)))
     fit = fit_scaled = None
     if len(rows) >= 4:
         fit = order_fit([(r.mu, r.remainder) for r in rows])
@@ -760,7 +723,7 @@ class ResolutionCertificate:
 def factorization_check(chart: BlowupChart, model, rng,
                         n: int = 1000) -> float:
     """max relative error of psi(ambient) = prod tau * psi_wk."""
-    pts = chart.uniform_points(rng, n)
+    pts = uniform_points(chart.domain, rng, n)
     lhs = model.momentum(*chart.ambient_map(pts))
     rhs = chart.psi_tot(pts)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -773,7 +736,8 @@ def crit_equivalence_scan(chart: BlowupChart, rng,
     critical points and random points: (I)-(III) <=> grad psi_wk = 0."""
     crit_pts = chart.crit_sampler(rng, n // 4)
     pts = np.concatenate([crit_pts,
-                          chart.uniform_points(rng, n - len(crit_pts))])
+                          uniform_points(chart.domain, rng,
+                                         n - len(crit_pts))])
     grads = chart.gradient(pts)
     # the same rounding as np.linalg.norm of each gradient on its own
     grad_zero = np.sqrt(np.vecdot(grads, grads)) <= 1e-6
@@ -790,16 +754,13 @@ def resolution_certificate(model, amplitude: Amplitude,
     chain = strat.chains[0]
     if not chain.check_kappa(model.group.kappa):
         raise ModelError("jacobian exponent inequality fails")
-    charts = build_charts(model, chain,
-                          tau_range=4.2 if chain.depth == 1 else 1.0)
+    charts = build_charts(model, chain)
     fmax = 0.0
     witnesses = 0
     mism = 0
     mineig = math.inf
     codim = None
     for chart in charts:
-        if chart.alpha_chart:
-            continue
         fmax = max(fmax, factorization_check(chart, model, rng, n=500))
         c, m = crit_equivalence_scan(chart, rng, n=5000)
         witnesses += c
@@ -823,10 +784,9 @@ def resolution_certificate(model, amplitude: Amplitude,
         l_res = l_dir = float("nan")
         gap = 0.0
     alpha_min = None
-    for chart in charts:
-        if chart.alpha_chart:
-            alpha_min = float(np.min(chart.grad_p_norm(
-                chart.uniform_points(rng, 500))))
+    if chain.depth == 2:
+        alpha_min = float(np.min(alpha_grad_norm(model, chain)(
+            uniform_points(ALPHA_DOMAIN, rng, 500))))
     return ResolutionCertificate(
         factorization_max_err=fmax, crit_witness_count=witnesses,
         crit_mismatches=mism, min_transversal_eig=float(mineig),

@@ -27,6 +27,26 @@ def test_dh_command(tmp_path):
     assert (run_dir / "timings.json").exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["dh", "--model", "sphere"], "density.csv"),
+    (["localize", "--model", "sphere"], "localize.csv"),
+    (["spexpand", "--model", "fresnel"], "spexpand.csv"),
+    (["singular", "--model", "cotangent-circle"], "singular.csv"),
+    (["convergence"], "convergence.csv"),
+])
+def test_csv_cells_are_bare_numbers(argv, name, tmp_path):
+    # NumPy scalars would write np.float64(x) cells under NumPy 2
+    assert run(argv, tmp_path) == 0
+    header, *lines = (next(Path(tmp_path).glob(f"run-*/{name}"))
+                      .read_text().splitlines())
+    assert lines
+    for line in lines:
+        cells = line.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            float(cell)
+
+
 def test_localize_command_and_reproducibility(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

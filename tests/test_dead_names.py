@@ -217,3 +217,43 @@ def test_no_setting_that_no_caller_sets():
     unset = _unset_settings()
     assert not unset, (f"{len(unset)} defaults no caller sets: "
                        + ", ".join(unset))
+
+
+# ---------------------------------------------------------------------------
+# fields that nothing reads
+
+
+def _fields(tree):
+    """(name, node) of each dataclass field and each `self.name = ...`
+    attribute set in a method of one package module."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for item in cls.body:
+            if (_is_dataclass(cls) and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                yield f"{cls.name}.{item.target.id}", item
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", None) == "self"):
+                        yield f"{cls.name}.{node.attr}", node
+
+
+def test_no_field_that_nothing_reads():
+    """A field or attribute is read where `obj.name` is loaded under src/,
+    tests/, demos/ or perfbench/; the benchmark tracer is the only reader of
+    some flags.  One that is only ever written is dead state."""
+    reads = set()
+    for d in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    reads.add(node.attr)
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, node in _fields(tree):
+            if qualname.rsplit(".", 1)[-1] not in reads:
+                unread.add(f"{path.name} {qualname}")
+    assert not unread, "fields nothing reads: " + ", ".join(sorted(unread))

@@ -177,8 +177,10 @@ def test_json_roundtrip_schema():
 
 
 def test_csv_export():
+    # the (xi, density) rows that dh writes to density.csv
     U = ft_shifted(sphere_pair(), CONE_P)
-    csv = U.sample_csv(-2.0, 2.0, 21)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "xi,density"
-    assert len(lines) == 22
+    rows = U.samples(-2.0, 2.0, 21)
+    assert len(rows) == 21
+    assert all(list(r) == ["xi", "density"] and type(r["xi"]) is float and
+               type(r["density"]) is float for r in rows)
+    assert rows[0]["xi"] == -2.0

@@ -7,7 +7,8 @@ import pytest
 from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
-from equiloc.resolution import (build_charts, crit_conditions,
+from equiloc.resolution import (ALPHA_DOMAIN, alpha_grad_norm,
+                                build_charts, crit_conditions,
                                 crit_equivalence_scan,
                                 direct_leading, factorization_check,
                                 resolution_certificate, resolved_leading,
@@ -51,14 +52,13 @@ def test_jacobian_exponent_inequality():
 def test_factorization_identity():
     rng = np.random.default_rng(1)
     m = make_model("linrot2")
-    charts = build_charts(m, stratify(m).chains[0], tau_range=4.2)
+    charts = build_charts(m, stratify(m).chains[0])
     for chart in charts:
         assert factorization_check(chart, m, rng, n=1000) <= 1e-12
     m4 = make_model("linrot4")
     charts4 = build_charts(m4, stratify(m4).chains[0])
     for chart in charts4:
-        if not chart.alpha_chart:
-            assert factorization_check(chart, m4, rng, n=1000) <= 1e-12
+        assert factorization_check(chart, m4, rng, n=1000) <= 1e-12
 
 
 def test_weak_transform_survives_divisor():
@@ -149,7 +149,7 @@ def test_full_space_hessian_matches_xi():
 
 def test_resolved_vs_direct_leading():
     m = make_model("linrot2")
-    charts = build_charts(m, stratify(m).chains[0], tau_range=4.2)
+    charts = build_charts(m, stratify(m).chains[0])
     l_res = resolved_leading(m, charts, GAUSS_AMP)
     l_dir = direct_leading(m, GAUSS_AMP)
     assert l_dir == pytest.approx(math.pi ** 2, rel=1e-6)
@@ -158,7 +158,7 @@ def test_resolved_vs_direct_leading():
 
 def test_resolved_leading_zero_amplitude():
     m = make_model("linrot2")
-    charts = build_charts(m, stratify(m).chains[0], tau_range=4.2)
+    charts = build_charts(m, stratify(m).chains[0])
     zero = Amplitude(gaussian=True, density=lambda c: 0.0 * c[0],
                      g_profile=Bump(radius=1.0, order=6, kind="poly"))
     assert resolved_leading(m, charts, zero, n_tau=8, n_ang=8,
@@ -171,7 +171,7 @@ def test_resolved_leading_rejects_a_varying_ratio():
     m = make_model("linrot2")
     charts = [dataclasses.replace(c, psi_wk=lambda pt, _f=c.psi_wk: _f(pt) *
                                   (1 + np.asarray(pt)[..., 0] ** 2))
-              for c in build_charts(m, stratify(m).chains[0], tau_range=4.2)]
+              for c in build_charts(m, stratify(m).chains[0])]
     with pytest.raises(ModelError, match="not constant"):
         resolved_leading(m, charts, GAUSS_AMP, n_tau=8, n_ang=8, n_s=8)
 
@@ -180,7 +180,7 @@ def test_amplitude_off_divisor_reduces_to_regular_stratum():
     # amplitude vanishing near q = 0: the resolved integral equals the
     # direct stratum integral restricted to the same support
     m = make_model("linrot2")
-    charts = build_charts(m, stratify(m).chains[0], tau_range=4.2)
+    charts = build_charts(m, stratify(m).chains[0])
     gate = Bump(radius=1.0, order=6, kind="plateau", flat=0.5)
 
     def off_divisor(coords):
@@ -226,15 +226,14 @@ def test_singular_sweep_cotangent_regular():
     assert abs(rep.fit_scaled.log_power) <= 0.2
 
 
-def test_alpha_chart_nonstationary():
+def test_alpha_grad_norm_nonvanishing():
     m4 = make_model("linrot4")
-    charts = build_charts(m4, stratify(m4).chains[0])
-    alpha = next(c for c in charts if c.alpha_chart)
+    grad_norm = alpha_grad_norm(m4, stratify(m4).chains[0])
     rng = np.random.default_rng(11)
     vals = []
     for _ in range(500):
-        pt = np.array([rng.uniform(lo, hi) for lo, hi in alpha.domain])
-        vals.append(alpha.grad_p_norm(pt))
+        pt = np.array([rng.uniform(lo, hi) for lo, hi in ALPHA_DOMAIN])
+        vals.append(grad_norm(pt))
     assert min(vals) > 0.3
 
 
@@ -268,20 +267,17 @@ def test_resolution_certificate():
     assert cert.rel_gap <= 0.01
 
 
-def test_sweep_eps_splitting_diagnostics():
-    # the tau-window accounting at eps = mu^(1/N): the inner-window budget
-    # is O(mu^{kappa+1}), the same order as the measured remainder
+def test_sweep_remainder_order():
+    # the measured remainder is O(mu^{kappa+1})
     m = make_model("linrot2")
     rep = singular_sweep(m, GAUSS_AMP, list(np.geomspace(1e-2, 1e-4, 4)))
     for r in rep.rows:
-        assert r.eps_split == pytest.approx(r.mu)     # depth 1
-        assert r.inner_bound <= 10.0 * r.mu ** (rep.kappa + 1)
         assert r.remainder <= 500.0 * r.mu ** (rep.kappa + 1)
 
 
 def _all_charts():
     m2, m4 = make_model("linrot2"), make_model("linrot4")
-    return (build_charts(m2, stratify(m2).chains[0], tau_range=4.2) +
+    return (build_charts(m2, stratify(m2).chains[0]) +
             build_charts(m4, stratify(m4).chains[0]))
 
 
@@ -331,26 +327,28 @@ def test_psi_wk_broadcasts_over_points():
         _assert_floats_equal(chart.psi_wk(pts),
                              [chart.psi_wk(pt) for pt in pts])
         assert chart.psi_wk(pts.reshape(3, 4, -1)).shape == (3, 4)
-        for fn in (chart.psi_tot, chart.grad_p_norm):
-            if fn is not None:
-                _assert_floats_equal(fn(pts), [fn(pt) for pt in pts])
+        _assert_floats_equal(chart.psi_tot(pts),
+                             [chart.psi_tot(pt) for pt in pts])
         res = chart.conditions(pts)
         singles = [chart.conditions(pt) for pt in pts]
         assert sorted(res) == ["I", "II", "III"]
         for key in res:
             _assert_floats_equal(res[key], [one[key] for one in singles])
-        if chart.ambient_map is not None:
-            eta, x = chart.ambient_map(pts)
-            singles = [chart.ambient_map(pt) for pt in pts]
-            assert np.array_equal(eta, [e for e, _ in singles])
-            assert np.array_equal(x, [xv for _, xv in singles])
-            model = models[chart.chain.depth]
-            _assert_floats_equal(model.momentum(eta, x),
-                                 [model.momentum(e, xv) for e, xv in singles])
+        eta, x = chart.ambient_map(pts)
+        singles = [chart.ambient_map(pt) for pt in pts]
+        assert np.array_equal(eta, [e for e, _ in singles])
+        assert np.array_equal(x, [xv for _, xv in singles])
+        model = models[chart.chain.depth]
+        _assert_floats_equal(model.momentum(eta, x),
+                             [model.momentum(e, xv) for e, xv in singles])
         if chart.crit_param is not None:
             tau, theta, s = pts[:, 0], pts[:, 1], pts[:, 3]
             assert np.array_equal(chart.crit_param(tau, theta, s), [
                 chart.crit_param(*args) for args in zip(tau, theta, s)])
+    grad_norm = alpha_grad_norm(models[2], stratify(models[2]).chains[0])
+    pts = np.array([[rng.uniform(lo, hi) for lo, hi in ALPHA_DOMAIN]
+                    for _ in range(12)])
+    _assert_floats_equal(grad_norm(pts), [grad_norm(pt) for pt in pts])
 
 
 def test_batched_stencils_match_per_point_loops():
@@ -370,8 +368,6 @@ def test_batched_stencils_match_per_point_loops():
 def test_crit_scan_matches_per_point_loop():
     for seed in (1, 7):
         for chart in _all_charts():
-            if chart.alpha_chart:
-                continue
             rng_a = np.random.default_rng(seed)
             rng_b = np.random.default_rng(seed)
             got = crit_equivalence_scan(chart, rng_a, n=400)
