@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import quad
 
 from .quadrature import composite_gl
 
@@ -56,8 +55,8 @@ class Bump:
         return np.where(u < 1.0, s, 0.0)
 
     def mass(self) -> float:
-        return quad(lambda x: float(self(x)), -self.radius, self.radius,
-                    limit=200)[0]
+        x, dx = composite_gl(-self.radius, self.radius, 64)
+        return float(self(x) @ dx)
 
 
 BASE_PANELS = 64    # panels of [0, R] of every call with max|w| R below 196

@@ -145,7 +145,7 @@ class Report:
             "certificates": [c.to_dict() for c in self.certificates],
             "config": self.config_echo,
             "passed": self.passed,
-        }, indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _mu_sweep_from_string(s: str) -> List[float]:
@@ -474,7 +474,7 @@ def _cmd_resolve_verify(model, cfg: RunConfig):
                     cert.min_transversal_eig, 0.0,
                     cert.min_transversal_eig > 0.0, "adapted-frame FD"),
     ]
-    if not math.isnan(cert.l_resolved):
+    if cert.l_resolved is not None:
         certs.append(Certificate("resolved_vs_direct", cert.rel_gap, 0.01,
                                  cert.rel_gap <= 0.01,
                                  "independent quadratures"))

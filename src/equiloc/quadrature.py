@@ -26,6 +26,7 @@ FILON_DEGREE = 10
 TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
 PANEL_NODES = 16                  # Gauss nodes per panel of panel_gauss
 MAX_POINTS = 6_000_000            # point budget of one oscillatory integral
+GL_NEWTON_STEPS = 10              # Newton steps before gauss_legendre raises
 
 
 class BudgetExceeded(RuntimeError):
@@ -49,14 +50,61 @@ class QuadResult:
     points: int = 0
 
 
+def _legendre_and_derivative(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}.  Its integer
+    coefficients are exact; the rounded ratios (2j + 1)/(j + 1) would bias
+    every Gauss weight the same way (Sum w - 2 = 7e-15 at n = 4096)."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
+
+    Newton's method on P_n, run on the (n + 1) // 2 roots in [0, 1) at
+    once as one vector from Tricomi's guess
+    x_k = (1 - (n - 1)/8n^3) cos(pi (4k - 1)/(4n + 2)) (the middle root
+    of odd n is 0 exactly).  Each step is one pass of the three-term
+    recurrence, so the rule costs O(n^2) flops against the O(n^3)
+    eigensolve of numpy's `leggauss` (n = 2048: 0.09 s against 0.7 s on
+    a 2-core VM).  Newton stops once its largest step is at round-off,
+    4 eps, which takes at most 4 steps (every n to 1024, sampled n to
+    4096); GL_NEWTON_STEPS steps without it raise instead of returning
+    an unconverged rule.  The weights are
+    2/((1 - x^2) P_n'(x)^2) from one more pass at the returned nodes.
+    Nodes and weights are mirrored, so the rule is exactly symmetric.
+    Against `leggauss` (n <= 2048) the nodes agree to 1.1e-16 and the
+    weights to 1.1e-13 absolute; `leggauss` is the less accurate of the
+    two (largest relative weight error against 40-digit references at
+    n = 400: 2.7e-12 here, 5.7e-10 there).
 
     One cached pair per n is shared by every caller, so both arrays are
     read-only: an in-place write raises instead of corrupting the rule.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(
+        math.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(GL_NEWTON_STEPS):
+        p, dp = _legendre_and_derivative(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            break
+    else:
+        raise RuntimeError(f"gauss_legendre({n}): Newton did not converge "
+                           f"in {GL_NEWTON_STEPS} steps (last step "
+                           f"{np.max(np.abs(step)):.1e})")
+    _, dp = _legendre_and_derivative(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    half = n // 2
+    x = np.concatenate([-x[:half], x[::-1]])
+    w = np.concatenate([w[:half], w[::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -701,9 +701,10 @@ class ResolutionCertificate:
     crit_mismatches: int
     min_transversal_eig: float
     codim: int
-    l_resolved: float
-    l_direct: float
-    rel_gap: float
+    # None at depth 2, where no leading-coefficient comparison runs
+    l_resolved: Optional[float]
+    l_direct: Optional[float]
+    rel_gap: Optional[float]
     alpha_grad_min: Optional[float] = None
 
     def to_dict(self):
@@ -781,8 +782,7 @@ def resolution_certificate(model, amplitude: Amplitude,
         l_dir = direct_leading(model, amplitude)
         gap = abs(l_res - l_dir) / max(abs(l_dir), 1e-300)
     else:
-        l_res = l_dir = float("nan")
-        gap = 0.0
+        l_res = l_dir = gap = None
     alpha_min = None
     if chain.depth == 2:
         alpha_min = float(np.min(alpha_grad_norm(model, chain)(

@@ -29,3 +29,11 @@ def test_hat_against_closed_form(radius, order):
     for part in np.array_split(ws, 8):
         exact = np.array([_poly_hat(w, radius, order) for w in part])
         assert np.max(np.abs(bhat(part) - exact)) <= 5e-14 * scale
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("radius", [1.0, 1.6])
+def test_mass_against_closed_form(radius, order):
+    # int (1 - (x/R)^2)^m dx = R sqrt(pi) Gamma(m+1) / Gamma(m+3/2)
+    mass = Bump(radius=radius, order=order, kind="poly").mass()
+    assert mass == pytest.approx(_poly_hat(0.0, radius, order), rel=1e-15)

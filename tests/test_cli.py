@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from equiloc.cli import main
+from equiloc.cli import Report, main
 from equiloc.models import MODELS
 
 
@@ -11,10 +11,17 @@ def run(args, tmp):
     return main(args + ["--out", str(tmp)])
 
 
+def _non_json_constant(token):
+    # json.dumps writes nan and inf as the bare tokens NaN and Infinity,
+    # which strict JSON parsers reject
+    raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+
 def latest_report(tmp):
     runs = sorted(Path(tmp).glob("run-*/report.json"))
     assert runs
-    return json.loads(runs[-1].read_text())
+    return json.loads(runs[-1].read_text(),
+                      parse_constant=_non_json_constant)
 
 
 def test_dh_command(tmp_path):
@@ -236,3 +243,40 @@ def test_undeclared_command_model_pair_exits_4(command, kind, tmp_path,
     assert "Traceback" not in err
     assert "supports the commands " + ", ".join(MODELS[kind][1]) in err
     assert not list(tmp_path.glob("run-*"))
+
+
+# one run of every command on every model it supports, at its defaults
+# (cubic has no order-1 gate at its default sweep)
+_EVERY_RUN = [(c, k) for k, (_, cmds) in MODELS.items() for c in cmds] + [
+    ("spexpand", "fresnel"), ("spexpand", "saddle"), ("spexpand", "cubic"),
+    ("spexpand", "cotangent-circle"), ("convergence", None)]
+
+
+@pytest.mark.parametrize("command,kind", _EVERY_RUN)
+def test_every_report_is_strict_json(command, kind, tmp_path):
+    # resolve-verify --model linrot4 once wrote "L_direct": NaN
+    fields = {"order": 2} if kind == "cubic" else {}
+    if kind is not None:
+        fields["model"] = {"kind": kind, **_PARAMS.get(kind, {})}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(fields))
+    assert run([command, "--config", str(cfg)], tmp_path) == 0
+    latest_report(tmp_path)
+
+
+def test_depth_2_report_has_null_leading_coefficients(tmp_path):
+    # no leading-coefficient comparison runs at depth 2
+    assert run(["resolve-verify", "--model", "linrot4"], tmp_path) == 0
+    rep = latest_report(tmp_path)
+    assert all(rep["results"][k] is None
+               for k in ("L_direct", "L_resolved", "rel_gap"))
+    assert "resolved_vs_direct" not in [c["name"]
+                                        for c in rep["certificates"]]
+
+
+def test_report_refuses_non_finite_values():
+    report = Report(command="dh", inputs_hash="0" * 12, seed=0,
+                    results={"mass": float("nan")}, certificates=[],
+                    calibration=None, config_echo={})
+    with pytest.raises(ValueError):
+        report.to_json()

@@ -13,7 +13,7 @@ from equiloc.quadrature import (composite_gl, gauss_legendre,
 
 def _hand_built(a, b, panels, n):
     """The composite rule as each caller used to build it."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -28,8 +28,40 @@ def test_gauss_legendre_is_cached_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
-    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 400, 1024, 1200, 2048,
+                               4096])
+def test_gauss_legendre_against_closed_forms(n):
+    x, w = gauss_legendre(n)
+    assert len(x) == len(w) == n
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+    if n <= 17:
+        # exact for every monomial of degree <= 2n - 1
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.dot(x ** k, w)) - exact) <= 1e-15
+    if n >= 16:
+        # int_{-1}^{1} cos(a x) dx = 2 sin(a)/a for a up to 0.8 n; the 16-
+        # and 17-point rules resolve cos(a x) to round-off only to a = n/2
+        a = np.linspace(0.0, 0.8 * n if n >= 400 else 0.5 * n, 201)[1:]
+        gap = np.cos(np.outer(a, x)) @ w - 2.0 * np.sin(a) / a
+        assert np.max(np.abs(gap)) <= 1e-14
+    if n <= 2048:
+        # numpy's eigensolver rule, the less accurate of the two
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 2e-16
+        assert np.max(np.abs(w - ref_w)) <= 2e-13
+
+
+def test_gauss_legendre_raises_at_the_newton_cap(monkeypatch):
+    # the first Newton step at n = 2048 is 2e-9, far from round-off
+    monkeypatch.setattr(quadrature, "GL_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gauss_legendre.__wrapped__(2048)
 
 
 @pytest.mark.parametrize("a,b,panels,n", [
@@ -52,7 +84,7 @@ def test_composite_gl_equals_hand_built_rule(a, b, panels, n):
                                      (-math.pi / 2, math.pi / 2, 40)])
 def test_one_panel_equals_affine_map(lo, hi, n):
     # the single-interval rules the oracles and resolution scans used
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     nodes, weights = composite_gl(lo, hi, 1, n)
     assert np.array_equal(nodes, 0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
     assert np.array_equal(weights, 0.5 * (hi - lo) * w)
@@ -74,7 +106,7 @@ def test_panel_gauss_keeps_its_per_cell_reduction():
     f = lambda s: np.exp(3j * s) / (1.0 + s * s)
     a, b, panels = -2.0, 5.0, 9
     pts, _, half = _hand_built(a, b, panels, 16)
-    w = np.polynomial.legendre.leggauss(16)[1]
+    w = gauss_legendre(16)[1]
     cell = (f(pts).reshape(panels, 16) * w[None, :]).sum(axis=1) * half
     assert panel_gauss(f, a, b, panels) == pairwise_sum(list(cell))
 
