@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -19,7 +20,11 @@ from scipy.integrate import quad
 from scipy.special import j0, k0
 
 from .bumps import Bump, BumpHat
-from .quadrature import composite_gl
+from .quadrature import composite_gl, gauss_legendre
+
+# the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
+# below 3e-16 rho there
+PF_T_MIN = -40.0
 
 
 def fresnel_leading(mu: float) -> complex:
@@ -118,6 +123,12 @@ class Linrot2Oracle:
     gives G(c) = 4 int_0^c bhat(u) (c^2 - u^2)^(-1/2) du, used for c >= 2U
     on a bhat table over [0, U] built once, U = 400 / R; past U the hat of
     the order-6 poly bump is below 1e-13 bhat(0).
+
+    L(X) = 2 int_0^inf cos(X v) rho(v) dv, the smeared limit's side, is
+    the cosine transform of the pushforward density rho of J under the
+    Gaussian: a table of rho built in one vectorised pass at the first
+    l_alpha_batch call, summed by angle addition over its panels, with no
+    quad and no BumpHat call.
     """
 
     g_bump: Bump
@@ -147,23 +158,67 @@ class Linrot2Oracle:
         c = quad(f, max(10.0, 200.0 * mu), 60.0, limit=200)[0]
         return 2.0 * math.pi * (a + b + c)
 
-    def pushforward_density(self, v: float) -> float:
+    def pushforward_density(self, v):
         """rho(v) = int delta(J - v) e^{-|eta|^2} d eta
-                  = 4 pi int_0^inf K_0(2 sqrt(v^2 + x^2)) dx."""
-        v = abs(float(v))
-        val = quad(lambda x: float(k0(2.0 * math.sqrt(v * v + x * x))),
-                   0.0, 40.0, limit=400, points=[max(v, 1e-3)])[0]
-        return 4.0 * math.pi * val
+                  = 4 pi int_0^40 K_0(2 sqrt(v^2 + x^2)) dx,
+        for a float v (a float) or an array (an array), in one pass.
+
+        x = e^t - (v^2/4) e^{-t} is x = |v| sinh(s) shifted by
+        t = s + ln(|v|/2), so sqrt(v^2 + x^2) = e^t + (v^2/4) e^{-t} = r
+        and dx = r dt: the integrand K_0(2r) r is smooth in t across
+        x ~ |v| and stays so as v -> 0, where t = ln x.  t runs from
+        ln(|v|/2) (x = 0), cut at PF_T_MIN (what it drops is below
+        3e-16 rho), to x = 40, on max(2, ceil(span / 2.5)) Gauss
+        panels: 2 to 18 per v, within 1e-14 of pi^2 e^{-2|v|} for
+        0 <= v <= 25.
+        """
+        v = np.abs(np.asarray(v, dtype=float))
+        with np.errstate(divide="ignore"):
+            lo = np.maximum(np.log(0.5 * v), PF_T_MIN)
+        span = np.log(20.0 + np.sqrt(400.0 + 0.25 * v * v)) - lo
+        panels = np.maximum(2, np.ceil(span / 2.5)).astype(int)
+        out = np.empty_like(v)
+        # one rule per panel count, so each v gets the same rule whatever
+        # array it comes in
+        for n in np.unique(panels):
+            sel = panels == n
+            u, du = composite_gl(0.0, 1.0, int(n))
+            t = lo[sel, None] + span[sel, None] * u
+            e = np.exp(t)
+            r = e + 0.25 * v[sel, None] ** 2 / e
+            out[sel] = np.einsum("ij,j->i", k0(2.0 * r) * r, du) * span[sel]
+        return 4.0 * math.pi * out
+
+    @cached_property
+    def _pushforward_table(self):
+        """rho dv on 16-point Gauss panels of [0, 20] as (panel midpoints
+        c_p, positive half h t_j of the scaled Gauss nodes, even and odd
+        parts of the weights in t_j): 960 panels resolve X <= 600 (within
+        3e-14 of 4 pi^2 / (4 + X^2)); past v = 20 rho is below 4e-17."""
+        panels = 960
+        half = 10.0 / panels
+        t, w = gauss_legendre(16)
+        mid = (np.arange(panels) + 0.5) * (2.0 * half)
+        wd = half * w * self.pushforward_density(mid[:, None] + half * t)
+        # t_j = -t_{15-j}: cos(X h t) is even in t, sin(X h t) odd
+        return (mid, half * t[8:], wd[:, 8:] + wd[:, 7::-1],
+                wd[:, 8:] - wd[:, 7::-1])
 
     def l_alpha_batch(self, xs) -> np.ndarray:
-        """Vectorized L(X): cached pushforward grid + cosine panels."""
-        if not hasattr(self, "_rho_grid"):
-            nodes, wts = composite_gl(0.0, 30.0, 360)
-            dens = np.array([self.pushforward_density(v) for v in nodes])
-            self._rho_grid = (nodes, wts * dens)
-        nodes, wd = self._rho_grid
+        """L(X) over an array of X on the pushforward table.  Angle
+        addition over its P equal panels,
+        cos(X (c_p + h t_j)) = cos(X c_p) cos(X h t_j)
+                               - sin(X c_p) sin(X h t_j),
+        with the symmetric t_j folded, takes 2 (P + 8) transcendentals per
+        X instead of 16 P."""
+        mid, ht, even, odd = self._pushforward_table
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return 2.0 * (np.cos(np.outer(xs, nodes)) @ wd)
+        arg = np.multiply.outer(xs, mid)
+        sin_c = np.sin(arg)
+        cos_c = np.cos(arg, out=arg)
+        arg = np.multiply.outer(xs, ht)
+        return 2.0 * (np.einsum("ij,ij->i", np.cos(arg), cos_c @ even)
+                      - np.einsum("ij,ij->i", np.sin(arg), sin_c @ odd))
 
 
 _LINROT2_CACHE = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, jv
 
-from equiloc.bumps import Bump, BumpHat
+from equiloc.bumps import PHI_SEAM, Bump, BumpHat, SmearingKernel
 
 
 def _poly_hat(w, radius, order):
@@ -37,3 +37,19 @@ def test_mass_against_closed_form(radius, order):
     # int (1 - (x/R)^2)^m dx = R sqrt(pi) Gamma(m+1) / Gamma(m+3/2)
     mass = Bump(radius=radius, order=order, kind="poly").mass()
     assert mass == pytest.approx(_poly_hat(0.0, radius, order), rel=1e-15)
+
+
+def test_phi_hat_closed_form_against_bump_hat():
+    # 945 j_4(w) / w^4 against the quadrature transform of the kernel's
+    # bump, densely across the series / elementary seam at |w| = 4
+    kernel = SmearingKernel()
+    ws = np.concatenate([np.linspace(0.0, 8.0, 4001),
+                         PHI_SEAM + np.linspace(-1e-3, 1e-3, 201),
+                         np.linspace(8.0, 2000.0, 4000)])
+    mass = kernel.bump.mass()
+    bhat = BumpHat(kernel.bump)
+    for part in np.array_split(ws, 8):
+        assert np.max(np.abs(kernel.phi_hat(part) - bhat(part) / mass)) \
+            <= 1e-14
+    assert kernel.phi_hat(0.0) == 1.0
+    assert np.array_equal(kernel.phi_hat(-ws), kernel.phi_hat(ws))

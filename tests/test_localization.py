@@ -7,6 +7,7 @@ import pytest
 
 from equiloc.bumps import Bump
 from equiloc.localization import (EquivariantForm, NoFixedPointsError,
+                                  _fold, _profile,
                                   RegularityError, asymptotic_l, bv_sum,
                                   bv_term, calibrate, dh_measure,
                                   euler_inverse, jk_residue, kirwan_integral,
@@ -346,3 +347,57 @@ def test_dh_measure_rank_two_formal():
     val = U.value_at((Fraction(1), Fraction(1)))
     mono = val.monomial()
     assert mono is not None and mono[0].im == 0
+
+
+# ---------------------------------------------------------------------------
+# the folded cosine and sine sums of l_alpha and l_alpha_batch
+
+_PB = Bump(radius=1.5, order=8, kind="poly")
+FOLD_CASES = [
+    (Sphere(1), RHO1),
+    (Sphere(2), EquivariantForm(density=lambda pts: 1.0 + pts[2]
+                                + pts[0] ** 2)),
+    (Sphere(10), RHO1),
+    (Sphere(1), EquivariantForm(exact_beta=lambda z: (1 - z ** 2) *
+                                np.exp(-z ** 2))),
+    (CotangentCircle(), EquivariantForm(
+        scale=Fraction(3, 2),
+        density=lambda pts: (1 + np.cos(pts[0]) ** 2) * _PB(pts[1] - 0.3))),
+    (CotangentCircle(), EquivariantForm(exact_beta=lambda pts: _PB(pts[1]))),
+    # not even in p, so the odd parts of both weights carry the sine sums
+    (CotangentCircle(), EquivariantForm(
+        exact_beta=lambda pts: _PB(pts[1] - 0.3))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+def test_profile_nodes_are_exactly_antisymmetric(case):
+    s, _, _ = _profile(*FOLD_CASES[case])
+    assert np.array_equal(s[::-1], -s)
+
+
+@pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+def test_folded_sums_match_unfolded_products(case):
+    model, rho = FOLD_CASES[case]
+    s, a, b = _profile(model, rho)
+    b = np.zeros_like(a) if b is None else b
+    xs = np.array([0.0, 0.5, 7.0, 61.0, 300.0, 599.0])
+    phase = np.exp(1j * np.outer(xs, s))
+    unfolded = float(rho.scale) * (phase @ a + 1j * xs * (phase @ b))
+    tol = 1e-13 * float(rho.scale) * (np.abs(a).sum()
+                                      + xs * np.abs(b).sum())
+    assert np.all(np.abs(l_alpha(model, rho, xs) - unfolded) <= tol)
+    for x, u, t in zip(xs, unfolded, tol):
+        assert abs(l_alpha(model, rho, x) - u) <= t
+    assert np.all(np.abs(l_alpha_batch(model, rho, xs) - unfolded.real)
+                  <= tol)
+    if case == len(FOLD_CASES) - 1:
+        # the shifted beta: at X = 0.5 and 7 the sine sum of a alone is far
+        # above the tolerance, so a fold that dropped odd parts fails here
+        sine = np.abs(np.sin(np.outer(xs[1:3], s)) @ a)
+        assert np.all(sine > 1e6 * tol[1:3])
+
+
+def test_fold_refuses_nodes_that_are_not_antisymmetric():
+    with pytest.raises(ValueError):
+        _fold(np.array([-1.0, 0.5, 1.0]), np.ones(3))

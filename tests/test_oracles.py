@@ -67,11 +67,31 @@ def test_linrot2_pushforward_closed_form(v):
     assert orc.pushforward_density(-v) == orc.pushforward_density(v)
 
 
-@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 3.0, 10.0, 30.0, 50.0])
+@pytest.mark.parametrize("v", [1e-12, 1e-8, 25.0])
+def test_linrot2_pushforward_near_zero_and_far_out(v):
+    # t = ln x takes over from the sinh map as v -> 0, where the sinh map's
+    # range [0, asinh(40 / v)] grows without bound
+    exact = math.pi ** 2 * math.exp(-2.0 * v)
+    orc = linrot2_oracle(G_BUMP)
+    assert abs(orc.pushforward_density(v) - exact) <= 1e-12 * exact
+
+
+def test_linrot2_pushforward_array_equals_scalar_calls():
+    vs = np.array([[0.0, 1e-12, 1e-8, 1e-3], [0.5, 2.0, -10.0, 25.0]])
+    orc = linrot2_oracle(G_BUMP)
+    table = orc.pushforward_density(vs)
+    assert table.shape == vs.shape
+    assert [orc.pushforward_density(float(v)) for v in vs.ravel()] == list(
+        table.ravel())
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 3.0, 10.0, 30.0, 50.0,
+                               100.0, 300.0, 600.0])
 def test_linrot2_l_alpha_closed_form(x):
-    # 2 int_0^inf pi^2 e^{-2v} cos(X v) dv = 4 pi^2 / (4 + X^2); past
-    # X = 50 the pushforward grid, which stops at v = 30, no longer holds
-    # 1e-10
+    # 2 int_0^inf pi^2 e^{-2v} cos(X v) dv = 4 pi^2 / (4 + X^2).  X runs
+    # to 600, the end of the smeared limit's X range, so each 16-point
+    # panel of the pushforward table must span only a couple of periods of
+    # cos(X v) there; panels spanning 8 periods are off by 0.016
     exact = 4.0 * math.pi ** 2 / (4.0 + x * x)
     val = l_alpha(make_model("linrot2"), EquivariantForm(), x)
-    assert abs(val - exact) <= 1e-10 * exact
+    assert abs(val - exact) <= 1e-12
