@@ -223,20 +223,6 @@ class MPoly:
     def map_coeffs(self, f: Callable) -> "MPoly":
         return MPoly(self.dim, {e: f(c) for e, c in self.terms.items()})
 
-    def substitute_vars(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Compose: replace variable i by images[i] (all sharing one dim)."""
-        if len(images) != self.dim:
-            raise ValueError("need one image per variable")
-        tgt = images[0].dim if images else 0
-        out = MPoly.zero(tgt)
-        for e, c in self.terms.items():
-            term = MPoly.constant(tgt, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * images[i] ** k
-            out = out + term
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented

@@ -18,7 +18,6 @@ from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
 from equiloc.mpoly import LinForm, MPoly
 from equiloc.oracles import (cotangent_l_alpha, mc_pushforward_sphere,
                              sphere_bv_oracle)
-from equiloc.piecewise import WallDirectionError
 from equiloc.scalars import TwoPi
 
 
@@ -152,16 +151,13 @@ def test_jk_residue_direction_and_wall():
     assert float(plus) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
-def test_jk_residue_wall_direction_error_dim2():
-    # synthetic rank-2 input: residue along a wall through 0 must report it
-    from equiloc.piecewise import ft_shifted
-    from equiloc.ratexp import RatExp, RatTerm
-    u = RatExp(2, [RatTerm(TwoPi.of(1), LinForm([0, 0]),
-                           MPoly.constant(2, Fraction(1)),
-                           [(LinForm([1, 0]), 1), (LinForm([0, 1]), 1)])])
-    U = ft_shifted(u, [LinForm([1, 0]), LinForm([0, 1])])
-    with pytest.raises(WallDirectionError):
-        U.residue_ray((1, 0))
+def test_rank_two_is_refused_before_any_algebra():
+    # T^2 on T*R^4: the transform and its residues are rank 1 only
+    m = make_model("linrot4")
+    for call in (lambda: dh_measure(m, RHO1),
+                 lambda: jk_residue(m, RHO1, (1, 0))):
+        with pytest.raises(NotImplementedError, match="rank 1 only"):
+            call()
 
 
 def test_pairing_residue_smeared_kirwan_sphere():
@@ -208,6 +204,32 @@ def test_exact_form_vanishing():
     assert abs(smeared_limit(c, rho_b).extrapolated) <= 1e-6
     assert abs(l_alpha(c, rho_b, 5.0)) <= 1e-8
     assert abs(l_alpha(s, rho, 5.0)) <= 1e-8
+
+
+def _shifted_sphere_beta(r):
+    # vanishes at the poles z = +-r, where dtheta is singular
+    return EquivariantForm(exact_beta=lambda z: (r * r - z ** 2) *
+                           np.exp(-(z - 0.3) ** 2))
+
+
+@pytest.mark.parametrize("model,rho", [
+    # b(p - 0.3) is not even in p, so Re L does not vanish by symmetry:
+    # the profile grids must resolve every X the smeared limit integrates
+    (CotangentCircle(), EquivariantForm(
+        exact_beta=lambda pts: _PB(pts[1] - 0.3))),
+    (Sphere(2), _shifted_sphere_beta(2.0)),
+    (Sphere(3), _shifted_sphere_beta(3.0)),
+], ids=["cotangent-circle", "sphere-2", "sphere-3"])
+def test_exact_form_off_the_momentum_symmetry_vanishes(model, rho):
+    sm = smeared_limit(model, rho)
+    assert abs(sm.extrapolated) <= 1e-6
+    assert sm.converged
+
+
+def test_smeared_limit_radius_ten_sphere():
+    # the profile's node count grows with R: 4 pi^2 R for the area form
+    sm = smeared_limit(Sphere(10), RHO1)
+    assert sm.extrapolated == pytest.approx(4 * math.pi ** 2 * 10, rel=1e-6)
 
 
 def test_calibration_ratio_is_two_pi():
@@ -333,20 +355,6 @@ def test_kirwan_integral_honours_scale_on_linear_cotangent():
     m = make_model("linrot2")
     kw = kirwan_integral(m, EquivariantForm(scale=Fraction(2)))
     assert kw == pytest.approx(4 * math.pi ** 3, rel=1e-6)
-
-
-def test_dh_measure_rank_two_formal():
-    # T^2 on T*R^4: the fixed-point term transforms through the iterated
-    # rank-2 machinery (both flag orders agree); the formal density lives
-    # on the dual quadrant and is quadratic there
-    m = make_model("linrot4")
-    U = dh_measure(m, EquivariantForm())
-    inside = U.density_at((Fraction(1), Fraction(2)))
-    assert inside.degree_in(0) == 1 and inside.degree_in(1) == 1
-    assert U.value_at((Fraction(1), Fraction(-1))).is_zero()
-    val = U.value_at((Fraction(1), Fraction(1)))
-    mono = val.monomial()
-    assert mono is not None and mono[0].im == 0
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,6 @@ def test_diff_reduces_degree_and_eval_exact():
         assert p.eval(pt) == direct
 
 
-def test_substitute_vars():
-    p = MPoly(2, {(1, 1): Fraction(1)})       # Y0*Y1
-    img0 = MPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)})  # Y0+2Y1
-    img1 = MPoly.variable(2, 1)
-    out = p.substitute_vars([img0, img1])
-    assert out == MPoly(2, {(1, 1): Fraction(1), (0, 2): Fraction(2)})
-
-
 def test_linform_algebra():
     a = LinForm([1, -2])
     b = LinForm([Fraction(1, 2), 3])

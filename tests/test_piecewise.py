@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from equiloc.mpoly import LinForm, MPoly
-from equiloc.piecewise import (WallDirectionError, admissible_cone,
-                               ft_shifted, make_wall, Piece, PiecewisePoly)
+from equiloc.piecewise import ft_shifted, make_wall, Piece, PiecewisePoly
 from equiloc.ratexp import RatExp, RatTerm
 from equiloc.scalars import CRat, TwoPi, I
 
@@ -42,8 +41,9 @@ def test_polynomial_gives_atoms_only():
     U = ft_shifted(u, CONE_P)
     assert not U.pieces
     assert len(U.atoms) == 1
-    assert U.atoms[0].kind == "point"
     assert U.atoms[0].location == (Fraction(0),)
+    assert U.to_json_dict()["atoms"] == [
+        {"kind": "point", "order": 0, "location": ["0"]}]
 
 
 def sphere_pair(radius=1):
@@ -102,67 +102,20 @@ def test_repeated_pole_ramp():
 
 def test_residue_ray_examples():
     c = TwoPi.of(Fraction(7, 3))
-    ind = PiecewisePoly(1, [Piece(
+    ind = PiecewisePoly([Piece(
         walls=(make_wall([1], 1), make_wall([-1], 1)),
         density=MPoly.constant(1, c))])
     assert ind.residue_ray((1,)) == c
     assert ind.residue_ray((5,)) == c      # scaling invariance
-    step = PiecewisePoly(1, [Piece(walls=(make_wall([1], 0),),
-                                   density=MPoly.constant(1, c))])
+    step = PiecewisePoly([Piece(walls=(make_wall([1], 0),),
+                                density=MPoly.constant(1, c))])
     assert step.residue_ray((-1,)).is_zero()
-    ramp = PiecewisePoly(1, [Piece(
+    # the ray leaves 0 into the chamber whose wall passes through 0
+    assert step.residue_ray((1,)) == c
+    ramp = PiecewisePoly([Piece(
         walls=(make_wall([1], 0), make_wall([-1], 2)),
         density=MPoly(1, {(1,): TwoPi.of(1)}))])
     assert ramp.residue_ray((1,)).is_zero()
-
-
-def test_residue_wall_direction_error():
-    c = TwoPi.of(1)
-    quad = PiecewisePoly(2, [Piece(
-        walls=(make_wall([1, 0], 0), make_wall([0, 1], 0)),
-        density=MPoly.constant(2, c))])
-    with pytest.raises(WallDirectionError):
-        quad.residue_ray((0, 1))
-    assert quad.residue_ray((1, 1)) == c
-    assert quad.residue_ray((-1, 1)).is_zero()
-
-
-def test_dim2_flag_orders_agree_nonseparable():
-    # 1/((Y1)(Y1+Y2)) and a repeated variant; ft_shifted cross-checks the
-    # two flag orders internally and raises on mismatch
-    cone = [LinForm([1, 0]), LinForm([0, 1])]
-    u = RatExp(2, [RatTerm(TwoPi.of(1), LinForm([0, 0]),
-                           MPoly.constant(2, Fraction(1)),
-                           [(LinForm([1, 0]), 1), (LinForm([1, 1]), 1)])])
-    U = ft_shifted(u, cone)
-    cells = U.canonical()
-    assert len(cells) == 1
-    walls, dens = cells[0]
-    assert dens == MPoly.constant(2, TwoPi.of(-1))
-    u2 = RatExp(2, [RatTerm(TwoPi.of(1), LinForm([Fraction(1, 3), 0]),
-                            MPoly(2, {(1, 0): Fraction(1)}),
-                            [(LinForm([1, 0]), 2),
-                             (LinForm([1, 2]), 1)])])
-    ft_shifted(u2, cone)   # no flag mismatch
-
-
-def test_dim2_separable_product():
-    cone = [LinForm([1, 0]), LinForm([0, 1])]
-    u = RatExp(2, [RatTerm(TwoPi.of(1), LinForm([0, 0]),
-                           MPoly.constant(2, Fraction(1)),
-                           [(LinForm([1, 0]), 2), (LinForm([0, 1]), 2)])])
-    U = ft_shifted(u, cone)
-    val = U.value_at((Fraction(2), Fraction(3)))
-    assert val == TwoPi.of(Fraction(6))
-    assert U.value_at((Fraction(-1), Fraction(3))).is_zero()
-
-
-def test_admissible_cone_avoids_walls():
-    forms = [LinForm([1, 0]), LinForm([1, 1]), LinForm([-1, 2])]
-    cone = admissible_cone(forms, 2)
-    from equiloc.piecewise import interior_point
-    z = interior_point(cone, 2)
-    assert all(f(z) != 0 for f in forms)
 
 
 def test_json_roundtrip_schema():
