@@ -24,8 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bumps import Bump
-from .models import MODELS, Amplitude, ModelError, default_amplitude, \
-    make_model
+from .models import MODELS, ModelError, make_model
 from .oscillatory import fit_problem
 from .quadrature import BudgetExceeded
 
@@ -251,12 +250,7 @@ def _cmd_residue(model, cfg: RunConfig):
                                pairing_constant, smeared_limit)
     results = {}
     certs = []
-    if cfg.model["kind"] == "cotangent-circle":
-        pb = Bump(radius=1.0, order=6, kind="poly")
-        rho = EquivariantForm(
-            density=lambda pts: (np.cos(pts[0]) ** 2) * pb(pts[1]))
-    else:
-        rho = EquivariantForm()
+    rho = EquivariantForm(density=model.residue_density)
     try:
         plus = float(jk_residue(model, rho, (1,)))
         minus = float(jk_residue(model, rho, (-1,)))
@@ -303,8 +297,6 @@ def _cmd_spexpand(model, cfg: RunConfig):
         domain = [(-20.0, 20.0)]
         phase_f = lambda s: 0.5 * np.asarray(s) ** 2
         amp_f = lambda s: bump(s)
-        amp_poly = MPoly.constant(1, Fraction(1))
-        rank = 1
     elif kind == "saddle":
         psi = MPoly(2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(-1, 2)})
         domain = [(-2.5, 2.5), (-2.5, 2.5)]
@@ -313,8 +305,6 @@ def _cmd_spexpand(model, cfg: RunConfig):
                                    np.asarray(s)[1] ** 2)
         amp_f = lambda s: b2(np.sqrt(np.asarray(s)[0] ** 2 +
                                      np.asarray(s)[1] ** 2))
-        amp_poly = MPoly.constant(2, Fraction(1))
-        rank = 2
         mus = cfg.mu_sweep or [0.1, 0.05, 0.02]
     elif kind == "cubic":
         psi = MPoly(1, {(2,): Fraction(1, 2), (3,): Fraction(1)})
@@ -322,13 +312,13 @@ def _cmd_spexpand(model, cfg: RunConfig):
         domain = [(-0.25, 0.25)]
         phase_f = lambda s: 0.5 * np.asarray(s) ** 2 + np.asarray(s) ** 3
         amp_f = lambda s: b1(s)
-        amp_poly = MPoly.constant(1, Fraction(1))
-        rank = 1
         mus = cfg.mu_sweep or list(np.geomspace(10 ** -3.5, 10 ** -5, 4))
     else:
         return _spexpand_cotangent(cfg)
+    rank = psi.dim
     phase = CleanPhase(rank=rank, psi0=0.0, nodes=[BaseNode(
-        weight=1.0, psi_poly=psi, amp_poly=amp_poly)]).validate()
+        weight=1.0, psi_poly=psi,
+        amp_poly=MPoly.constant(rank, Fraction(1)))]).validate()
     exp = sp_coefficients(phase, cfg.order)
     rows = []
     for mu in mus:
@@ -380,7 +370,7 @@ def _cmd_spexpand(model, cfg: RunConfig):
 
 
 def _spexpand_cotangent(cfg: RunConfig):
-    rep = _cot_sweep(cfg, _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5))))
+    rep = _catalog_sweep(make_model(**cfg.model), cfg)
     certs = []
     if rep.fit_scaled:
         certs.append(Certificate(
@@ -392,36 +382,18 @@ def _spexpand_cotangent(cfg: RunConfig):
     return results, certs, {}
 
 
-def _cot_sweep(cfg: RunConfig, mus):
-    """The T*S^1 singular_sweep at the level cfg.sigma, or 0.7 when that
-    is 0."""
-    from .models import CotangentCircle
+def _catalog_sweep(model, cfg: RunConfig):
+    """The singular_sweep of the model's catalog amplitude at the level
+    cfg.sigma, or at the model's default level when that is 0."""
     from .resolution import singular_sweep
-    sigma = cfg.sigma or 0.7
-    return singular_sweep(CotangentCircle(), _cot_amp(sigma), mus,
-                          sigma=sigma)
-
-
-def _cot_amp(sigma: float) -> Amplitude:
-    """(1 + cos^2 theta) times a momentum profile curved at the level:
-    the remainder of the regular-value expansion is then genuinely of
-    second order."""
-    p_bump = Bump(radius=1.6, order=6, kind="poly")
-    return Amplitude(
-        g_profile=Bump(radius=1.0, order=6, kind="poly"),
-        density=lambda coords: (1.0 + np.cos(coords[0]) ** 2) *
-        p_bump(coords[1] - sigma) * np.exp(-(coords[1] - sigma) ** 2))
+    mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
+    sigma = cfg.sigma or model.default_level
+    return singular_sweep(model, model.amplitude(cfg.model.get("bump"),
+                                                 sigma), mus, sigma=sigma)
 
 
 def _cmd_singular(model, cfg: RunConfig):
-    from .resolution import singular_sweep
-    mus = _sweep(cfg, list(np.geomspace(1e-2, 1e-4, 5)))
-    if cfg.model["kind"] == "cotangent-circle":
-        rep = _cot_sweep(cfg, mus)
-    else:
-        rep = singular_sweep(model, default_amplitude(
-            model, cfg.model.get("bump")), mus)
-    kappa = rep.kappa
+    rep = _catalog_sweep(model, cfg)
     certs = []
     for r in rep.rows:
         if abs(r.mu - 1e-3) < 1e-12:
@@ -446,13 +418,13 @@ def _cmd_singular(model, cfg: RunConfig):
     elif rep.fit:
         certs.append(Certificate(
             "remainder_exponent", rep.fit.exponent, 0.2,
-            abs(rep.fit.exponent - (kappa + 1)) <= 0.2, "order fit"))
+            abs(rep.fit.exponent - (rep.kappa + 1)) <= 0.2, "order fit"))
         certs.append(Certificate(
             "remainder_log_power", rep.fit.log_power, float(rep.lam - 1),
             rep.fit.log_power <= (rep.lam - 1) + 0.2, "order fit"))
     rows = _sweep_rows(rep)
     csv = _csv("mu,oracle,scaled,leading,remainder", rows)
-    results = {"rows": rows, "leading": rep.leading, "kappa": kappa,
+    results = {"rows": rows, "leading": rep.leading, "kappa": rep.kappa,
                "lambda": rep.lam, "fit": _fit_payload(rep.fit),
                "fit_scaled": _fit_payload(rep.fit_scaled)}
     return results, certs, {"singular.csv": csv}
@@ -460,8 +432,8 @@ def _cmd_singular(model, cfg: RunConfig):
 
 def _cmd_resolve_verify(model, cfg: RunConfig):
     from .resolution import resolution_certificate
-    amp = default_amplitude(model, cfg.model.get("bump"))
-    cert = resolution_certificate(model, amp, seed=cfg.seed)
+    cert = resolution_certificate(
+        model, model.amplitude(cfg.model.get("bump"), 0.0), seed=cfg.seed)
     d = cert.to_dict()
     certs = [
         Certificate("factorization_max_err", cert.factorization_max_err,

@@ -20,8 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bumps import Bump, SmearingKernel
-from .models import (CotangentCircle, FixedComponent, LinearCotangent,
-                     ModelError, Sphere, check_unit_speed, default_amplitude,
+from .models import (Amplitude, FixedComponent, ModelError, Sphere,
                      reduced_integral)
 from .mpoly import LinForm, MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
@@ -114,21 +113,15 @@ def u_f_symbolic(model, fc: FixedComponent,
 
 def weyl_factor(roots: Sequence[LinForm]):
     """(Phi, Phi^2) with Phi the product of the positive roots."""
-    if not roots:
-        dim = 1
-    else:
-        dim = roots[0].dim
-    phi = MPoly.constant(dim, Fraction(1))
+    phi = MPoly.constant(roots[0].dim if roots else 1, Fraction(1))
     for g in roots:
         phi = phi * g.to_mpoly()
     return phi, phi * phi
 
 
 def weight_cone(model) -> List[LinForm]:
-    forms = []
-    for fc in model.fixed_components():
-        for form, _ in fc.weights:
-            forms.append(form)
+    forms = [form for fc in model.fixed_components()
+             for form, _ in fc.weights]
     if not forms:
         raise NoFixedPointsError()
     return admissible_cone(forms)
@@ -170,101 +163,11 @@ def pairing_constant(model) -> float:
 # model L-evaluators
 
 
-def _profile(model, rho: EquivariantForm):
-    """Momentum profile of rho: nodes s along J and weights (a, b) with
-    L(X) = scale * sum_k e^{i X s_k} (a_k + i X b_k).
-
-    A closed form gives its weighted pushforward J_* rho (b is None).  An
-    exact form Dbeta with beta = f dtheta gives the total-derivative
-    integrand d_s f + i X f, whose transform vanishes up to quadrature
-    noise (f' by central differences, h = 1e-6).
-    """
-    f = rho.exact_beta
-    h = 1e-6
-    if isinstance(model, Sphere):
-        # cylindrical (z, theta): the area form is R dz dtheta
-        r = float(model.radius)
-        # one panel whose node count grows with R, so |X| R <= 600 R stays
-        # resolved (split panels are not exactly antisymmetric for every R)
-        per_unit = max(1, math.ceil(r))
-        if f is not None:
-            z, w = composite_gl(-r, r, 1, 400 * per_unit)
-            fprime = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h)
-            return (z, 2 * math.pi * fprime * w,
-                    2 * math.pi * np.asarray(f(z)) * w)
-        z, w = composite_gl(-r, r, 1, 2048 * per_unit)
-        if rho.density is None:
-            ring = 2 * math.pi * r * np.ones_like(z)
-        else:
-            th = 2 * math.pi * (np.arange(64) + 0.5) / 64
-            zz, tt = np.meshgrid(z, th, indexing="ij")
-            rr = np.sqrt(np.maximum(r * r - zz ** 2, 0.0))
-            pts = np.stack([rr * np.cos(tt), rr * np.sin(tt), zz])
-            ring = np.asarray(rho.density(pts), float).mean(axis=1) \
-                * 2 * math.pi * r
-        return z, ring * w, None
-    if isinstance(model, CotangentCircle):
-        # coordinates (theta, p), J = p; every profile lives in |p| < 2
-        p, wp = composite_gl(-2.0, 2.0, 1, 1024)
-        th = 2 * math.pi * (np.arange(128) + 0.5) / 128
-        tt, pp = np.meshgrid(th, p, indexing="ij")
-
-        def ring(g, dp=0.0):
-            vals = np.asarray(g(np.stack([tt, pp + dp])), float)
-            return vals.sum(axis=0) * (2 * math.pi / 128)
-
-        if f is not None:
-            return p, (ring(f, h) - ring(f, -h)) / (2 * h) * wp, ring(f) * wp
-        dens = rho.density or (lambda pts: np.ones_like(pts[0]))
-        return p, ring(dens) * wp, None
-    raise ModelError("no L evaluator for this model")
-
-
-def _linrot2_oracle(model, rho: EquivariantForm):
-    """The Gaussian planar-rotation oracle, the one L(X) route of
-    LinearCotangent."""
-    from .oracles import linrot2_oracle
-    if model.n != 2 or rho.density is not None or rho.is_exact:
-        raise ModelError("LinearCotangent L-evaluator covers the "
-                         "Gaussian rotation catalog entry")
-    check_unit_speed(model)
-    return linrot2_oracle(Bump(radius=1.0, order=6, kind="poly"))
-
-
-def _fold(s, a):
-    """The positive half of antisymmetric profile nodes (s[::-1] == -s, as
-    the mirrored Gauss rules of _profile are) with the even part
-    a_k + a_-k of the weights, all a cosine sum sees, and the odd part
-    a_k - a_-k, all a sine sum sees."""
-    half = len(s) // 2
-    if len(s) % 2 or np.any(s[::-1] != -s):
-        raise ValueError("profile nodes are not antisymmetric")
-    return (s[half:], a[half:] + a[half - 1::-1],
-            a[half:] - a[half - 1::-1])
-
-
 def l_alpha(model, rho: EquivariantForm, x):
     """L(X) = int e^{i J_X} rho for a float X (a complex) or an array of X
     (a complex array): the Fourier transform of the model's momentum
-    profile, folded onto its positive nodes.  The sphere profile, one
-    Gauss panel of 2048 * ceil(R) nodes, resolves |X| up to about 3,900
-    at every R (against 4 pi R sin(XR)/X: error <= 7e-12 for R <= 10 and
-    |X| <= 600, above 1e-9 first at X = 3,975 for R = 1)."""
-    if isinstance(model, LinearCotangent):
-        # the pushforward is even, so L is real
-        vals = _linrot2_oracle(model, rho).l_alpha_batch(x)
-        return float(rho.scale) * (vals if np.ndim(x) else vals[0]) + 0j
-    s, a, b = _profile(model, rho)
-    x = np.asarray(x, dtype=float)
-    pos, a_even, a_odd = _fold(s, a)
-    arg = np.multiply.outer(x, pos)
-    sin = np.sin(arg)
-    cos = np.cos(arg, out=arg)
-    re, im = cos @ a_even, sin @ a_odd
-    if b is not None:
-        _, b_even, b_odd = _fold(s, b)
-        re, im = re - x * (sin @ b_odd), im + x * (cos @ b_even)
-    return float(rho.scale) * (re + 1j * im)
+    profile, `model.profile(rho)`."""
+    return float(rho.scale) * model.profile(rho).l_alpha(x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +183,11 @@ class SmearedResult:
 
 def l_alpha_batch(model, rho: EquivariantForm, xs: np.ndarray) -> np.ndarray:
     """Real part of L(X) over an array of X values: for a closed form the
-    cosine transform of its profile, one in-place cosine block on the
-    positive nodes against the even part of the weights (half the
-    cosines of the full product); for an exact form Re l_alpha."""
+    cosine transform of its profile; for an exact form Re l_alpha."""
     xs = np.asarray(xs, dtype=float)
-    if isinstance(model, LinearCotangent):
-        return float(rho.scale) * _linrot2_oracle(model, rho).l_alpha_batch(xs)
     if rho.is_exact:
         return np.real(l_alpha(model, rho, xs))
-    s, a, _ = _profile(model, rho)
-    pos, a_even, _ = _fold(s, a)
-    block = np.multiply.outer(xs, pos)
-    return float(rho.scale) * (np.cos(block, out=block) @ a_even)
+    return float(rho.scale) * model.profile(rho).l_alpha_batch(xs)
 
 
 @lru_cache(maxsize=None)
@@ -317,12 +213,11 @@ def smeared_limit(model, rho: EquivariantForm,
         integrand = lvals * np.asarray(kernel.phi_hat(eps * nodes), float)
         v = float(np.dot(integrand, wts))
         vals.append((eps, 2.0 * v))
-    ext = list(v for _, v in vals)
-    seq = ext[:]
+    seq = [v for _, v in vals]
     # Richardson on the eps^2 ladder (eps halves along the list)
     while len(seq) > 1:
         seq = [(4.0 * b - a) / 3.0 for a, b in zip(seq[:-1], seq[1:])]
-    converged = abs(seq[0] - ext[-1]) < 0.05 * (1 + abs(seq[0]))
+    converged = abs(seq[0] - vals[-1][1]) < 0.05 * (1 + abs(seq[0]))
     return SmearedResult(values=vals, extrapolated=float(seq[0]),
                          converged=converged)
 
@@ -333,7 +228,7 @@ def kirwan_integral(model, rho: EquivariantForm) -> float:
     g = model.group
     if g.kappa != g.d:
         raise ModelError("kirwan_integral requires kappa = d")
-    dens = rho.density or default_amplitude(model).eta_factor
+    dens = rho.density or Amplitude(gaussian=model.gaussian).eta_factor
     return (2 * math.pi) ** g.d * float(rho.scale) * reduced_integral(
         model, dens)
 

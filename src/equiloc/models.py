@@ -24,13 +24,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bumps import Bump
+from .bumps import Bump, BumpHat
 from .mpoly import LinForm
 from .quadrature import composite_gl
 from .symmat import SymMat
 
 LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
 REDUCED_CHUNK = 16_384     # points per call of f in reduced_integral
+PROFILE_FD_STEP = 1e-6     # central-difference step of an exact form's f'
 
 
 class ModelError(ValueError):
@@ -104,10 +105,77 @@ class Amplitude:
         return self.g_profile(x)
 
 
+def _fold(s, a):
+    """The positive half of antisymmetric profile nodes (s[::-1] == -s, as
+    the mirrored Gauss rules of the profiles are) with the even part
+    a_k + a_-k of the weights, all a cosine sum sees, and the odd part
+    a_k - a_-k, all a sine sum sees."""
+    half = len(s) // 2
+    if len(s) % 2 or np.any(s[::-1] != -s):
+        raise ValueError("profile nodes are not antisymmetric")
+    return (s[half:], a[half:] + a[half - 1::-1],
+            a[half:] - a[half - 1::-1])
+
+
+@dataclass
+class MomentumProfile:
+    """Nodes s along J and weights (a, b) with L(X) / scale =
+    sum_k e^{i X s_k} (a_k + i X b_k): a closed form's weighted pushforward
+    J_* rho (b is None), or for an exact form Dbeta, beta = f dtheta, the
+    total-derivative integrand d_s f + i X f, whose transform vanishes up
+    to quadrature noise (f' by central differences)."""
+    s: np.ndarray
+    a: np.ndarray
+    b: Optional[np.ndarray]
+
+    def l_alpha(self, x):
+        """L(X) / scale for a float X (a complex) or an array of X."""
+        x = np.asarray(x, dtype=float)
+        pos, a_even, a_odd = _fold(self.s, self.a)
+        arg = np.multiply.outer(x, pos)
+        sin = np.sin(arg)
+        cos = np.cos(arg, out=arg)
+        re, im = cos @ a_even, sin @ a_odd
+        if self.b is not None:
+            _, b_even, b_odd = _fold(self.s, self.b)
+            re, im = re - x * (sin @ b_odd), im + x * (cos @ b_even)
+        return re + 1j * im
+
+    def l_alpha_batch(self, xs: np.ndarray) -> np.ndarray:
+        """A closed form's cosine transform over an array of X: half the
+        cosines of l_alpha."""
+        pos, a_even, _ = _fold(self.s, self.a)
+        block = np.multiply.outer(xs, pos)
+        return np.cos(block, out=block) @ a_even
+
+
 # ---------------------------------------------------------------------------
 
 
-class Sphere:
+class CatalogModel:
+    """What the pipelines ask of a catalog entry besides its geometry, with
+    the defaults a class keeps unless it overrides them.  Each class also
+    has `profile(rho)`, the momentum profile behind L(X)."""
+    gaussian = False            # e^{-|eta|^2} in the default amplitude
+    default_level = 0.0         # the swept level when a config gives 0
+    residue_density = None      # of the residue command's form; None is 1
+
+    def amplitude(self, bump_cfg: Optional[dict], sigma: float) -> Amplitude:
+        """The catalog amplitude at the level sigma: a config's "bump"
+        {"R", "order"} (default 1, 6) is its poly g-profile."""
+        bump_cfg = bump_cfg or {}
+        return Amplitude(
+            g_profile=Bump(radius=bump_cfg.get("R", 1.0),
+                           order=bump_cfg.get("order", 6), kind="poly"),
+            gaussian=self.gaussian)
+
+    def sweep_oracle(self, amplitude: Amplitude, mus: Sequence[float],
+                     sigma: float) -> List[float]:
+        """The brute-force I(mu) of a singular sweep."""
+        raise ModelError("singular_sweep covers the shipped catalog")
+
+
+class Sphere(CatalogModel):
     """Radius-R sphere, area form, rotation about z with J = z."""
 
     def __init__(self, radius=1):
@@ -184,9 +252,37 @@ class Sphere:
                         np.full(th.size, sigma)])
         return pts, np.full(th.size, 1.0 / th.size)
 
+    def profile(self, rho) -> MomentumProfile:
+        """In cylindrical (z, theta), where dA = R dz dtheta, on one panel
+        (split panels are not exactly antisymmetric for every R) of
+        2048 * ceil(R) nodes: |X| up to about 3,900 is resolved at every R
+        (against 4 pi R sin(XR)/X: error <= 7e-12 for R <= 10 and
+        |X| <= 600, above 1e-9 first at X = 3,975 for R = 1)."""
+        f, h = rho.exact_beta, PROFILE_FD_STEP
+        r = float(self.radius)
+        per_unit = max(1, math.ceil(r))
+        if f is not None:
+            z, w = composite_gl(-r, r, 1, 400 * per_unit)
+            fprime = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h)
+            return MomentumProfile(z, 2 * math.pi * fprime * w,
+                                   2 * math.pi * np.asarray(f(z)) * w)
+        z, w = composite_gl(-r, r, 1, 2048 * per_unit)
+        if rho.density is None:
+            ring = 2 * math.pi * r * np.ones_like(z)
+        else:
+            th = 2 * math.pi * (np.arange(64) + 0.5) / 64
+            zz, tt = np.meshgrid(z, th, indexing="ij")
+            rr = np.sqrt(np.maximum(r * r - zz ** 2, 0.0))
+            pts = np.stack([rr * np.cos(tt), rr * np.sin(tt), zz])
+            ring = np.asarray(rho.density(pts), float).mean(axis=1) \
+                * 2 * math.pi * r
+        return MomentumProfile(z, ring * w, None)
 
-class CotangentCircle:
+
+class CotangentCircle(CatalogModel):
     """T*S^1 with coordinates (theta, p); J = p; the action is free."""
+
+    default_level = 0.7
 
     def __init__(self):
         self.group = GroupData(
@@ -226,6 +322,46 @@ class CotangentCircle:
         return (np.stack([th, np.full(th.size, sigma)]),
                 np.full(th.size, 1.0 / th.size))
 
+    def profile(self, rho) -> MomentumProfile:
+        """On 1024 Gauss p-nodes of |p| < 2, where every profile lives,
+        and 128 theta midpoints."""
+        f, h = rho.exact_beta, PROFILE_FD_STEP
+        p, wp = composite_gl(-2.0, 2.0, 1, 1024)
+        th = 2 * math.pi * (np.arange(128) + 0.5) / 128
+        tt, pp = np.meshgrid(th, p, indexing="ij")
+
+        def ring(g, dp=0.0):
+            vals = np.asarray(g(np.stack([tt, pp + dp])), float)
+            return vals.sum(axis=0) * (2 * math.pi / 128)
+
+        if f is not None:
+            return MomentumProfile(p, (ring(f, h) - ring(f, -h)) / (2 * h)
+                                   * wp, ring(f) * wp)
+        dens = rho.density or (lambda pts: np.ones_like(pts[0]))
+        return MomentumProfile(p, ring(dens) * wp, None)
+
+    def residue_density(self, pts):
+        """cos^2 theta times the order-6 poly bump in p."""
+        return (np.cos(pts[0]) ** 2) * Bump(radius=1.0, order=6,
+                                            kind="poly")(pts[1])
+
+    def amplitude(self, bump_cfg: Optional[dict], sigma: float) -> Amplitude:
+        """(1 + cos^2 theta) times a momentum profile curved at the level
+        sigma: the remainder of the regular-value expansion is then
+        genuinely of second order."""
+        amp = super().amplitude(bump_cfg, sigma)
+        p_bump = Bump(radius=1.6, order=6, kind="poly")
+        amp.density = lambda coords: (1.0 + np.cos(coords[0]) ** 2) * \
+            p_bump(coords[1] - sigma) * np.exp(-(coords[1] - sigma) ** 2)
+        return amp
+
+    def sweep_oracle(self, amplitude: Amplitude, mus: Sequence[float],
+                     sigma: float) -> List[float]:
+        from .oracles import cotangent_regular_integral
+        return cotangent_regular_integral(
+            lambda t, p: amplitude.eta_factor(np.stack([t, p])),
+            BumpHat(amplitude.g_profile), sigma, mus)
+
 
 def _antisym_check(m):
     m = [[Fraction(x) for x in row] for row in m]
@@ -259,8 +395,11 @@ class RotationPlane:
     speeds: tuple            # Fraction per generator
 
 
-class LinearCotangent:
-    """T*R^n with commuting antisymmetric generators; J_X(q,p) = <Xq, p>."""
+class LinearCotangent(CatalogModel):
+    """T*R^n with commuting antisymmetric generators; J_X(q,p) = <Xq, p>;
+    a Gaussian catalog amplitude."""
+
+    gaussian = True
 
     def __init__(self, n: int, generators: Sequence):
         self.n = int(n)
@@ -281,11 +420,11 @@ class LinearCotangent:
         if len(covered) < self.n:
             raise ModelError("generators leave a common fixed subspace; "
                              "catalog requires isolated fixed points")
-        kappa = self._principal_orbit_dim()
         self.group = GroupData(
             d=self.k, d_t=self.k, roots=(), vol_g=(2 * math.pi) ** self.k,
             vol_t=(2 * math.pi) ** self.k, weyl_order=1,
-            principal_isotropy_order=1, kappa=kappa).validate()
+            principal_isotropy_order=1,
+            kappa=_rank_frac([pl.speeds for pl in self.planes])).validate()
 
     def _extract_planes(self) -> List[RotationPlane]:
         """Require generators in common 2x2 block-rotation form."""
@@ -293,9 +432,7 @@ class LinearCotangent:
         used = set()
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                speeds = []
-                for g in self.generators:
-                    speeds.append(g[j][i])
+                speeds = [g[j][i] for g in self.generators]
                 if any(s != 0 for s in speeds):
                     for g in self.generators:
                         if g[i][j] != -g[j][i]:
@@ -314,10 +451,6 @@ class LinearCotangent:
                     if c not in (i, j) and (g[i][c] != 0 or g[j][c] != 0):
                         raise ModelError("generators not block-diagonal")
         return planes
-
-    def _principal_orbit_dim(self) -> int:
-        rows = [pl.speeds for pl in self.planes]
-        return _rank_frac([list(r) for r in rows])
 
     # -- basic operations ---------------------------------------------------
 
@@ -342,14 +475,14 @@ class LinearCotangent:
     def fundamental_field(self, eta, x=None) -> np.ndarray:
         if x is None:
             x = _unit(self.k, 0)
-        a = self.generator_matrix(x)
-        q, p = np.asarray(eta[:self.n], float), np.asarray(
-            eta[self.n:], float)
-        return np.concatenate([a.dot(q), a.dot(p)])
+        return self._act(self.generator_matrix(x), eta)
 
     def flow(self, eta, x, t):
         from scipy.linalg import expm
-        a = expm(t * self.generator_matrix(x))
+        return self._act(expm(t * self.generator_matrix(x)), eta)
+
+    def _act(self, a, eta) -> np.ndarray:
+        """(a q, a p) at eta = (q, p)."""
         q, p = np.asarray(eta[:self.n], float), np.asarray(
             eta[self.n:], float)
         return np.concatenate([a.dot(q), a.dot(p)])
@@ -384,10 +517,7 @@ class LinearCotangent:
     def xi_map(self, eta) -> SymMat:
         """Gram matrix of the fundamental fields restricted to g.eta, in an
         orthonormal basis of the orbit tangent (exact at rational points)."""
-        fields = []
-        for i in range(self.k):
-            f = self._field_exact(eta, i)
-            fields.append(f)
+        fields = [self._field_exact(eta, i) for i in range(self.k)]
         grams = [[sum(a * b for a, b in zip(fa, fb)) for fb in fields]
                  for fa in fields]
         active = [i for i in range(self.k)
@@ -443,6 +573,26 @@ class LinearCotangent:
         w = np.outer(wr, wr) * (math.pi / 64) / (2 * math.pi)
         return pts.reshape(4, -1), np.tile(w.ravel(), phi.size)
 
+    def profile(self, rho):
+        """The Gaussian planar-rotation oracle, the one L(X) route of
+        LinearCotangent: its pushforward is even, so L is real."""
+        from .oracles import linrot2_oracle
+        if self.n != 2 or rho.density is not None or rho.is_exact:
+            raise ModelError("LinearCotangent L-evaluator covers the "
+                             "Gaussian rotation catalog entry")
+        check_unit_speed(self)
+        return linrot2_oracle(Bump(radius=1.0, order=6, kind="poly"))
+
+    def sweep_oracle(self, amplitude: Amplitude, mus: Sequence[float],
+                     sigma: float) -> List[float]:
+        """By the Gaussian oracle, after reduced_rule refused any other
+        model or level."""
+        from .oracles import linrot2_oracle
+        if amplitude.density is not None or not amplitude.gaussian:
+            raise ModelError("the planar rotation oracle is Gaussian only")
+        orc = linrot2_oracle(amplitude.g_profile)
+        return [orc.integral(mu) for mu in mus]
+
     def lie_derivative_map(self, eta, x) -> np.ndarray:
         """Matrix of the bracket action of X in g_eta on the orbit tangent."""
         x = np.asarray(x, dtype=float)
@@ -460,10 +610,7 @@ class LinearCotangent:
                       for i in active]
         for col, i in enumerate(active):
             ai = self.generator_matrix(_unit(self.k, i))
-            comm = ai.dot(ax) - ax.dot(ai)     # [X~, Y~] for linear fields
-            q, p = np.asarray(eta[:self.n], float), np.asarray(
-                eta[self.n:], float)
-            vec = np.concatenate([comm.dot(q), comm.dot(p)])
+            vec = self._act(ai.dot(ax) - ax.dot(ai), eta)   # [X~, Y~]
             for row in range(len(active)):
                 out[row, col] = float(np.dot(vec, basis_vecs[row]))
         return out
@@ -479,10 +626,8 @@ def _rank_frac(rows) -> int:
     rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
         return 0
-    ncols = len(rows[0])
-    rank = 0
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
                    None)
         if piv is None:
@@ -493,10 +638,9 @@ def _rank_frac(rows) -> int:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
         if r == len(rows):
             break
-    return rank
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +693,6 @@ def make_model(kind: str, **params):
     except KeyError as exc:
         raise ModelError(f"model kind {kind!r} needs {exc.args[0]!r}") \
             from None
-
-
-def default_amplitude(model, bump_cfg: Optional[dict] = None) -> Amplitude:
-    bump_cfg = bump_cfg or {}
-    radius = bump_cfg.get("R", 1.0)
-    order = bump_cfg.get("order", 6)
-    return Amplitude(
-        g_profile=Bump(radius=radius, order=order, kind="poly"),
-        gaussian=isinstance(model, LinearCotangent))
 
 
 def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:

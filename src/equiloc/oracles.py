@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from scipy.special import j0, k0
 
 from .bumps import Bump, BumpHat
+from .models import ModelError
 from .quadrature import composite_gl, gauss_legendre
 
 # the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
@@ -34,10 +35,16 @@ def fresnel_leading(mu: float) -> complex:
 
 def sphere_bv_oracle(radius: float, y: float) -> complex:
     """int_{S^2_R} e^{i y z} dA by the 1-D height quadrature on 256 Gauss
-    z-nodes, doubled while under 200 + 12 |y| R, at most 4096."""
+    z-nodes, doubled while under 200 + 12 |y| R.  A rule above 4096 nodes
+    (|y| R above 324) raises ModelError: capped there, the value drifts
+    from 4 pi R sin(yR)/y (by 22.7 at R = 10, y = 1024)."""
     r = float(radius)
+    need = 200 + 12 * abs(y) * r
+    if need > 4096:
+        raise ModelError(f"sphere_bv_oracle: |y| R = {abs(y) * r:g} needs "
+                         f"more than its 4096 height nodes")
     nz = 256
-    while nz < min(4096, 200 + 12 * abs(y) * r):
+    while nz < need:
         nz *= 2
     z, w = composite_gl(-r, r, 1, nz)
     ring = 2 * math.pi * np.ones_like(z) * r
@@ -203,6 +210,11 @@ class Linrot2Oracle:
         # t_j = -t_{15-j}: cos(X h t) is even in t, sin(X h t) odd
         return (mid, half * t[8:], wd[:, 8:] + wd[:, 7::-1],
                 wd[:, 8:] - wd[:, 7::-1])
+
+    def l_alpha(self, x):
+        """L(X), real as the pushforward is even: l_alpha_batch + 0j."""
+        vals = self.l_alpha_batch(x)
+        return (vals if np.ndim(x) else vals[0]) + 0j
 
     def l_alpha_batch(self, xs) -> np.ndarray:
         """L(X) over an array of X on the pushforward table.  Angle

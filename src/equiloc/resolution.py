@@ -18,8 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .models import (Amplitude, CotangentCircle, LinearCotangent, ModelError,
-                     reduced_integral)
+from .models import Amplitude, LinearCotangent, ModelError, reduced_integral
 from .quadrature import composite_gl, pairwise_sum
 from .oscillatory import OrderFit, order_fit
 
@@ -62,20 +61,19 @@ class StratifyResult:
 
 def stratify(model) -> StratifyResult:
     """Isotropy lattice of the linear catalog actions, ordered so that more
-    singular types come first."""
-    if isinstance(model, CotangentCircle):
+    singular types come first.  A model without fixed points (T*S^1) has
+    one isotropy type and no chain."""
+    if not model.fixed_components():
         return StratifyResult(chains=[], lam=1)
     if not isinstance(model, LinearCotangent):
         raise ModelError("stratify covers the linear catalog")
-    planes = model.planes
-    k = model.k
-    if k == 1:
+    if model.k == 1:
         chain = IsotropyChain(
             types=("(G)",),
             levels=(ChainLevel(c=model.n, d=0, e=1),),
             lam=2, iso_generator=None)
         return StratifyResult(chains=[chain], lam=2)
-    if k == 2 and len(planes) == 2:
+    if model.k == 2 and len(model.planes) == 2:
         # T^2 on R^4: chains (T^2) > (S^1_a) and (T^2) > (S^1_b)
         chains = []
         for second in (0, 1):
@@ -415,8 +413,7 @@ def _circle_point(th1, i: int, j: int) -> np.ndarray:
 
 def _plane_matrix(model: LinearCotangent, plane_index: int) -> np.ndarray:
     out = np.zeros((4, 4))
-    pl = model.planes[plane_index]
-    i, j = pl.axes
+    i, j = model.planes[plane_index].axes
     out[i][j] = -1.0
     out[j][i] = 1.0
     return out
@@ -658,22 +655,11 @@ class SweepReport:
 
 def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
                    sigma: float = 0.0) -> SweepReport:
-    """Oracle I(mu) against (2 pi mu)^kappa L0 with the remainder fit."""
+    """The model's oracle I(mu) against (2 pi mu)^kappa L0 with the
+    remainder fit."""
     kappa = model.group.kappa
-    if isinstance(model, CotangentCircle):
-        from .bumps import BumpHat
-        from .oracles import cotangent_regular_integral
-        l0 = direct_leading(model, amplitude, sigma=sigma)
-        vals = cotangent_regular_integral(
-            lambda t, p: amplitude.eta_factor(np.stack([t, p])),
-            BumpHat(amplitude.g_profile), sigma, mus)
-    elif isinstance(model, LinearCotangent) and model.n == 2:
-        from .oracles import linrot2_oracle
-        orc = linrot2_oracle(amplitude.g_profile)
-        l0 = direct_leading(model, amplitude)
-        vals = [orc.integral(mu) for mu in mus]
-    else:
-        raise ModelError("singular_sweep covers the shipped catalog")
+    l0 = direct_leading(model, amplitude, sigma=sigma)
+    vals = model.sweep_oracle(amplitude, mus, sigma)
     lam = stratify(model).lam
     rows = []
     for mu, val in zip(mus, vals):
@@ -777,14 +763,12 @@ def resolution_certificate(model, amplitude: Amplitude,
             pt[0] = tau0
             th = transversal_hessian(chart, pt, frame="adapted")
             mineig = min(mineig, th.min_abs_eig)
+    l_res = l_dir = gap = alpha_min = None
     if chain.depth == 1:
         l_res = resolved_leading(model, charts, amplitude)
         l_dir = direct_leading(model, amplitude)
         gap = abs(l_res - l_dir) / max(abs(l_dir), 1e-300)
     else:
-        l_res = l_dir = gap = None
-    alpha_min = None
-    if chain.depth == 2:
         alpha_min = float(np.min(alpha_grad_norm(model, chain)(
             uniform_points(ALPHA_DOMAIN, rng, 500))))
     return ResolutionCertificate(

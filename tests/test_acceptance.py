@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from equiloc.bumps import Bump
-from equiloc.cli import _cot_amp
 from equiloc.localization import (EquivariantForm, bv_sum, dh_measure,
                                   jk_residue, kirwan_integral, l_alpha,
                                   smeared_limit)
@@ -141,7 +140,7 @@ def test_acceptance_05_exact_form_vanishing():
 
 def test_acceptance_06_regular_value_asymptotics():
     c = CotangentCircle()
-    amp = _cot_amp(0.7)
+    amp = c.amplitude(None, 0.7)
     rep = singular_sweep(c, amp, list(np.geomspace(1e-2, 1e-4, 5)),
                          sigma=0.7)
     row = next(r for r in rep.rows if abs(r.mu - 1e-3) < 1e-12)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from equiloc.cli import Report, main
@@ -280,3 +281,53 @@ def test_report_refuses_non_finite_values():
                     calibration=None, config_echo={})
     with pytest.raises(ValueError):
         report.to_json()
+
+
+def test_linrot2_singular_refuses_a_nonzero_sigma(tmp_path, capsys):
+    # the planar rotation's leading coefficient is at sigma = 0; this once
+    # ran sigma = 0 under a report that echoed 0.5
+    assert run(["singular", "--model", "linrot2", "--sigma", "0.5"],
+               tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("  - ")] \
+        == ["  - singular leading coefficient is at sigma = 0"]
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("command", ["singular", "spexpand"])
+def test_cotangent_config_bump_reaches_the_oracle(command, tmp_path):
+    # the T*S^1 sweep once kept the R = 1, order 6 g-profile whatever the
+    # config's "bump" said
+    from equiloc.bumps import Bump
+    from equiloc.models import Amplitude, CotangentCircle
+    from equiloc.resolution import singular_sweep
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"model": {"kind": "cotangent-circle",
+                                         "bump": {"R": 2, "order": 4}}}))
+    assert run([command, "--config", str(cfg)], tmp_path) == 0
+    rows = [r["oracle"] for r in latest_report(tmp_path)["results"]["rows"]]
+    p_bump = Bump(radius=1.6, order=6, kind="poly")
+
+    def sweep(g_profile):
+        amp = Amplitude(g_profile=g_profile, density=lambda c: (
+            1.0 + np.cos(c[0]) ** 2) * p_bump(c[1] - 0.7) *
+            np.exp(-(c[1] - 0.7) ** 2))
+        rep = singular_sweep(CotangentCircle(), amp,
+                             list(np.geomspace(1e-2, 1e-4, 5)), sigma=0.7)
+        return [r.oracle for r in rep.rows]
+
+    assert rows == sweep(Bump(radius=2, order=4, kind="poly"))
+    assert rows != sweep(Bump(radius=1.0, order=6, kind="poly"))
+
+
+def test_localize_past_the_sphere_oracle_rule_exits_4(tmp_path, capsys):
+    # the height-quadrature oracle once capped its rule here and certified
+    # against a value off by 22.7
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere", "radius": 10},
+                               "y_values": [1024]}))
+    assert run(["localize", "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "4096" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))

@@ -7,14 +7,13 @@ import pytest
 
 from equiloc.bumps import Bump
 from equiloc.localization import (EquivariantForm, NoFixedPointsError,
-                                  _fold, _profile,
                                   RegularityError, asymptotic_l, bv_sum,
                                   bv_term, calibrate, dh_measure,
                                   euler_inverse, jk_residue, kirwan_integral,
                                   l_alpha, l_alpha_batch, pairing_constant,
                                   smeared_limit, u_f_symbolic, weyl_factor)
 from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
-    make_model
+    _fold, make_model
 from equiloc.mpoly import LinForm, MPoly
 from equiloc.oracles import (cotangent_l_alpha, mc_pushforward_sphere,
                              sphere_bv_oracle)
@@ -380,15 +379,17 @@ FOLD_CASES = [
 
 @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
 def test_profile_nodes_are_exactly_antisymmetric(case):
-    s, _, _ = _profile(*FOLD_CASES[case])
+    model, rho = FOLD_CASES[case]
+    s = model.profile(rho).s
     assert np.array_equal(s[::-1], -s)
 
 
 @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
 def test_folded_sums_match_unfolded_products(case):
     model, rho = FOLD_CASES[case]
-    s, a, b = _profile(model, rho)
-    b = np.zeros_like(a) if b is None else b
+    prof = model.profile(rho)
+    s, a = prof.s, prof.a
+    b = np.zeros_like(a) if prof.b is None else prof.b
     xs = np.array([0.0, 0.5, 7.0, 61.0, 300.0, 599.0])
     phase = np.exp(1j * np.outer(xs, s))
     unfolded = float(rho.scale) * (phase @ a + 1j * xs * (phase @ b))

@@ -272,3 +272,24 @@ def test_registry_builds_every_kind():
         make_model("linear-cotangent")
     with pytest.raises(ModelError, match="unknown model kind"):
         make_model("donut")
+
+
+def test_planar_rotation_profile_refuses_what_its_oracle_does_not_cover():
+    from equiloc.localization import EquivariantForm
+    m = make_model("linrot2")
+    for rho in (EquivariantForm(density=lambda pts: pts[0] ** 2),
+                EquivariantForm(exact_beta=lambda pts: pts[0])):
+        with pytest.raises(ModelError, match="Gaussian rotation"):
+            m.profile(rho)
+    with pytest.raises(ModelError, match="Gaussian rotation"):
+        make_model("linrot4").profile(EquivariantForm())
+    with pytest.raises(ModelError, match="speed"):
+        LinearCotangent(2, [rotation_generator(2, (0, 1), 2)]).profile(
+            EquivariantForm())
+
+
+def test_the_sphere_has_no_sweep_oracle():
+    from equiloc.resolution import singular_sweep
+    s = Sphere(1)
+    with pytest.raises(ModelError, match="shipped catalog"):
+        singular_sweep(s, s.amplitude(None, 0.0), [1e-2, 1e-3], sigma=0.0)

@@ -95,3 +95,15 @@ def test_linrot2_l_alpha_closed_form(x):
     exact = 4.0 * math.pi ** 2 / (4.0 + x * x)
     val = l_alpha(make_model("linrot2"), EquivariantForm(), x)
     assert abs(val - exact) <= 1e-12
+
+
+def test_sphere_bv_oracle_refuses_past_its_node_cap():
+    # capped at 4096 height nodes it returned a value off by 22.7 here
+    from equiloc.models import ModelError
+    from equiloc.oracles import sphere_bv_oracle
+    with pytest.raises(ModelError, match="4096"):
+        sphere_bv_oracle(10.0, 1024.0)
+    # |y| R = 324, the most its rule covers, against 4 pi R sin(yR)/y
+    r, y = 10.0, 32.4
+    closed = 4 * math.pi * r * math.sin(y * r) / y
+    assert abs(sphere_bv_oracle(r, y) - closed) <= 1e-11

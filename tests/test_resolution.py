@@ -196,8 +196,7 @@ def test_amplitude_off_divisor_reduces_to_regular_stratum():
 
 def test_direct_leading_cotangent_regular():
     c = CotangentCircle()
-    from equiloc.cli import _cot_amp
-    amp = _cot_amp(0.7)
+    amp = c.amplitude(None, 0.7)
     val = direct_leading(c, amp, sigma=0.7)
     th = 2 * math.pi * (np.arange(4096) + 0.5) / 4096
     ref = float(np.mean(1.0 + np.cos(th) ** 2)) * 2 * math.pi
@@ -215,10 +214,19 @@ def test_singular_sweep_linrot2():
     assert rep.fit.log_power <= 1.0 + 0.2
 
 
+def test_planar_sweep_refuses_an_amplitude_its_oracle_ignores():
+    # the oracle integrates e^{-|eta|^2} b(X) alone: with the density
+    # 1 + q1^2 its scaled values tended to pi^2 while L0 read 12.34
+    m = make_model("linrot2")
+    amp = dataclasses.replace(GAUSS_AMP, density=lambda c: 1 + c[0] ** 2)
+    for bad in (amp, dataclasses.replace(GAUSS_AMP, gaussian=False)):
+        with pytest.raises(ModelError, match="Gaussian only"):
+            singular_sweep(m, bad, [1e-2, 1e-3])
+
+
 def test_singular_sweep_cotangent_regular():
     c = CotangentCircle()
-    from equiloc.cli import _cot_amp
-    rep = singular_sweep(c, _cot_amp(0.7),
+    rep = singular_sweep(c, c.amplitude(None, 0.7),
                          list(np.geomspace(1e-2, 1e-4, 5)), sigma=0.7)
     row = next(r for r in rep.rows if abs(r.mu - 1e-3) < 1e-12)
     assert abs(row.scaled - rep.leading) <= 1e-3 * rep.leading
