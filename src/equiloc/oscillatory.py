@@ -12,8 +12,13 @@ the terms
 
 over pairs r - k = j with 3k <= 2r, D_s = -i d/ds and
 H(x,s) = psi(x,s) - psi0 - <psi''(x,0) s, s>/2.  Terms with 3k > 2r vanish
-identically because H vanishes to third order; the symbolic path asserts
-that.  A nested central finite-difference path covers non-polynomial data.
+identically because H vanishes to third order; `selection_rule_terms`
+computes them exactly to show that.
+
+One formula computes every term: the operator is expanded into monomials
+c_alpha d^alpha, and each d^alpha (H^k f)(0) is exact (alpha! times a
+coefficient) when H^k f is a polynomial and a nested central finite
+difference when it is a callable.  Each node's Hessian is factored once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .mpoly import MPoly
 from .quadrature import (QuadResult, oscillatory_quad_1d, pairwise_sum,
                          tensor_oscillatory)
-from .scalars import CRat, i_power
+from .scalars import i_power
 from .symmat import SymMat, ldlt
 
 
@@ -49,6 +54,16 @@ class BaseNode:
     def symbolic(self) -> bool:
         return self.psi_poly is not None and self.amp_poly is not None
 
+    def psi(self, s) -> float:
+        if self.psi_poly is not None:
+            return float(self.psi_poly.eval_float(list(s)).real)
+        return float(self.psi_num(np.asarray(s)))
+
+    def amp(self, s) -> float:
+        if self.amp_poly is not None:
+            return float(self.amp_poly.eval_float(list(s)).real)
+        return float(self.amp_num(np.asarray(s)))
+
 
 @dataclass
 class CleanPhase:
@@ -62,14 +77,15 @@ class CleanPhase:
         <s, Hess s>/2 vanishing to third order."""
         for node in self.nodes:
             hess = node_hessian(node, self.rank)
-            res = ldlt(hess)
-            if res.singular:
+            if ldlt(hess).singular:
                 raise PhaseError("transversal Hessian singular at a node")
-            small = _eval_h(node, hess, np.full(self.rank, 1e-4), self.psi0)
-            if abs(small) > 1e-10:
+            h = _h_callable(node, hess, self.psi0)
+            if abs(h(np.full(self.rank, 1e-4))) > 1e-10:
                 raise PhaseError("H does not vanish to third order")
-            g = _grad_at_zero(node, self.rank)
-            if np.linalg.norm(g) > 1e-8:
+            psi = node.psi if node.psi_poly is None else node.psi_poly
+            grad = [_partial(psi, _index(self.rank, a))
+                    for a in range(self.rank)]
+            if np.linalg.norm(np.array(grad, dtype=float)) > 1e-8:
                 raise PhaseError("gradient does not vanish on the base")
         return self
 
@@ -91,121 +107,8 @@ class SPExpansion:
                           for j, c in enumerate(self.coefficients))
 
 
-def node_hessian(node: BaseNode, rank: Optional[int] = None) -> SymMat:
-    if node.symbolic:
-        return _poly_hessian(node.psi_poly)
-    if rank is None:
-        raise PhaseError("numeric node needs an explicit rank")
-    return _fd_hessian(node.psi_num, rank)
-
-
-def _fd_hessian(psi: Callable, l: int) -> SymMat:
-    h = [[Fraction(0)] * l for _ in range(l)]
-    for a in range(l):
-        for b in range(a, l):
-            alpha = [0] * l
-            alpha[a] += 1
-            alpha[b] += 1
-            v = Fraction(fd_partial(lambda s: float(psi(s)), alpha)
-                         ).limit_denominator(10 ** 9)
-            h[a][b] = v
-            h[b][a] = v
-    return SymMat(h)
-
-
-def _poly_hessian(psi: MPoly) -> SymMat:
-    l = psi.dim
-    h = [[Fraction(0)] * l for _ in range(l)]
-    for e, c in psi.terms.items():
-        if sum(e) != 2:
-            continue
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        a, b = idx[0], idx[1]
-        if a == b:
-            h[a][a] = 2 * Fraction(c)
-        else:
-            h[a][b] += Fraction(c)
-            h[b][a] += Fraction(c)
-    return SymMat(h)
-
-
-def _grad_at_zero(node: BaseNode, rank: int):
-    if node.symbolic:
-        l = node.psi_poly.dim
-        return np.array([float(node.psi_poly.terms.get(
-            tuple(1 if j == i else 0 for j in range(l)), 0))
-            for i in range(l)])
-    l = rank
-    h = 1e-6
-    g = np.zeros(l)
-    for i in range(l):
-        e = np.zeros(l)
-        e[i] = h
-        g[i] = (node.psi_num(e) - node.psi_num(-e)) / (2 * h)
-    return g
-
-
-def _eval_h(node: BaseNode, hess: SymMat, s, psi0: float) -> float:
-    q = 0.5 * float(np.dot(s, [[float(x) for x in row]
-                               for row in hess.entries] @ np.asarray(s)))
-    if node.symbolic:
-        val = float(node.psi_poly.eval_float(list(s)).real)
-    else:
-        val = float(node.psi_num(np.asarray(s)))
-    return val - psi0 - q
-
-
 # ---------------------------------------------------------------------------
-# symbolic coefficient path
-
-
-def _apply_operator(poly: MPoly, ainv) -> MPoly:
-    """<D, A D> = - sum A_ab d_a d_b applied once."""
-    l = poly.dim
-    out = MPoly.zero(l)
-    for a in range(l):
-        da = poly.diff(a)
-        for b in range(l):
-            c = ainv[a][b]
-            if c == 0:
-                continue
-            out = out + da.diff(b).scale(-Fraction(c))
-    return out
-
-
-def term_value_symbolic(psi: MPoly, amp: MPoly, r: int, k: int) -> CRat:
-    """Value of the (r, k) inner term at s = 0 (exact)."""
-    hess = _poly_hessian(psi)
-    res = ldlt(hess)
-    if res.singular:
-        raise PhaseError("transversal Hessian singular")
-    ainv = res.inverse.entries
-    l = psi.dim
-    const = Fraction(psi.terms.get(tuple([0] * l), 0))
-    quad = MPoly(l, {e: c for e, c in psi.terms.items() if sum(e) == 2})
-    h = psi - MPoly.constant(l, const) - quad
-    g = (h ** k) * amp
-    for _ in range(r):
-        g = _apply_operator(g, ainv)
-    val = g.terms.get(tuple([0] * l), Fraction(0))
-    coef = CRat(Fraction(1, math.factorial(r) * math.factorial(k) * 2 ** r))
-    coef = coef * i_power(-(r - k))
-    return coef * CRat.coerce(val)
-
-
-def _node_qj_symbolic(node: BaseNode, j: int) -> complex:
-    total = CRat(0)
-    for k in range(0, 2 * j + 1):
-        r = j + k
-        if 3 * k > 2 * r:
-            continue
-        total = total + term_value_symbolic(node.psi_poly, node.amp_poly,
-                                            r, k)
-    return complex(total)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference coefficient path
+# derivatives at s = 0
 
 
 def _fd_stencil(m: int):
@@ -227,8 +130,7 @@ def fd_partial(g: Callable, alpha: Sequence[int]) -> float:
     def d_at(h: float) -> float:
         grids = [_fd_stencil(m) for m in alpha]
         val = 0.0
-        offsets = [g for g in product(*[range(len(p)) for p, _ in grids])]
-        for idx in offsets:
+        for idx in product(*[range(len(p)) for p, _ in grids]):
             w = 1.0
             pt = np.zeros(len(alpha))
             for axis, i in enumerate(idx):
@@ -243,18 +145,71 @@ def fd_partial(g: Callable, alpha: Sequence[int]) -> float:
     return (16.0 * d2 - d1) / 15.0
 
 
-def _operator_monomials(ainv, r: int, l: int):
-    """Expand (-sum A_ab u_a u_b)^r into multi-index -> coefficient."""
-    base = {}
+def _partial(g, alpha: Sequence[int]):
+    """d^alpha g(0): exact (alpha! times the coefficient) for an MPoly,
+    `fd_partial` for a callable."""
+    if isinstance(g, MPoly):
+        return math.prod(map(math.factorial, alpha)) * g.terms.get(
+            tuple(alpha), 0)
+    return fd_partial(g, alpha)
+
+
+def _index(l: int, *axes: int) -> Tuple[int, ...]:
+    """The multi-index with one derivative along each of `axes`."""
+    alpha = [0] * l
+    for a in axes:
+        alpha[a] += 1
+    return tuple(alpha)
+
+
+def node_hessian(node: BaseNode, rank: Optional[int] = None) -> SymMat:
+    """psi''(0): exact from a polynomial phase, otherwise by finite
+    differences rounded to denominators <= 1e9.  A polynomial in other
+    than `rank` variables raises."""
+    l = rank if node.psi_poly is None else node.psi_poly.dim
+    if l is None:
+        raise PhaseError("numeric node needs an explicit rank")
+    if rank not in (None, l):
+        raise PhaseError(f"a node's phase in {l} variable(s) at rank {rank}")
+    psi = node.psi if node.psi_poly is None else node.psi_poly
+    h = [[0] * l for _ in range(l)]
     for a in range(l):
-        for b in range(l):
-            c = -Fraction(ainv[a][b])
-            if c == 0:
-                continue
-            e = [0] * l
-            e[a] += 1
-            e[b] += 1
-            base[tuple(e)] = base.get(tuple(e), Fraction(0)) + c
+        for b in range(a, l):
+            v = _partial(psi, _index(l, a, b))
+            if isinstance(v, float):
+                v = Fraction(v).limit_denominator(10 ** 9)
+            h[a][b] = h[b][a] = v
+    return SymMat(h)
+
+
+def _h_callable(node: BaseNode, hess: SymMat, psi0: float) -> Callable:
+    """H(s) = psi(s) - psi0 - <s, psi''(0) s>/2 in floating point."""
+    hessf = np.array([[float(x) for x in row] for row in hess.entries])
+
+    def h(s):
+        s = np.asarray(s, dtype=float)
+        return node.psi(s) - psi0 - 0.5 * float(s @ hessf @ s)
+    return h
+
+
+def _h_poly(psi: MPoly) -> MPoly:
+    """H = psi - psi(0) - (the quadratic part of psi), exactly."""
+    return MPoly(psi.dim, {e: c for e, c in psi.terms.items()
+                           if sum(e) not in (0, 2)})
+
+
+# ---------------------------------------------------------------------------
+# the coefficient formula
+
+
+def _operator_monomials(ainv, r: int):
+    """Expand (-sum A_ab u_a u_b)^r into multi-index -> coefficient."""
+    l = len(ainv)
+    base = {}
+    for a, b in product(range(l), repeat=2):
+        if ainv[a][b]:
+            e = _index(l, a, b)
+            base[e] = base.get(e, Fraction(0)) - Fraction(ainv[a][b])
     out = {tuple([0] * l): Fraction(1)}
     for _ in range(r):
         nxt = {}
@@ -266,41 +221,31 @@ def _operator_monomials(ainv, r: int, l: int):
     return out
 
 
-def _node_qj_fd(node: BaseNode, j: int, psi0: float, rank: int) -> complex:
-    hess = node_hessian(node, rank)
-    res = ldlt(hess)
-    ainv = res.inverse.entries
-    l = hess.dim
-    hessf = np.array([[float(x) for x in row] for row in hess.entries])
+def _term(g, ainv, r: int, k: int):
+    """The (r, k) term 1/(r! k! 2^r i^{r-k}) <D, A^-1 D>^r g (0) for
+    g = H^k f: an exact CRat for an MPoly g, a complex for a callable."""
+    acc = 0
+    for alpha, c in sorted(_operator_monomials(ainv, r).items()):
+        acc += c * _partial(g, alpha)
+    n = math.factorial(r) * math.factorial(k) * 2 ** r
+    if isinstance(g, MPoly):
+        return i_power(k - r) * acc / n
+    return complex(i_power(k - r)) / n * acc
 
-    def h_fun(s):
-        s = np.asarray(s, dtype=float)
-        val = node.psi_num(s) if not node.symbolic else \
-            float(node.psi_poly.eval_float(list(s)).real)
-        return val - psi0 - 0.5 * float(s @ hessf @ s)
 
-    def amp_fun(s):
-        if node.symbolic:
-            return float(node.amp_poly.eval_float(list(s)).real)
-        return float(node.amp_num(np.asarray(s)))
+def _node_q(node: BaseNode, order: int, hess: SymMat, ainv, psi0: float,
+            exact: bool) -> List[complex]:
+    """Q_0..Q_{order-1} of one node before its weights: the (r, k) terms
+    with r = j + k and k <= 2j, which is 3k <= 2r."""
+    h = _h_poly(node.psi_poly) if exact else _h_callable(node, hess, psi0)
 
-    total = 0j
-    for k in range(0, 2 * j + 1):
-        r = j + k
-        if 3 * k > 2 * r:
-            continue
-        monos = _operator_monomials(ainv, r, l)
+    def g(k):
+        if exact:
+            return h ** k * node.amp_poly
+        return lambda s: h(s) ** k * node.amp(s)
 
-        def g(s, _k=k):
-            return h_fun(s) ** _k * amp_fun(s)
-
-        acc = 0.0
-        for e, c in sorted(monos.items()):
-            acc += float(c) * fd_partial(g, e)
-        coef = complex(i_power(-(r - k))) / (
-            math.factorial(r) * math.factorial(k) * 2 ** r)
-        total += coef * acc
-    return total
+    return [complex(sum(_term(g(k), ainv, j + k, k)
+                        for k in range(2 * j + 1))) for j in range(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,33 +254,30 @@ def _node_qj_fd(node: BaseNode, j: int, psi0: float, rank: int) -> complex:
 
 def sp_coefficients(phase: CleanPhase, order: int,
                     method: str = "auto") -> SPExpansion:
-    """Assemble Q_0..Q_{order-1}; "auto" picks the symbolic path whenever a
-    node carries polynomial data, finite differences otherwise."""
+    """Assemble Q_0..Q_{order-1}; "auto" takes exact derivatives whenever
+    a node carries polynomial data, finite differences otherwise.  Each
+    node's Hessian is factored once for every order."""
     sig = None
-    det_weights = []
+    per_node = []
     for node in phase.nodes:
-        res = ldlt(node_hessian(node, phase.rank))
+        hess = node_hessian(node, phase.rank)
+        res = ldlt(hess)
         if res.singular:
             raise PhaseError("transversal Hessian singular at a base point")
         if sig is None:
             sig = res.signature
         elif sig != res.signature:
             raise PhaseError("signature not constant along the base")
-        det_weights.append(1.0 / math.sqrt(abs(float(res.det))))
-    coeffs = []
-    for j in range(order):
-        acc = []
-        for node, dw in zip(phase.nodes, det_weights):
-            use_sym = (method == "symbolic" or
-                       (method == "auto" and node.symbolic))
-            if use_sym and not node.symbolic:
-                raise PhaseError("symbolic path needs polynomial data")
-            if use_sym:
-                q = _node_qj_symbolic(node, j)
-            else:
-                q = _node_qj_fd(node, j, phase.psi0, phase.rank)
-            acc.append(node.weight * dw * q)
-        coeffs.append(complex(pairwise_sum(acc)))
+        exact = (method == "symbolic" or
+                 (method == "auto" and node.symbolic))
+        if exact and not node.symbolic:
+            raise PhaseError("symbolic path needs polynomial data")
+        dw = 1.0 / math.sqrt(abs(float(res.det)))
+        q = _node_q(node, order, hess, res.inverse.entries, phase.psi0,
+                    exact)
+        per_node.append([node.weight * dw * qj for qj in q])
+    coeffs = [complex(pairwise_sum([q[j] for q in per_node]))
+              for j in range(order)]
     return SPExpansion(psi0=phase.psi0, signature=sig, rank=phase.rank,
                        coefficients=coeffs, order=order)
 
@@ -406,13 +348,11 @@ def order_fit(samples: Sequence[Tuple[float, float]]) -> OrderFit:
 
 
 def selection_rule_terms(psi: MPoly, amp: MPoly, jmax: int):
-    """Symbolic values of every (r, k) term with 3k > 2r up to order jmax;
-    all must vanish because H^k vanishes to order 3k."""
-    out = []
-    for j in range(jmax + 1):
-        for k in range(2 * j + 1, 4 * j + 4):
-            r = j + k
-            if 3 * k <= 2 * r:
-                continue
-            out.append(((r, k), term_value_symbolic(psi, amp, r, k)))
-    return out
+    """Exact values of every (r, k) term with 3k > 2r (k > 2j) up to order
+    jmax; all must vanish because H^k vanishes to order 3k."""
+    res = ldlt(node_hessian(BaseNode(1.0, psi_poly=psi, amp_poly=amp)))
+    if res.singular:
+        raise PhaseError("transversal Hessian singular")
+    h = _h_poly(psi)
+    return [((j + k, k), _term(h ** k * amp, res.inverse.entries, j + k, k))
+            for j in range(jmax + 1) for k in range(2 * j + 1, 4 * j + 4)]

@@ -74,7 +74,12 @@ def stratify(model) -> StratifyResult:
             lam=2, iso_generator=None)
         return StratifyResult(chains=[chain], lam=2)
     if model.k == 2 and len(model.planes) == 2:
-        # T^2 on R^4: chains (T^2) > (S^1_a) and (T^2) > (S^1_b)
+        # T^2 on R^4: chains (T^2) > (S^1_a) and (T^2) > (S^1_b); the
+        # charts take generator i for the rotation of plane i
+        if any(abs(pl.speeds[i]) != 1 or pl.speeds[1 - i] != 0
+               for i, pl in enumerate(model.planes)):
+            raise ModelError("depth-2 charts need generator i to rotate "
+                             "plane i alone, at speed +-1")
         chains = []
         for second in (0, 1):
             chains.append(IsotropyChain(
@@ -412,10 +417,13 @@ def _circle_point(th1, i: int, j: int) -> np.ndarray:
 
 
 def _plane_matrix(model: LinearCotangent, plane_index: int) -> np.ndarray:
+    """The generator that rotates plane `plane_index`, at its +-1 speed."""
+    plane = model.planes[plane_index]
+    speed = float(plane.speeds[plane_index])
     out = np.zeros((4, 4))
-    i, j = model.planes[plane_index].axes
-    out[i][j] = -1.0
-    out[j][i] = 1.0
+    i, j = plane.axes
+    out[i][j] = -speed
+    out[j][i] = speed
     return out
 
 
@@ -755,8 +763,7 @@ def resolution_certificate(model, amplitude: Amplitude,
         for pt in chart.crit_sampler(rng, 8):
             th = transversal_hessian(chart, pt, frame="adapted")
             mineig = min(mineig, th.min_abs_eig)
-            full = transversal_hessian(chart, pt, frame="orthonormal")
-            codim = full.rank if codim is None else codim
+            codim = th.rank if codim is None else codim
         # sigma-grid including 0
         for tau0 in (0.0, 0.25, -0.6):
             pt = chart.crit_sampler(rng, 1)[0]

@@ -331,3 +331,49 @@ def test_localize_past_the_sphere_oracle_rule_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "4096" in err and "Traceback" not in err
     assert not list(tmp_path.glob("run-*"))
+
+
+def _t2_config(tmp_path, name, planes):
+    """A linear-cotangent T^2 on R^4; planes[g] maps an axis pair to the
+    speed at which generator g rotates it."""
+    gens = []
+    for rotations in planes:
+        g = [[0] * 4 for _ in range(4)]
+        for (i, j), speed in rotations.items():
+            g[i][j], g[j][i] = -speed, speed
+        gens.append(g)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"model": {"kind": "linear-cotangent", "n": 4,
+                                         "generators": gens}}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("name,planes", [
+    ("speed_minus_one", [{(0, 1): 1}, {(2, 3): -1}]),
+    ("axes_permuted", [{(0, 2): 1}, {(1, 3): 1}]),
+    ("linrot4", [{(0, 1): 1}, {(2, 3): 1}])])
+def test_depth_2_charts_take_each_plane_speed(name, planes, tmp_path):
+    # the charts once rotated every plane at speed +1: a speed -1 plane
+    # failed the factorization check at 1.99
+    assert run(["resolve-verify", "--config",
+                _t2_config(tmp_path, name, planes)], tmp_path) == 0
+    results = latest_report(tmp_path)["results"]
+    assert results["factorization_max_err"] <= 1e-12
+    if name == "linrot4":
+        assert run(["resolve-verify", "--model", "linrot4"],
+                   tmp_path / "catalog") == 0
+        assert latest_report(tmp_path / "catalog")["results"] == results
+
+
+@pytest.mark.parametrize("name,planes", [
+    ("speeds_2_and_1", [{(0, 1): 2}, {(2, 3): 1}]),
+    ("mixed_generators", [{(0, 1): 1, (2, 3): 1}, {(0, 1): 1, (2, 3): -1}]),
+    ("generators_swapped", [{(2, 3): 1}, {(0, 1): 1}])])
+def test_depth_2_charts_refuse_other_t2_actions(name, planes, tmp_path,
+                                                 capsys):
+    # these once ran to exit 2 with a factorization error of 1.25 to 2.0
+    assert run(["resolve-verify", "--config",
+                _t2_config(tmp_path, name, planes)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "plane i alone" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))

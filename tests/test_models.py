@@ -293,3 +293,31 @@ def test_the_sphere_has_no_sweep_oracle():
     s = Sphere(1)
     with pytest.raises(ModelError, match="shipped catalog"):
         singular_sweep(s, s.amplitude(None, 0.0), [1e-2, 1e-3], sigma=0.0)
+
+
+@pytest.mark.parametrize("radius", [2.5, 10])
+def test_large_sphere_profiles_use_panels_of_cached_rules(radius,
+                                                          monkeypatch):
+    # ceil(R) panels of the 2048-node rule (400 for an exact form) instead
+    # of one rule of 2048 ceil(R) nodes, whose build costs O(n^2)
+    from equiloc import quadrature
+    from equiloc.localization import EquivariantForm
+    sizes = []
+    rule = quadrature.gauss_legendre
+
+    def spy(n):
+        sizes.append(n)
+        return rule(n)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", spy)
+    s = Sphere(radius)
+    closed = s.profile(EquivariantForm())
+    exact = s.profile(EquivariantForm(
+        exact_beta=lambda z: (radius ** 2 - z ** 2) * np.exp(-z ** 2)))
+    assert sizes and max(sizes) <= 2048
+    assert closed.s.size == 2048 * math.ceil(radius)
+    assert exact.s.size == 400 * math.ceil(radius)
+    x = np.array([0.5, 3.0, 77.7, 600.0])
+    ref = 4 * math.pi * radius * np.sin(x * radius) / x
+    assert np.max(np.abs(closed.l_alpha(x) - ref)) <= 1e-11
+    assert np.max(np.abs(exact.l_alpha(x))) <= 1e-7

@@ -220,3 +220,92 @@ def test_q0_base_integral_weighting():
     exp = sp_coefficients(phase, 1)
     assert exp.coefficients[0] == pytest.approx(0.5 * 3 + 2.0 * 3 / 2.0)
     assert exp.coefficients[0].imag == 0.0
+
+
+# closed forms of the coefficient formula, on the exact path and on the
+# finite-difference path
+
+def _both_paths(psi, amp, order):
+    """(exact, finite-difference) expansions of one point node."""
+    dim = psi.dim
+    sym = sp_coefficients(point_phase(psi, amp), order, method="symbolic")
+    node = BaseNode(
+        weight=1.0,
+        psi_num=lambda s: float(psi.eval_float(list(s)).real),
+        amp_num=lambda s: float(amp.eval_float(list(s)).real))
+    fd = sp_coefficients(CleanPhase(rank=dim, psi0=0.0, nodes=[node]),
+                         order, method="fd")
+    return sym, fd
+
+
+@pytest.mark.parametrize("n,q_n", [(1, 1j), (2, -3), (3, -15j)])
+def test_gaussian_moments_give_double_factorials(n, q_n):
+    # psi = s^2/2, a = s^{2n}: Q_n = i^n (2n - 1)!! and Q_j = 0 otherwise
+    psi = MPoly(1, {(2,): Fraction(1, 2)})
+    amp = MPoly(1, {(2 * n,): Fraction(1)})
+    sym, fd = _both_paths(psi, amp, n + 1)
+    assert sym.coefficients == [0] * n + [q_n]
+    for a, c in zip(fd.coefficients, sym.coefficients):
+        assert abs(a - c) <= 1e-6
+
+
+def test_hyperbolic_pair_has_signature_zero_and_q1_i():
+    # psi = a = s1 s2: psi''^{-1} = [[0, 1], [1, 0]], so
+    # Q_1 = <D, A^-1 D> a / (2 i) = -2 / (2 i) = i
+    psi = MPoly(2, {(1, 1): Fraction(1)})
+    sym, fd = _both_paths(psi, psi, 2)
+    assert sym.signature == fd.signature == 0
+    assert sym.coefficients == [0, 1j]
+    assert abs(fd.coefficients[0]) <= 1e-6
+    assert abs(fd.coefficients[1] - 1j) <= 1e-6
+
+
+def test_coupled_quadratic_q1_closed_form():
+    # psi'' = [[1, 1/4], [1/4, 2]] with det 31/16 and (psi''^{-1})_11 =
+    # 32/31; a = s1^2 gives Q_1 = i (32/31) / sqrt(31/16) = 128 i/(31 sqrt 31)
+    psi = MPoly(2, {(2, 0): Fraction(1, 2), (1, 1): Fraction(1, 4),
+                    (0, 2): Fraction(1)})
+    amp = MPoly(2, {(2, 0): Fraction(1)})
+    sym, fd = _both_paths(psi, amp, 2)
+    q1 = 128j / (31 * math.sqrt(31))
+    assert sym.coefficients[0] == 0
+    assert sym.coefficients[1] == pytest.approx(q1, rel=1e-15)
+    assert abs(fd.coefficients[0]) <= 1e-6
+    assert abs(fd.coefficients[1] - q1) <= 1e-6
+
+
+def test_each_hessian_is_factored_once(monkeypatch):
+    from equiloc import oscillatory
+    calls = []
+
+    def counting_ldlt(m):
+        calls.append(m)
+        return ldlt(m)
+
+    monkeypatch.setattr(oscillatory, "ldlt", counting_ldlt)
+    psi = MPoly(1, {(2,): Fraction(1, 2), (3,): Fraction(1)})
+    amp = MPoly(1, {(0,): Fraction(1), (2,): Fraction(1, 3)})
+    nodes = [BaseNode(weight=1.0, psi_poly=psi, amp_poly=amp),
+             BaseNode(weight=0.5, psi_num=lambda s: psi.eval_float(
+                 list(s)).real, amp_num=lambda s: 1.0)]
+    for order in (1, 2, 3):
+        calls.clear()
+        sp_coefficients(CleanPhase(rank=1, psi0=0.0, nodes=nodes), order)
+        assert len(calls) == len(nodes)
+    calls.clear()
+    assert selection_rule_terms(psi, amp, 2)
+    assert len(calls) == 1
+
+
+def test_phase_in_other_than_rank_variables_raises():
+    # a 1-variable phase in a rank-2 CleanPhase once got the rank-2
+    # prefactor (2 pi mu)^1 instead of (2 pi mu)^(1/2)
+    phase = CleanPhase(rank=2, psi0=0.0, nodes=[BaseNode(
+        weight=1.0, psi_poly=MPoly(1, {(2,): Fraction(1, 2)}),
+        amp_poly=MPoly.constant(1, Fraction(1)))])
+    with pytest.raises(PhaseError, match="variable"):
+        sp_coefficients(phase, 1)
+    with pytest.raises(PhaseError, match="variable"):
+        phase.validate()
+    with pytest.raises(PhaseError, match="variable"):
+        node_hessian(phase.nodes[0], 2)
