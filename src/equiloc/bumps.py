@@ -77,15 +77,12 @@ class BumpHat:
         x, dx = composite_gl(0.0, self.bump.radius, panels)
         return x, 2.0 * self.bump(x) * dx
 
-    def rule(self, wmax: float):
-        """(x, 2 b(x) dx) on [0, R] for frequencies up to wmax, with
-        max(BASE_PANELS, int(wmax R / 4) + 16) panels."""
-        panels = int(wmax * self.bump.radius / 4.0) + 16
-        return self._base if panels <= BASE_PANELS else self._gauss(panels)
-
     def __call__(self, w):
         w = np.abs(np.asarray(w, dtype=float))
-        x, fb = self.rule(float(np.max(w, initial=0.0)))
+        # max(BASE_PANELS, int(max|w| R / 4) + 16) panels of (x, 2 b(x) dx)
+        panels = int(float(np.max(w, initial=0.0)) * self.bump.radius
+                     / 4.0) + 16
+        x, fb = self._base if panels <= BASE_PANELS else self._gauss(panels)
         block = np.multiply.outer(w, x)
         np.cos(block, out=block)
         # einsum keeps the reduction single-threaded

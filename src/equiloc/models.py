@@ -480,8 +480,17 @@ class LinearCotangent(CatalogModel):
         return self._act(self.generator_matrix(x), eta)
 
     def flow(self, eta, x, t):
-        from scipy.linalg import expm
-        return self._act(expm(t * self.generator_matrix(x)), eta)
+        """e^{tX} eta: X rotates each plane (i, j) at the rate
+        omega = X_ji, so e^{tX} is the block rotation by t omega."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        rot = np.eye(self.n)
+        for pl in self.planes:
+            i, j = pl.axes
+            angle = t * float(np.dot([float(s) for s in pl.speeds], x))
+            rot[i, i] = rot[j, j] = math.cos(angle)
+            rot[j, i] = math.sin(angle)
+            rot[i, j] = -rot[j, i]
+        return self._act(rot, eta)
 
     def _act(self, a, eta) -> np.ndarray:
         """(a q, a p) at eta = (q, p)."""

@@ -6,18 +6,23 @@ Bessel integral int_0^{2 pi} cos(c x sin g) dg = 2 pi J_0(c x), the
 Catalan/Bessel kernel int_0^inf e^{-t - w/t} dt/t = 2 K_0(2 sqrt(w))), so
 the values are independent of every localization formula and every
 stationary-phase expansion they are used to test.
+
+The two Bessel functions are numpy rules of their own, with no package
+formula in them: `bessel_j0` is a power series, the midpoint rule for
+the Bessel integral and Hankel's asymptotic series by range, and
+`bessel_k0` is the log series or the trapezoid rule for
+int_0^inf e^{-x cosh t} dt.  The planar-rotation oracle's I(mu) is one
+composite Gauss pass over graded panels.  The package needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import j0, k0
 
 from .bumps import Bump, BumpHat
 from .models import ModelError
@@ -26,6 +31,130 @@ from .quadrature import composite_gl, gauss_legendre
 # the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
 # below 3e-16 rho there
 PF_T_MIN = -40.0
+
+
+# ---------------------------------------------------------------------------
+# Bessel rules
+
+# J_0(x) = sum_k (-x^2/4)^k / (k!)^2 below J0_SERIES_MAX: the 26 terms
+# leave 5e-21 at x = 8, where the largest term is 113, so round-off in the
+# cancelling sum sets the error (1.4e-14 near x = 8)
+J0_SERIES_MAX = 8.0
+_J0_SERIES = tuple((-0.25) ** k / math.factorial(k) ** 2 for k in range(26))
+# J_0(x) = (1/pi) int_0^pi cos(x sin th) dth on [J0_SERIES_MAX, J0_HANKEL_MIN)
+# by the midpoint rule on J0_MIDPOINTS nodes.  The integrand is
+# pi-periodic, so the rule's error is 2 |J_110(x)| < 1e-40; the nodes pair
+# up as th and pi - th around th = pi/2, leaving 28 cosines a point.
+J0_HANKEL_MIN = 30.0
+J0_MIDPOINTS = 55
+_J0_SIN = np.sin((np.arange(J0_MIDPOINTS // 2 + 1) + 0.5)
+                 * (math.pi / J0_MIDPOINTS))
+_J0_MID_W = np.full(_J0_SIN.size, 2.0 / J0_MIDPOINTS)
+_J0_MID_W[-1] = 1.0 / J0_MIDPOINTS
+# Hankel's series from J0_HANKEL_MIN on: J_0(x) = sqrt(2 / (pi x))
+# (P cos(x - pi/4) + Q sin(x - pi/4)), P = sum_k (-1)^k a_2k / x^2k and
+# Q = sum_k (-1)^k a_2k+1 / x^2k+1 with a_k = prod_{j<=k} (2j - 1)^2 / 8j.
+# At x = 30 the 22 terms leave 1e-18.
+_HANKEL = tuple(math.prod((2 * j - 1) ** 2 / (8.0 * j)
+                          for j in range(1, k + 1)) for k in range(22))
+
+
+def bessel_j0(x):
+    """J_0(x), even, for an array (an array) or a float (a float): within
+    1.4e-14 of 40-digit values on [0, 800] (the series' round-off near
+    x = 8), and within 1.3e-15 from x = 8 on."""
+    x = np.abs(np.asarray(x, dtype=float))
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    low = flat < J0_SERIES_MAX
+    high = flat >= J0_HANKEL_MIN
+    mid = ~(low | high)
+    u = flat[low] ** 2
+    acc = np.zeros_like(u)
+    for c in reversed(_J0_SERIES):
+        acc = acc * u + c
+    out[low] = acc
+    block = np.multiply.outer(flat[mid], _J0_SIN)
+    out[mid] = np.einsum("ij,j->i", np.cos(block, out=block), _J0_MID_W)
+    y = flat[high]
+    r = -1.0 / (y * y)
+    p = np.zeros_like(y)
+    q = np.zeros_like(y)
+    for k in range(len(_HANKEL) - 2, -1, -2):
+        p = p * r + _HANKEL[k]
+        q = q * r + _HANKEL[k + 1]
+    phase = y - 0.25 * math.pi
+    out[high] = np.sqrt(2.0 / (math.pi * y)) * (
+        p * np.cos(phase) + q / y * np.sin(phase))
+    return out.reshape(x.shape) if x.ndim else float(out[0])
+
+
+# K_0(x) = -(ln(x/2) + gamma) I_0(x) + sum_k H_k (x^2/4)^k / (k!)^2 below
+# K0_SERIES_MAX, I_0 = sum_k (x^2/4)^k / (k!)^2 and H_k the harmonic
+# numbers; at x = 2 the 16 terms leave 1e-27
+K0_SERIES_MAX = 2.0
+EULER_GAMMA = 0.57721566490153286
+_I0_SERIES = tuple(0.25 ** k / math.factorial(k) ** 2 for k in range(16))
+_K0_SERIES = tuple(c * sum(1.0 / j for j in range(1, k + 1))
+                   for k, c in enumerate(_I0_SERIES))
+# from K0_SERIES_MAX on, K_0(x) = e^{-x} int_0^inf e^{-x (cosh t - 1)} dt
+# by the trapezoid rule, with one step per bucket
+# [2 * 2^(j/4), 2 * 2^((j+1)/4)) of x
+K0_BUCKETS_PER_OCTAVE = 4
+
+
+@lru_cache(maxsize=None)
+def _k0_bucket_rule(j: int):
+    """(h, cosh(t_k) - 1 at t_k = k h, k >= 1) of bucket j: the step
+    h = min(0.25, 0.5 / sqrt(x)) at the bucket's top, and the nodes cut
+    where x (cosh t - 1) > 40 at its bottom, what they drop being below
+    e^{-40} relative: 15 to 20 exponentials a point."""
+    lo = K0_SERIES_MAX * 2.0 ** (j / K0_BUCKETS_PER_OCTAVE)
+    hi = K0_SERIES_MAX * 2.0 ** ((j + 1) / K0_BUCKETS_PER_OCTAVE)
+    h = min(0.25, 0.5 / math.sqrt(hi))
+    n = math.ceil(math.acosh(1.0 + 40.0 / lo) / h)
+    # cosh t - 1 = 2 sinh^2(t/2), without cancellation
+    return h, 2.0 * np.sinh(0.5 * h * np.arange(1, n + 1)) ** 2
+
+
+def bessel_k0(x):
+    """K_0(x) for x > 0, an array (an array) or a float (a float): within
+    1e-15 relative of 40-digit values on [1e-300, 700].  A value depends
+    on x alone, not on the array it comes in."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    low = flat < K0_SERIES_MAX
+    xl = flat[low]
+    u = xl * xl
+    i0 = np.zeros_like(u)
+    tail = np.zeros_like(u)
+    for a, b in zip(reversed(_I0_SERIES), reversed(_K0_SERIES)):
+        i0 = i0 * u + a
+        tail = tail * u + b
+    out[low] = tail - (np.log(0.5 * xl) + EULER_GAMMA) * i0
+    xh = flat[~low]
+    # bucket index as uint8, which numpy's stable argsort radix-sorts;
+    # past bucket 255 (x > 3e19) e^{-x} is 0 whatever the rule
+    bucket = np.minimum(K0_BUCKETS_PER_OCTAVE * np.log2(xh / K0_SERIES_MAX),
+                        255).astype(np.uint8)
+    order = np.argsort(bucket, kind="stable")
+    neg = -xh[order]
+    counts = np.bincount(bucket, minlength=256)
+    ends = np.cumsum(counts)
+    vals = np.empty_like(neg)
+    for j in np.flatnonzero(counts):
+        h, cosh1 = _k0_bucket_rule(int(j))
+        sl = slice(ends[j] - counts[j], ends[j])
+        acc = np.full(counts[j], 0.5)
+        term = np.empty(counts[j])
+        for c in cosh1:
+            acc += np.exp(np.multiply(neg[sl], c, out=term), out=term)
+        vals[sl] = h * np.exp(neg[sl]) * acc
+    high = np.empty_like(vals)
+    high[order] = vals
+    out[~low] = high
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def fresnel_leading(mu: float) -> complex:
@@ -109,6 +238,33 @@ def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,
 # LinearCotangent(2, rotation): Gaussian amplitude reductions
 
 
+# I(mu) integrates v over [0, V_MAX]: past it K_0(2 v) v is below 1e-50
+V_MAX = 60.0
+# the Gauss rules of G's J_0 side, c R < 800 needing at most 424 nodes.
+# A rule for each multiple of 16 would save a quarter of the J_0 points
+# but build 26 rules, 0.10-0.16 s in each process; these take 0.02 s.
+J0_RULE_NODES = (54, 108, 216, 432)
+
+
+def _graded_panels(mu: float):
+    """16-point Gauss nodes and weights of v in [0, V_MAX] on panels
+    graded for I(mu)'s integrand G(v / mu) K_0(2 v) v: eight geometric x4
+    panels down from mu and one on [0, mu 4^-8] for its v log v at 0,
+    sixteen equal ones on [mu, 64 mu] where G turns, and geometric x1.5
+    ones from 64 mu to V_MAX."""
+    top = math.ceil(math.log(V_MAX / (64.0 * mu)) / math.log(1.5))
+    edges = np.concatenate([
+        [0.0], mu * 4.0 ** -np.arange(8, 0, -1),
+        np.linspace(mu, 64.0 * mu, 17),
+        64.0 * mu * 1.5 ** np.arange(1, max(top, 0) + 1)])
+    edges = np.append(edges[edges < V_MAX], V_MAX)
+    t, w = gauss_legendre(16)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * t).ravel(),
+            (half[:, None] * w).ravel())
+
+
 @dataclass
 class Linrot2Oracle:
     """Oscillatory-integral oracle for J(q, p) = q1 p2 - q2 p1 with
@@ -119,23 +275,32 @@ class Linrot2Oracle:
     G(c) = int_0^{2 pi} bhat(c sin gamma) d gamma, and the radial Gaussian
     pair reduces to the Bessel kernel, leaving honest 1-D quadratures:
 
-        I(mu) = 2 pi * int_0^inf G(v / mu) K_0(2 v) v dv.
+        I(mu) = 2 pi * int_0^inf G(v / mu) K_0(2 v) v dv,
 
-    G has two exact forms, neither with a quad call.  The J_0 identity
-    int_0^{2 pi} cos(c x sin gamma) d gamma = 2 pi J_0(c x) gives
+    one composite 16-point Gauss pass over `_graded_panels(mu)` with
+    `bessel_k0`: within 1e-12 relative of the Hankel closed form
+    8 pi^2 mu^2 int_0^R b(x) / (x^2 + 4 mu^2) dx for 1e-4 <= mu <= 1e-2.
+
+    G has two exact forms, each one vectorised pass over an array of c.
+    The J_0 identity int_0^{2 pi} cos(c x sin gamma) d gamma =
+    2 pi J_0(c x) gives
 
         G(c) = 4 pi int_0^R b(x) J_0(c x) dx,
 
-    used for c < 2U on BumpHat's rule sized from c R.  u = c sin gamma
-    gives G(c) = 4 int_0^c bhat(u) (c^2 - u^2)^(-1/2) du, used for c >= 2U
-    on a bhat table over [0, U] built once, U = 400 / R; past U the hat of
-    the order-6 poly bump is below 1e-13 bhat(0).
+    used for c < 2U with `bessel_j0` on one Gauss rule of [0, R], the
+    first of J0_RULE_NODES with at least c R / 2 + 24 nodes: a Gauss rule
+    resolves the oscillation of J_0(c x) over [0, R] once its nodes pass
+    c R / 2, and the margin of 24 covers the poly bump (within 1.3e-13 of
+    a rule of c R + 64 panels for orders 2 to 40).  u = c sin gamma gives
+    G(c) = 4 int_0^c bhat(u) (c^2 - u^2)^(-1/2) du, used for c >= 2U on a
+    bhat table over [0, U] built at the first such c, U = 400 / R; past U
+    the hat of the order-6 poly bump is below 1e-13 bhat(0).
 
     L(X) = 2 int_0^inf cos(X v) rho(v) dv, the smeared limit's side, is
     the cosine transform of the pushforward density rho of J under the
     Gaussian: a table of rho built in one vectorised pass at the first
     l_alpha_batch call, summed by angle addition over its panels, with no
-    quad and no BumpHat call.
+    BumpHat call.
     """
 
     g_bump: Bump
@@ -143,27 +308,46 @@ class Linrot2Oracle:
     def __post_init__(self):
         self.bhat = BumpHat(self.g_bump)
         self.u_max = 400.0 / self.g_bump.radius
-        # bhat(u) turns like cos(u R) and U R = 400: 4 radians a panel
-        self._u, du = composite_gl(0.0, self.u_max, int(400.0 / 4.0) + 16)
-        self._bhat_du = self.bhat(self._u) * du
 
-    def angular(self, c: float) -> float:
-        """G(c) = int_0^{2pi} bhat(c sin g) dg (even in c)."""
-        c = abs(float(c))
-        if c < 2.0 * self.u_max:
-            x, fb = self.bhat.rule(c)
-            return 2.0 * math.pi * float(np.dot(j0(c * x), fb))
-        return 4.0 * float(np.dot(self._bhat_du,
-                                  1.0 / np.sqrt(c * c - self._u ** 2)))
+    @cached_property
+    def _bhat_table(self):
+        """(u, bhat(u) du) on [0, U], built at the first c >= 2U: the
+        smeared limit, which reads only the pushforward, never builds
+        it."""
+        # bhat(u) turns like cos(u R) and U R = 400: 4 radians a panel
+        u, du = composite_gl(0.0, self.u_max, int(400.0 / 4.0) + 16)
+        return u, self.bhat(u) * du
+
+    def angular(self, c):
+        """G(c) = int_0^{2pi} bhat(c sin g) dg, even in c, for a float c
+        (a float) or an array (an array)."""
+        c = np.abs(np.asarray(c, dtype=float))
+        flat = c.ravel()
+        out = np.empty_like(flat)
+        radius = self.g_bump.radius
+        low = flat < 2.0 * self.u_max
+        rule = np.searchsorted(J0_RULE_NODES, flat * radius / 2.0 + 24.0)
+        for k, n in enumerate(J0_RULE_NODES):
+            sel = low & (rule == k)
+            if not sel.any():
+                continue
+            x, dx = composite_gl(0.0, radius, 1, n)
+            block = bessel_j0(np.multiply.outer(flat[sel], x))
+            out[sel] = 4.0 * math.pi * np.einsum(
+                "ij,j->i", block, self.g_bump(x) * dx)
+        if not low.all():
+            u, bhat_du = self._bhat_table
+            high = flat[~low]
+            block = np.subtract.outer(high * high, u ** 2)
+            np.sqrt(block, out=block)
+            out[~low] = 4.0 * np.einsum("ij,j->i", 1.0 / block, bhat_du)
+        return out.reshape(c.shape) if c.ndim else float(out[0])
 
     def integral(self, mu: float) -> float:
-        def f(v):
-            return self.angular(v / mu) * k0(2.0 * v) * v
-        cut = 30.0 * mu
-        a = quad(f, 0.0, cut, limit=400)[0]
-        b = quad(f, cut, max(10.0, 200.0 * mu), limit=400)[0]
-        c = quad(f, max(10.0, 200.0 * mu), 60.0, limit=200)[0]
-        return 2.0 * math.pi * (a + b + c)
+        """I(mu) for one mu > 0."""
+        v, dv = _graded_panels(mu)
+        return 2.0 * math.pi * float(np.einsum(
+            "i,i->", self.angular(v / mu), bessel_k0(2.0 * v) * v * dv))
 
     def pushforward_density(self, v):
         """rho(v) = int delta(J - v) e^{-|eta|^2} d eta
@@ -186,14 +370,16 @@ class Linrot2Oracle:
         panels = np.maximum(2, np.ceil(span / 2.5)).astype(int)
         out = np.empty_like(v)
         # one rule per panel count, so each v gets the same rule whatever
-        # array it comes in
-        for n in np.unique(panels):
+        # array it comes in (counted with bincount: np.unique would import
+        # numpy.ma, 10 ms, at its first call)
+        for n in np.flatnonzero(np.bincount(panels.ravel())):
             sel = panels == n
             u, du = composite_gl(0.0, 1.0, int(n))
             t = lo[sel, None] + span[sel, None] * u
             e = np.exp(t)
             r = e + 0.25 * v[sel, None] ** 2 / e
-            out[sel] = np.einsum("ij,j->i", k0(2.0 * r) * r, du) * span[sel]
+            out[sel] = np.einsum("ij,j->i", bessel_k0(2.0 * r) * r,
+                                 du) * span[sel]
         return 4.0 * math.pi * out
 
     @cached_property

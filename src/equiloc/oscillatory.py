@@ -74,13 +74,23 @@ class CleanPhase:
     def validate(self):
         """Check the cleanness data: vanishing gradient on the base (to
         1e-8), nonsingular transversal Hessian, and H = psi - psi0 -
-        <s, Hess s>/2 vanishing to third order."""
+        <s, Hess s>/2 vanishing to third order.
+
+        The last is a two-scale test along s = 1e-4 (1, ..., 1): an H of
+        order 3 shrinks by 8 when s halves, a quadratic remainder by 4.
+        |H(s/2)| <= (3/16) |H(s)| + floor separates them whatever the size
+        of the cubic part; the floor admits round-off and a relative
+        error of 1e-6 in a finite-difference Hessian."""
+        s = np.full(self.rank, 1e-4)
         for node in self.nodes:
             hess = node_hessian(node, self.rank)
             if ldlt(hess).singular:
                 raise PhaseError("transversal Hessian singular at a node")
             h = _h_callable(node, hess, self.psi0)
-            if abs(h(np.full(self.rank, 1e-4))) > 1e-10:
+            scale = max(abs(float(x)) for row in hess.entries for x in row)
+            floor = (1e-6 * scale * float(s @ s) / 4.0
+                     + 16.0 * np.finfo(float).eps * abs(self.psi0))
+            if abs(h(s / 2.0)) > 3.0 / 16.0 * abs(h(s)) + floor:
                 raise PhaseError("H does not vanish to third order")
             psi = node.psi if node.psi_poly is None else node.psi_poly
             grad = [_partial(psi, _index(self.rank, a))

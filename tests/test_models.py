@@ -152,6 +152,33 @@ def test_lie_derivative_map():
     assert np.allclose(L, 0.0)           # commuting generators
 
 
+def _sum_generators(n, terms):
+    """sum of speed * rotation_generator(n, plane) over (plane, speed)."""
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for plane, speed in terms:
+        r = rotation_generator(n, plane, speed)
+        g = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(g, r)]
+    return g
+
+
+@pytest.mark.parametrize("model", [
+    make_model("linrot2"), make_model("linrot4"),
+    LinearCotangent(4, [_sum_generators(4, [((0, 2), 2), ((1, 3), -1)]),
+                        _sum_generators(4, [((0, 2), 1), ((1, 3), 3)])]),
+], ids=["linrot2", "linrot4", "mixed-speeds"])
+def test_flow_is_the_exponential_of_the_generator(model):
+    # the closed-form block rotation against scipy's matrix exponential
+    from scipy.linalg import expm
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        eta = rng.normal(size=2 * model.n)
+        x = rng.normal(size=model.k)
+        t = rng.uniform(-4.0, 4.0)
+        g = expm(t * model.generator_matrix(x))
+        want = np.concatenate([g @ eta[:model.n], g @ eta[model.n:]])
+        assert np.abs(model.flow(eta, x, t) - want).max() <= 1e-12
+
+
 def test_lie_derivative_flow_conjugation():
     # [X~, Y~]_eta by finite-difference flow conjugation for linear fields
     m = make_model("linrot4")

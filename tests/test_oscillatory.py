@@ -116,6 +116,29 @@ def test_clean_phase_validation_rejects_singular_hessian():
         point_phase(psi).validate()
 
 
+@pytest.mark.parametrize("c", [1, 50, 200])
+def test_clean_phase_validation_passes_any_cubic_size(c):
+    # psi = s^2/2 + c s^3 is clean; an absolute |H| <= 1e-10 at s = 1e-4
+    # rejected c = 200 (H = 2e-10)
+    psi = MPoly(1, {(2,): Fraction(1, 2), (3,): Fraction(c)})
+    point_phase(psi).validate()
+    CleanPhase(rank=1, psi0=0.0, nodes=[BaseNode(
+        weight=1.0, psi_num=lambda s: 0.5 * s[0] ** 2 + c * s[0] ** 3,
+        amp_num=lambda s: 1.0)]).validate()
+
+
+@pytest.mark.parametrize("q", [0.25, 1e-3])
+def test_clean_phase_validation_rejects_quadratic_remainder(q):
+    # q s|s| is odd, so the finite-difference Hessian misses it and H keeps
+    # it as a quadratic remainder, beside a cubic part 10 times larger at
+    # s = 1e-4 when q = 1e-3
+    node = BaseNode(weight=1.0, psi_num=lambda s: (
+        0.5 * s[0] ** 2 + q * s[0] * abs(s[0]) + s[0] ** 3),
+        amp_num=lambda s: 1.0)
+    with pytest.raises(PhaseError, match="third order"):
+        CleanPhase(rank=1, psi0=0.0, nodes=[node]).validate()
+
+
 def test_oracle_fresnel_truncated():
     b = Bump(radius=5.0, order=8, kind="plateau", flat=0.6)
     res = oscillatory_integral(lambda s: 0.5 * np.asarray(s) ** 2,

@@ -6,6 +6,10 @@ Sphere, CotangentCircle or LinearCotangent may only be the condition of
 an `if` whose body is a single `raise` (a refusal guard), and no string
 is compared with == or != to a kind of the registry MODELS.  What differs
 between models is a method or an attribute of its class.
+
+The package needs numpy only: no module imports scipy, at any depth, and
+importing them all loads no scipy module.  The tests keep scipy as an
+outside reference.
 """
 
 import ast
@@ -85,15 +89,64 @@ def test_the_guard_sees_ladders_and_spares_refusals(tmp_path):
         "sample.py:7 == 'linrot2'", "sample.py:7 == 'sphere'"]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # the oracles that need scipy are imported inside the model methods
-    # that call them; a module-level import would add scipy's start-up to
-    # every command
+def _scipy_modules_after(code: str):
+    """The scipy modules loaded in a fresh interpreter after `code`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, equiloc.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += ("; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return out.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the package needs numpy only; scipy's start-up would add about half a
+    # second to every command
+    assert _scipy_modules_after("import equiloc.cli") == "[]"
+
+
+def test_importing_every_module_loads_no_scipy():
+    names = ["equiloc"] + [f"equiloc.{path.stem}"
+                           for path in sorted(PACKAGE.glob("*.py"))
+                           if path.stem != "__init__"]
+    assert _scipy_modules_after(
+        "import " + ", ".join(names)) == "[]"
+
+
+def scipy_imports(path: Path):
+    """`file:line` of each import of scipy, at any depth of the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else []
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_no_module_imports_scipy():
+    sites = [s for path in sorted(PACKAGE.glob("*.py"))
+             for s in scipy_imports(path)]
+    assert sites == []
+
+
+def test_the_scipy_check_sees_lazy_imports(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import numpy, scipy\n"
+        "from .scipy_free import x\n"
+        "def flow(a):\n"
+        "    from scipy.linalg import expm\n"
+        "    if a:\n"
+        "        import scipy.special as sp\n"
+        "    return expm(a)\n")
+    assert scipy_imports(src) == ["sample.py:1", "sample.py:4",
+                                  "sample.py:6"]

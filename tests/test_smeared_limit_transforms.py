@@ -2,17 +2,15 @@
 
 phi-hat of the smearing kernel has a closed form, and the linrot2
 pushforward density is tabulated in one vectorised Gauss pass.  A
-`BumpHat` call or a scipy `quad` call on the smeared-limit path redoes, per
-eps or per table node, work whose answer is already known: phi-hat as one
-cosine product per eps, rho as one adaptive quadrature per node.  Each
-such call is counted here, through every binding the package holds.
+`BumpHat` call on the smeared-limit path redoes, per eps, work whose
+answer is already known: phi-hat as one cosine product per eps.  Each
+such call is counted here.  An adaptive quadrature per table node, once a
+scipy `quad` call, cannot come back: the package imports no scipy
+(tests/test_registry.py).
 """
-
-import sys
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from equiloc import oracles
 from equiloc.bumps import Bump, BumpHat
@@ -31,30 +29,19 @@ CASES = {
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of BumpHat.__call__ and of scipy's quad, by any binding in the
-    package.  The linrot2 oracle is built afresh before counting starts
-    (its angular bhat table is no part of the smeared limit), so its
-    pushforward table is built inside the counted call."""
+    """Calls of BumpHat.__call__.  The linrot2 oracle is built afresh
+    before counting starts, so its pushforward table is built inside the
+    counted call."""
     monkeypatch.setattr(oracles, "_LINROT2_CACHE", {})
     oracles.linrot2_oracle(PB)
-    seen = {"BumpHat": 0, "quad": 0}
+    seen = {"BumpHat": 0}
+    call = BumpHat.__call__
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            seen[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        seen["BumpHat"] += 1
+        return call(*args, **kwargs)
 
-    monkeypatch.setattr(BumpHat, "__call__",
-                        counted("BumpHat", BumpHat.__call__))
-    quad = scipy.integrate.quad
-    wrapped = counted("quad", quad)
-    monkeypatch.setattr(scipy.integrate, "quad", wrapped)
-    for name, module in list(sys.modules.items()):
-        if name == "equiloc" or name.startswith("equiloc."):
-            for key, value in list(vars(module).items()):
-                if value is quad:
-                    monkeypatch.setattr(module, key, wrapped)
+    monkeypatch.setattr(BumpHat, "__call__", counted)
     return seen
 
 
@@ -62,14 +49,14 @@ def counts(monkeypatch):
 def test_smeared_limit_calls_no_transform_quadrature(name, counts):
     model, rho = CASES[name]
     sm = smeared_limit(model, rho)
-    assert counts == {"BumpHat": 0, "quad": 0}
+    assert counts == {"BumpHat": 0}
     # the limit is still the reduced-space integral
     kw = kirwan_integral(model, rho)
     assert abs(sm.extrapolated - kw) <= 1e-2 * abs(kw)
 
 
 def test_the_counters_see_each_binding(counts):
-    # three quad calls through the oracles module's own binding
-    oracles.linrot2_oracle(PB).integral(1e-2)
+    # the bhat table of G(c) at c >= 2U, then a direct call
+    oracles.Linrot2Oracle(PB).angular(1e4)
     BumpHat(PB)(np.array([0.0, 1.0]))
-    assert counts == {"BumpHat": 1, "quad": 3}
+    assert counts == {"BumpHat": 2}
