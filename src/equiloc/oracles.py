@@ -10,16 +10,17 @@ stationary-phase expansion they are used to test.
 The two Bessel functions are numpy rules of their own, with no package
 formula in them: `bessel_j0` is a power series, the midpoint rule for
 the Bessel integral and Hankel's asymptotic series by range, and
-`bessel_k0` is the log series or the trapezoid rule for
-int_0^inf e^{-x cosh t} dt.  The planar-rotation oracle's I(mu) is one
-composite Gauss pass over graded panels.  The package needs numpy only.
+`bessel_k0` is the log series or, after u = 2 sqrt(x) sinh(t/2) in
+int_0^inf e^{-x cosh t} dt, one fixed trapezoid rule for all x >= 1.5.
+The planar-rotation oracle's I(mu) is one composite Gauss pass over
+graded panels.  The package needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -91,30 +92,20 @@ def bessel_j0(x):
 
 # K_0(x) = -(ln(x/2) + gamma) I_0(x) + sum_k H_k (x^2/4)^k / (k!)^2 below
 # K0_SERIES_MAX, I_0 = sum_k (x^2/4)^k / (k!)^2 and H_k the harmonic
-# numbers; at x = 2 the 16 terms leave 1e-27
-K0_SERIES_MAX = 2.0
+# numbers; at x = 1.5 the 16 terms leave 1e-30
+K0_SERIES_MAX = 1.5
 EULER_GAMMA = 0.57721566490153286
 _I0_SERIES = tuple(0.25 ** k / math.factorial(k) ** 2 for k in range(16))
 _K0_SERIES = tuple(c * sum(1.0 / j for j in range(1, k + 1))
                    for k, c in enumerate(_I0_SERIES))
-# from K0_SERIES_MAX on, K_0(x) = e^{-x} int_0^inf e^{-x (cosh t - 1)} dt
-# by the trapezoid rule, with one step per bucket
-# [2 * 2^(j/4), 2 * 2^((j+1)/4)) of x
-K0_BUCKETS_PER_OCTAVE = 4
-
-
-@lru_cache(maxsize=None)
-def _k0_bucket_rule(j: int):
-    """(h, cosh(t_k) - 1 at t_k = k h, k >= 1) of bucket j: the step
-    h = min(0.25, 0.5 / sqrt(x)) at the bucket's top, and the nodes cut
-    where x (cosh t - 1) > 40 at its bottom, what they drop being below
-    e^{-40} relative: 15 to 20 exponentials a point."""
-    lo = K0_SERIES_MAX * 2.0 ** (j / K0_BUCKETS_PER_OCTAVE)
-    hi = K0_SERIES_MAX * 2.0 ** ((j + 1) / K0_BUCKETS_PER_OCTAVE)
-    h = min(0.25, 0.5 / math.sqrt(hi))
-    n = math.ceil(math.acosh(1.0 + 40.0 / lo) / h)
-    # cosh t - 1 = 2 sinh^2(t/2), without cancellation
-    return h, 2.0 * np.sinh(0.5 * h * np.arange(1, n + 1)) ** 2
+# from K0_SERIES_MAX on, u = 2 sqrt(x) sinh(t/2) turns K_0(x) = int_0^inf
+# e^{-x cosh t} dt into e^{-x} int_0^inf e^{-u^2/2} (x + u^2/4)^{-1/2} du,
+# a Gaussian times a function analytic for |Im u| < 2 sqrt(x): one
+# trapezoid rule of step 0.4 on u_k = 0.4 k, k = 0..22 (the rest is below
+# e^{-40}), serves every x >= 1.5
+_K0_U = 0.4 * np.arange(23)
+_K0_W = 0.4 * np.exp(-0.5 * _K0_U ** 2)
+_K0_W[0] *= 0.5
 
 
 def bessel_k0(x):
@@ -134,26 +125,13 @@ def bessel_k0(x):
         tail = tail * u + b
     out[low] = tail - (np.log(0.5 * xl) + EULER_GAMMA) * i0
     xh = flat[~low]
-    # bucket index as uint8, which numpy's stable argsort radix-sorts;
-    # past bucket 255 (x > 3e19) e^{-x} is 0 whatever the rule
-    bucket = np.minimum(K0_BUCKETS_PER_OCTAVE * np.log2(xh / K0_SERIES_MAX),
-                        255).astype(np.uint8)
-    order = np.argsort(bucket, kind="stable")
-    neg = -xh[order]
-    counts = np.bincount(bucket, minlength=256)
-    ends = np.cumsum(counts)
-    vals = np.empty_like(neg)
-    for j in np.flatnonzero(counts):
-        h, cosh1 = _k0_bucket_rule(int(j))
-        sl = slice(ends[j] - counts[j], ends[j])
-        acc = np.full(counts[j], 0.5)
-        term = np.empty(counts[j])
-        for c in cosh1:
-            acc += np.exp(np.multiply(neg[sl], c, out=term), out=term)
-        vals[sl] = h * np.exp(neg[sl]) * acc
-    high = np.empty_like(vals)
-    high[order] = vals
-    out[~low] = high
+    acc = np.zeros_like(xh)
+    term = np.empty_like(xh)
+    # w_k / sqrt(x + u_k^2 / 4), accumulated in place
+    for uk, w in zip(_K0_U, _K0_W):
+        np.sqrt(np.add(xh, 0.25 * uk * uk, out=term), out=term)
+        acc += np.divide(w, term, out=term)
+    out[~low] = np.exp(-xh) * acc
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
@@ -293,8 +271,10 @@ class Linrot2Oracle:
     c R / 2, and the margin of 24 covers the poly bump (within 1.3e-13 of
     a rule of c R + 64 panels for orders 2 to 40).  u = c sin gamma gives
     G(c) = 4 int_0^c bhat(u) (c^2 - u^2)^(-1/2) du, used for c >= 2U on a
-    bhat table over [0, U] built at the first such c, U = 400 / R; past U
-    the hat of the order-6 poly bump is below 1e-13 bhat(0).
+    bhat table over [0, U] built at the first such c, U = 400 / R.  That
+    cut holds G to 1e-13 relative for poly bumps of order 6 and up (order
+    5 leaves 5e-13, order 2 2.2e-7), so any other bump raises
+    ModelError.
 
     L(X) = 2 int_0^inf cos(X v) rho(v) dv, the smeared limit's side, is
     the cosine transform of the pushforward density rho of J under the
@@ -306,6 +286,9 @@ class Linrot2Oracle:
     g_bump: Bump
 
     def __post_init__(self):
+        if self.g_bump.kind != "poly" or self.g_bump.order < 6:
+            raise ModelError("the planar rotation oracle needs a poly bump "
+                             "of order 6 or more")
         self.bhat = BumpHat(self.g_bump)
         self.u_max = 400.0 / self.g_bump.radius
 

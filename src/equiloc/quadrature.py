@@ -3,12 +3,12 @@
 The 1-D driver builds the phase table once per integral, splits it into
 zones at stationary points and sizes panels by accumulated phase
 variation; both refine passes read that table.  A monotone zone carrying
-more than FILON_THRESHOLD radians switches from Gauss panels to a
-Filon-type rule (phase substitution + Chebyshev amplitude interpolation
-against exact oscillatory moments), and one weight vector serves all its
-chunks.  Cells are reduced in a fixed pairwise order, so results are
-run-to-run identical.  One integral uses at most MAX_POINTS points, over
-both refine passes, Gauss panels and Filon chunks alike.
+more than _GUARD * refine radians (32 pi, then 64 pi) switches from Gauss
+panels to a Filon-type rule (phase substitution + Chebyshev amplitude
+interpolation against exact oscillatory moments), and one weight vector
+serves all its chunks.  Cells are reduced in a fixed pairwise order, so
+results are run-to-run identical.  One integral uses at most MAX_POINTS
+points, over both refine passes, Gauss panels and Filon chunks alike.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-FILON_THRESHOLD = 2.0 * math.pi  # per-cell phase variation before Filon
 FILON_CHUNK = 256.0 * math.pi     # phase length of one Filon chunk
 FILON_DEGREE = 10
 TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
@@ -227,7 +226,7 @@ def _osc_pass(amp, phase, mu, table, refine: int, budget: int):
     for i0, i1, kind in zones:
         lo, hi = float(s[i0]), float(s[i1])
         var = float(cum[i1] - cum[i0])
-        if kind == "gl" or var <= max(FILON_THRESHOLD, _GUARD) * refine:
+        if kind == "gl" or var <= _GUARD * refine:
             panels = max(1, int(var / math.pi) + 1) * refine
             npts += panels * PANEL_NODES
             work = lambda: panel_gauss(

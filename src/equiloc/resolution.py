@@ -98,6 +98,9 @@ def stratify(model) -> StratifyResult:
 # tau extent of the depth-1 chart domain, its crit sampler and the
 # resolved_leading tau grid
 TAU_RANGE = 4.2
+# central-difference step of `BlowupChart.normal_equations`; the
+# gradients only pick pivot columns, so they need no more accuracy
+NORMAL_STEP = 1e-7
 
 
 @dataclass
@@ -105,16 +108,22 @@ class BlowupChart:
     """One direction chart of the iterated monoidal transformation, a chart
     that carries Crit(psi_wk).
 
-    `psi_wk`/`psi_tot` evaluate the weak and total transforms,
-    `ambient_map` sends a chart point to (eta, X) upstairs, `conditions`
-    returns the residuals of (I)-(III), `normal_equations` their gradients
-    at one point, and `crit_sampler` and `crit_param` build points of
-    Crit(psi_wk).  Every callable broadcasts over leading axes: points of
-    shape (..., n) give values of shape (...) (`conditions` a dict of them,
-    `ambient_map` eta of shape (..., 2n) and X of shape (..., k)), and one
-    point gives floats.  `crit_sampler(rng, m)` returns an (m, n) array,
-    and `crit_batch` builds the eta coordinates of a whole (tau, theta, s)
-    grid of Crit(psi_wk) from broadcast views.
+    A chart declares its geometry: `psi_wk` the weak transform, `taus` its
+    exceptional-divisor coordinates ((tau,) at depth 1, (s1^2 s2, s1 s2)
+    at depth 2), `ambient_map` a chart point's (eta, X) upstairs,
+    `equations` the signed defining equations of Crit(psi_wk),
+    `conditions` the residuals of (I)-(III), and `crit_sampler`,
+    `crit_param` and `crit_batch` points of Crit(psi_wk).  The class
+    derives the rest: the total transform `psi_tot` = prod tau * psi_wk
+    and the gradients `normal_equations` of `equations` by central
+    differences; the Jacobian exponents are the chain's.
+
+    Every callable broadcasts over leading axes: points of shape (..., n)
+    give values of shape (...) (`taus` and `equations` tuples of them,
+    `conditions` a dict, `ambient_map` eta of shape (..., 2n) and X of
+    shape (..., k)), and one point gives floats.  `crit_sampler(rng, m)`
+    returns an (m, n) array, and `crit_batch` builds the eta coordinates
+    of a whole (tau, theta, s) grid of Crit(psi_wk) from broadcast views.
 
     The alpha chart, where the algebra direction is the projective unit,
     is no BlowupChart: psi_wk has no critical points there, so it only
@@ -124,14 +133,26 @@ class BlowupChart:
     label: str
     domain: tuple                       # per-coordinate (lo, hi)
     psi_wk: Callable
-    psi_tot: Callable
+    taus: Callable                      # points -> divisor coordinates
     ambient_map: Callable
-    jac_exponents: tuple
+    equations: Callable                 # points -> signed equations
     conditions: Callable                # points -> dict of named residuals
     crit_sampler: Callable              # rng, m -> (m, n) critical points
-    normal_equations: Callable          # point -> gradients of (I)-(III)
     crit_param: Optional[Callable] = None       # (tau, theta, s) -> point
     crit_batch: Optional[Callable] = None       # taus, thetas, svals -> eta
+
+    def psi_tot(self, pt):
+        """The total transform prod tau * psi_wk."""
+        pt = np.asarray(pt, dtype=float)
+        return _scalar_or_array(math.prod(self.taus(pt)) * self.psi_wk(pt))
+
+    def normal_equations(self, pt) -> List[np.ndarray]:
+        """Gradients of `equations` at one point, by central differences
+        of step NORMAL_STEP over every chart coordinate."""
+        pt = np.asarray(pt, dtype=float)
+        e = NORMAL_STEP * np.eye(len(pt))
+        return [(plus - minus) / (2 * NORMAL_STEP) for plus, minus in
+                zip(self.equations(pt + e), self.equations(pt - e))]
 
     def gradient(self, pt, h: float = 1e-6) -> np.ndarray:
         """Central differences of psi_wk; points of shape (..., n) give
@@ -216,14 +237,14 @@ def _charts_depth1(model: LinearCotangent,
             q = pt[..., 0, None] * _vdir(pt[..., 1])
             return np.concatenate([q, pt[..., 3:5]], axis=-1), pt[..., 2:3]
 
-        def psi_wk(pt, _vdir=vdir):
+        def equations(pt, _vdir=vdir):
             pt = np.asarray(pt, dtype=float)
             av = _vdir(pt[..., 1]) @ a.T
-            return _scalar_or_array(pt[..., 2] * np.vecdot(av, pt[..., 3:5]))
+            return pt[..., 2], np.vecdot(av, pt[..., 3:5])
 
-        def psi_tot(pt, _psi=psi_wk):
-            return _scalar_or_array(np.asarray(pt, dtype=float)[..., 0] *
-                                    _psi(pt))
+        def psi_wk(pt, _equations=equations):
+            """beta <A v, p>, the product of the defining equations."""
+            return _scalar_or_array(math.prod(_equations(pt)))
 
         def conditions(pt, _vdir=vdir):
             pt = np.asarray(pt, dtype=float)
@@ -257,34 +278,14 @@ def _charts_depth1(model: LinearCotangent,
             p = np.broadcast_to(ss * vv, (2,) + shape)
             return np.concatenate([q, p], axis=0)
 
-        def normal_equations(pt, _vdir=vdir):
-            """Gradients of the defining equations (I), (III) in chart
-            coordinates (tau, theta, beta, p0, p1)."""
-            tau, theta, beta, p0, p1 = map(float, pt)
-            v = _vdir(theta)
-            # derivative of v(theta), built numerically; exactness is not
-            # needed for pivoting
-            h = 1e-7
-            vp = _vdir(theta + h)
-            vm = _vdir(theta - h)
-            dv = (vp - vm) / (2 * h)
-            g1 = np.zeros(5)
-            g1[2] = 1.0                             # beta = 0
-            g2 = np.zeros(5)
-            g2[1] = float(np.dot(a @ dv, [p0, p1]))  # d theta
-            g2[3] = (a @ v)[0]
-            g2[4] = (a @ v)[1]
-            return [g1, g2]
-
         charts.append(BlowupChart(
             chain=chain, label=f"theta{rho}",
             domain=((-TAU_RANGE, TAU_RANGE), (-6.0, 6.0), (-2.0, 2.0),
                     (-6.0, 6.0), (-6.0, 6.0)),
-            psi_wk=psi_wk, psi_tot=psi_tot, ambient_map=ambient,
-            jac_exponents=tuple(chain.jacobian_exponents()),
+            psi_wk=psi_wk, taus=lambda pt: (pt[..., 0],),
+            ambient_map=ambient, equations=equations,
             conditions=conditions, crit_sampler=crit_sampler,
-            crit_param=crit_param, crit_batch=crit_batch,
-            normal_equations=normal_equations))
+            crit_param=crit_param, crit_batch=crit_batch))
     return charts
 
 
@@ -333,11 +334,6 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
             (pt[..., 5] * sinc)[..., None] * (v2(pt[..., 3]) @ a_beta.T)
         return _scalar_or_array(np.vecdot(vec, pt[..., 6:10]))
 
-    def psi_tot(pt):
-        pt = np.asarray(pt, dtype=float)
-        t1, t2 = taus(pt)
-        return _scalar_or_array(t1 * t2 * psi_wk(pt))
-
     def ambient(pt):
         pt = np.asarray(pt, dtype=float)
         t1, t2 = taus(pt)
@@ -347,15 +343,16 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
         return np.concatenate([t1[..., None] * mpoint(pt), pt[..., 6:10]],
                               axis=-1), xvec
 
-    def signed_residuals(pt):
+    def equations(pt):
+        """(alpha, beta, r2, r3), signed; r2 and r3 annihilate p."""
         pt = np.asarray(pt, dtype=float)
         p = pt[..., 6:10]
-        return (np.vecdot(mpoint(pt) @ a_alpha.T, p),
+        return (pt[..., 4], pt[..., 5], np.vecdot(mpoint(pt) @ a_alpha.T, p),
                 np.vecdot(v2(pt[..., 3]) @ a_beta.T, p))
 
     def conditions(pt):
         pt = np.asarray(pt, dtype=float)
-        r2, r3 = signed_residuals(pt)
+        _, _, r2, r3 = equations(pt)
         u = v2(pt[..., 3]) @ a_beta.T
         # the same rounding as np.linalg.norm of one vector
         return _residuals(np.abs(pt[..., 4]) + np.abs(pt[..., 5]) *
@@ -378,33 +375,12 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
         base[:, 6:10] = (proj @ z[..., None])[..., 0] * r[:, None]
         return base
 
-    def normal_equations(pt):
-        h = 1e-7
-        grads = []
-        g = np.zeros(10)
-        g[4] = 1.0
-        grads.append(g)                        # alpha = 0
-        g = np.zeros(10)
-        g[5] = 1.0
-        grads.append(g)                        # lambda(B) v = 0 <=> beta = 0
-        for which in (0, 1):
-            g = np.zeros(10)
-            for idx in (2, 3, 6, 7, 8, 9):
-                e = np.zeros(10)
-                e[idx] = h
-                g[idx] = (signed_residuals(pt + e)[which]
-                          - signed_residuals(pt - e)[which]) / (2 * h)
-            grads.append(g)
-        return grads
-
     return BlowupChart(
         chain=chain, label=f"theta-theta{rho}",
         domain=((-1, 1), (-1, 1), (0, 2 * math.pi), (-6, 6), (-2, 2),
                 (-2, 2), (-6, 6), (-6, 6), (-6, 6), (-6, 6)),
-        psi_wk=psi_wk, psi_tot=psi_tot, ambient_map=ambient,
-        jac_exponents=tuple(chain.jacobian_exponents()),
-        conditions=conditions, crit_sampler=crit_sampler,
-        normal_equations=normal_equations)
+        psi_wk=psi_wk, taus=taus, ambient_map=ambient, equations=equations,
+        conditions=conditions, crit_sampler=crit_sampler)
 
 
 def _circle_point(th1, i: int, j: int) -> np.ndarray:
@@ -588,7 +564,7 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     g0 = float(amplitude.g_factor(0.0))
     total_parts = []
     for chart in charts:
-        exp_surv = chart.jac_exponents[0] - kappa
+        exp_surv = chart.chain.jacobian_exponents()[0] - kappa
 
         def meas_ratio(t, theta, s):
             hh = transversal_hessian(chart, chart.crit_param(t, theta, s),

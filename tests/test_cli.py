@@ -295,6 +295,38 @@ def test_linrot2_singular_refuses_a_nonzero_sigma(tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))
 
 
+def test_linrot2_singular_refuses_a_bump_below_order_6(tmp_path, capsys):
+    # the oracle's bhat table stops at U = 400 / R, which leaves 1.2e-11
+    # of G for an order-4 bump, against the 1e-13 it promises
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"model": {"kind": "linrot2",
+                                         "bump": {"R": 1, "order": 4}}}))
+    assert run(["singular", "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "order 6 or more" in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("log_power", [None, 1.1, 1.3])
+def test_remainder_log_power_reports_the_bound_it_gates(
+        log_power, tmp_path, monkeypatch):
+    # the gate is one-sided, log power <= Lambda - 1 + 0.2; the report once
+    # gave Lambda - 1 as the tolerance, so 1.1 passed above its tolerance
+    import dataclasses
+
+    from equiloc import resolution
+    fit = resolution.order_fit
+    if log_power is not None:
+        monkeypatch.setattr(resolution, "order_fit", lambda pts: (
+            dataclasses.replace(fit(pts), log_power=log_power)))
+    code = run(["singular", "--model", "linrot2"], tmp_path)
+    cert, = [c for c in latest_report(tmp_path)["certificates"]
+             if c["name"] == "remainder_log_power"]
+    assert cert["tolerance"] == 1.2
+    assert cert["passed"] == (cert["value"] <= cert["tolerance"])
+    assert code == (0 if cert["passed"] else 2)
+
+
 @pytest.mark.parametrize("command", ["singular", "spexpand"])
 def test_cotangent_config_bump_reaches_the_oracle(command, tmp_path):
     # the T*S^1 sweep once kept the R = 1, order 6 g-profile whatever the

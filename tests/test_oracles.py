@@ -81,22 +81,67 @@ def test_bessel_rules_against_scipy():
     x = np.linspace(0.0, 800.0, 400_001)
     assert np.abs(bessel_j0(x) - j0(x)).max() <= 1e-13
     x = np.geomspace(1e-12, 700.0, 200_001)
-    assert np.abs(bessel_k0(x) / k0(x) - 1.0).max() <= 1e-13
+    assert np.abs(bessel_k0(x) / k0(x) - 1.0).max() <= 2e-15
     assert bessel_j0(-3.0) == bessel_j0(3.0) == float(bessel_j0([3.0])[0])
     assert bessel_k0(3.0) == float(bessel_k0(np.array([0.1, 3.0]))[1])
 
 
-def _angular_reference(c: float) -> float:
+def test_bessel_k0_against_40_digit_values():
+    # the docstring's bound, across the hand-over from the log series to
+    # the trapezoid rule at x = 1.5
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.geomspace(1e-300, 700.0, 500),
+                        np.linspace(1.0, 3.0, 201)])
+    with mpmath.workdps(40):
+        exact = [mpmath.besselk(0, mpmath.mpf(v)) for v in x]
+        rel = [abs(mpmath.mpf(v) / e - 1) for v, e in zip(bessel_k0(x),
+                                                            exact)]
+    assert float(max(rel)) <= 1e-15
+
+
+def test_bessel_k0_is_continuous_across_its_rule_change():
+    # the log series and the trapezoid rule meet at x = 1.5; K_0' = -K_1
+    # moves K_0 by 3e-16 relative an ulp there, so a jump between the
+    # rules would stand out
+    x = 1.5 + np.arange(-8, 9) * np.spacing(1.5)
+    k = bessel_k0(x)
+    assert np.abs(np.diff(k)).max() <= 1e-15 * k[8]
+    assert abs(k[8] / k0(1.5) - 1.0) <= 1e-15
+
+
+def _angular_reference(c: float, g_bump: Bump = G_BUMP) -> float:
     """G(c) = 4 pi int_0^R b(x) J_0(c x) dx on max(64, c R + 64) panels,
     summed 20,000 panels at a time."""
-    r = G_BUMP.radius
+    r = g_bump.radius
     panels = max(64, int(c * r) + 64)
     total = 0.0
     for lo in range(0, panels, 20_000):
         hi = min(panels, lo + 20_000)
         x, w = composite_gl(lo * r / panels, hi * r / panels, hi - lo)
-        total += float(np.dot(G_BUMP(x) * j0(c * x), w))
+        total += float(np.dot(g_bump(x) * j0(c * x), w))
     return 4.0 * math.pi * total
+
+
+@pytest.mark.parametrize("order", [6, 8])
+@pytest.mark.parametrize("c", [801.0, 2000.0, 20000.0])
+def test_linrot2_angular_past_the_bhat_cut_for_accepted_orders(order, c):
+    # past 2U the bhat table stops at U = 400 / R: against this reference
+    # order 6 leaves 9.0e-14 and order 8 7.5e-14, within the class
+    # docstring's 1e-13
+    g_bump = Bump(radius=1.0, order=order, kind="poly")
+    exact = _angular_reference(c, g_bump)
+    assert abs(linrot2_oracle(g_bump).angular(c) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("g_bump", [Bump(radius=1.0, order=5, kind="poly"),
+                                    Bump(radius=2.0, order=2, kind="poly"),
+                                    Bump(radius=1.0, order=8)])
+def test_linrot2_oracle_refuses_a_bump_its_cut_cannot_serve(g_bump):
+    # past 2U order 5 is off by 5.2e-13 and order 2 by 2.2e-7; a plateau
+    # bump's hat was never measured against the cut
+    from equiloc.models import ModelError
+    with pytest.raises(ModelError, match="order 6"):
+        oracles.Linrot2Oracle(g_bump)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 59.9, 60.0, 61.0, 799.0, 800.0,

@@ -7,8 +7,9 @@ import pytest
 from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
-from equiloc.resolution import (ALPHA_DOMAIN, alpha_grad_norm,
-                                build_charts, crit_conditions,
+from equiloc.resolution import (ALPHA_DOMAIN, _pivot_columns,
+                                alpha_grad_norm, build_charts,
+                                crit_conditions,
                                 crit_equivalence_scan,
                                 direct_leading, factorization_check,
                                 resolution_certificate, resolved_leading,
@@ -59,6 +60,75 @@ def test_factorization_identity():
     charts4 = build_charts(m4, stratify(m4).chains[0])
     for chart in charts4:
         assert factorization_check(chart, m4, rng, n=1000) <= 1e-12
+
+
+def _dropped(taus, k):
+    return lambda pt: tuple(t for i, t in enumerate(taus(pt)) if i != k)
+
+
+def _flipped(taus, k):
+    return lambda pt: tuple(-t if i == k else t
+                            for i, t in enumerate(taus(pt)))
+
+
+@pytest.mark.parametrize("mutate", [_dropped, _flipped])
+def test_factorization_check_sees_each_divisor_factor(mutate):
+    # psi_tot is derived from the chart's taus, so the certificate tests
+    # psi o pi against the declared divisors: drop or negate one and it
+    # goes red on every chart
+    models = {1: make_model("linrot2"), 2: make_model("linrot4")}
+    for chart in _all_charts():
+        model = models[chart.chain.depth]
+        assert factorization_check(chart, model, np.random.default_rng(3),
+                                   n=500) <= 1e-12
+        for k in range(chart.chain.depth):
+            bad = dataclasses.replace(chart, taus=mutate(chart.taus, k))
+            assert factorization_check(bad, model, np.random.default_rng(3),
+                                       n=500) > 1e-12
+
+
+def _closed_form_rows(chart, pt):
+    """The gradients of (I)-(III) written out by hand: at depth 1 e_beta
+    and (0, <A v'(theta), p>, 0, (A v)_0, (A v)_1), at depth 2 e_alpha,
+    e_beta and the central differences of r2, r3 over (th1, phi, p)."""
+    n = len(pt)
+    if chart.chain.depth == 1:
+        rho = int(chart.label[-1])
+        theta = pt[1]
+        norm = math.sqrt(1.0 + theta * theta)
+        v, dv = np.empty(2), np.empty(2)
+        v[rho], v[1 - rho] = 1.0 / norm, theta / norm
+        dv[rho], dv[1 - rho] = -theta / norm ** 3, 1.0 / norm ** 3
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        row = np.zeros(n)
+        row[1] = (a @ dv) @ pt[3:5]
+        row[3:5] = a @ v
+        return [np.eye(n)[2], row]
+    rows = [np.eye(n)[4], np.eye(n)[5]]
+    h = 1e-7
+    for which in (2, 3):
+        row = np.zeros(n)
+        for idx in (2, 3, 6, 7, 8, 9):
+            e = np.zeros(n)
+            e[idx] = h
+            row[idx] = (chart.equations(pt + e)[which] -
+                        chart.equations(pt - e)[which]) / (2 * h)
+        rows.append(row)
+    return rows
+
+
+def test_normal_equations_match_the_closed_form_gradients():
+    rng = np.random.default_rng(23)
+    for chart in _all_charts():
+        for pt in chart.crit_sampler(rng, 40):
+            got = chart.normal_equations(pt)
+            want = _closed_form_rows(chart, pt)
+            # the s-columns of r2 and r3 vanish on Crit(psi_wk), so
+            # differencing every coordinate gives the hand-built rows and
+            # picks their pivot columns
+            assert len(got) == len(want)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-6
+            assert _pivot_columns(got) == _pivot_columns(want)
 
 
 def test_weak_transform_survives_divisor():
