@@ -245,9 +245,11 @@ def _cmd_localize(model, cfg: RunConfig):
 
 
 def _cmd_residue(model, cfg: RunConfig):
-    from .localization import (EquivariantForm, NoFixedPointsError,
-                               jk_residue, kirwan_integral,
-                               pairing_constant, smeared_limit)
+    from .localization import (CALIBRATION_MODEL, SMEAR_EPS,
+                               EquivariantForm, NoFixedPointsError,
+                               calibration_limit, jk_residue,
+                               kirwan_integral, pairing_constant,
+                               smeared_limit)
     results = {}
     certs = []
     rho = EquivariantForm(density=model.residue_density)
@@ -264,7 +266,12 @@ def _cmd_residue(model, cfg: RunConfig):
         results["note"] = str(exc)
         route = "smeared_limit"
     results["route"] = route
-    sm = smeared_limit(model, rho, eps_list=cfg.eps_list)
+    if (dict(CALIBRATION_MODEL, **cfg.model) == CALIBRATION_MODEL
+            and rho == EquivariantForm()
+            and tuple(cfg.eps_list) == SMEAR_EPS):
+        sm = calibration_limit()    # shared with --calibrate
+    else:
+        sm = smeared_limit(model, rho, eps_list=cfg.eps_list)
     kw = kirwan_integral(model, rho)
     results["smeared"] = sm.extrapolated
     results["kirwan"] = kw

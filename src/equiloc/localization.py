@@ -174,9 +174,9 @@ def l_alpha(model, rho: EquivariantForm, x):
 # smeared limits and the reduced-space pairing
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmearedResult:
-    values: List[Tuple[float, float]]
+    values: Tuple[Tuple[float, float], ...]
     extrapolated: float
     converged: bool
 
@@ -196,11 +196,11 @@ def default_kernel() -> SmearingKernel:
 
 
 SMEAR_X_MAX = 600.0     # the smeared limit integrates |X| <= SMEAR_X_MAX
+SMEAR_EPS = (0.2, 0.1, 0.05, 0.025)     # the default eps ladder
 
 
 def smeared_limit(model, rho: EquivariantForm,
-                  eps_list: Sequence[float] = (0.2, 0.1, 0.05, 0.025)
-                  ) -> SmearedResult:
+                  eps_list: Sequence[float] = SMEAR_EPS) -> SmearedResult:
     """<F_g L, phi_eps> = int L(X) phi_hat(eps X) dX over |X| <= SMEAR_X_MAX
     at each eps, with phi the default smearing kernel, then Richardson
     extrapolation with the even-kernel O(eps^2) ansatz."""
@@ -218,7 +218,7 @@ def smeared_limit(model, rho: EquivariantForm,
     while len(seq) > 1:
         seq = [(4.0 * b - a) / 3.0 for a, b in zip(seq[:-1], seq[1:])]
     converged = abs(seq[0] - vals[-1][1]) < 0.05 * (1 + abs(seq[0]))
-    return SmearedResult(values=vals, extrapolated=float(seq[0]),
+    return SmearedResult(values=tuple(vals), extrapolated=float(seq[0]),
                          converged=converged)
 
 
@@ -246,13 +246,27 @@ class CalibrationStamp:
                 "model": self.model}
 
 
+CALIBRATION_MODEL = {"kind": "sphere", "radius": 1}
+
+
+@lru_cache(maxsize=1)
+def calibration_limit() -> SmearedResult:
+    """The smeared limit of the calibration: the area form of the unit
+    sphere (CALIBRATION_MODEL) on the default SMEAR_EPS ladder.  It is
+    computed once per process and the one (frozen) result is shared, so
+    `residue --model sphere --calibrate` builds the 2,048-node profile
+    once."""
+    return smeared_limit(Sphere(CALIBRATION_MODEL["radius"]),
+                         EquivariantForm())
+
+
 def calibrate() -> CalibrationStamp:
     """Fix the transform normalization on the unit-sphere oracle: the
     smeared limit of the area form must equal 4 pi^2, while the exact
     residue side gives 2 pi; the ratio is the pairing constant."""
-    sphere = Sphere(1)
+    sphere = Sphere(CALIBRATION_MODEL["radius"])
     rho = EquivariantForm()
-    sm = smeared_limit(sphere, rho)
+    sm = calibration_limit()
     res = jk_residue(sphere, rho, (1,))
     exact_side = float(res) * sphere.group.vol_g / (
         sphere.group.weyl_order * sphere.group.vol_t)

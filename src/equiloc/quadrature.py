@@ -9,6 +9,10 @@ interpolation against exact oscillatory moments), and one weight vector
 serves all its chunks.  Cells are reduced in a fixed pairwise order, so
 results are run-to-run identical.  One integral uses at most MAX_POINTS
 points, over both refine passes, Gauss panels and Filon chunks alike.
+
+The 2-D and 3-D tensor rule streams its grid in blocks of TENSOR_BLOCK
+points, whole rows along the last axis, so it holds one block and one axis
+at a time; its budget still counts every grid point.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ FILON_DEGREE = 10
 TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
 PANEL_NODES = 16                  # Gauss nodes per panel of panel_gauss
 MAX_POINTS = 6_000_000            # point budget of one oscillatory integral
+TENSOR_BLOCK = 1 << 14            # grid points per tensor-rule evaluation
 GL_NEWTON_STEPS = 10              # Newton steps before gauss_legendre raises
 
 
@@ -42,7 +47,9 @@ class QuadResult:
     7.6e-8 to 7.2e-7 against a true error of 1.0e-9 to 1.9e-8).
     `converged` is error <= 1e-7 (1 + |value|), so it can read False on an
     accurate value.  The tensor rule sets the nominal error
-    1e-6 |value|, not an estimate, and always reports converged."""
+    1e-6 |value|, not an estimate, and always reports converged; its
+    `points` is the full grid count, although the grid is streamed in row
+    blocks and never held whole."""
     value: complex
     error: float
     converged: bool
@@ -197,10 +204,17 @@ def _zone_table(phase, a, b, mu):
     _GUARD radians of a stationary point (sign change of psi'); the
     "mono" zones between them are monotone in psi."""
     s, psi = _phase_table(phase, a, b, mu)
-    dpsi = np.gradient(psi, s)
-    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(psi)))]) / mu
     last = len(s) - 1
-    stat = cum[1:][np.diff(np.sign(dpsi)) != 0]
+    dpsi = np.gradient(psi, (b - a) / last)     # s is a uniform linspace
+    # np.sign, not signbit: an exact zero of psi' borders a sign change
+    flips = np.flatnonzero(np.diff(np.sign(dpsi)))
+    cum = np.empty_like(psi)        # built in place: no n-sized temporaries
+    cum[0] = 0.0
+    np.subtract(psi[1:], psi[:-1], out=cum[1:])
+    np.abs(cum, out=cum)
+    np.cumsum(cum, out=cum)
+    cum /= mu
+    stat = cum[flips + 1]
     ends = [(0, None)]      # (end index, kind) of each zone in turn
     for lo, hi in np.searchsorted(cum, [stat - _GUARD, stat + _GUARD]
                                   ).T.tolist():
@@ -290,7 +304,15 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
                        domain: Sequence, mu: float) -> QuadResult:
     """Tensor-product rule for 2 <= dim <= 3: grid sized per axis by the
     phase variation so each cell stays below the Gauss threshold, within
-    the MAX_POINTS budget."""
+    the MAX_POINTS budget, which counts every grid point and is checked
+    before any of them is built.
+
+    The grid, in C order, is a stack of rows along the last axis.  It is
+    evaluated TENSOR_BLOCK points at a time (at least one row): a block
+    of rows r has the weights w_lead[r] (x) w_last, where w_lead is the
+    product of the leading axes' weights, and is reduced by einsum, which
+    stays single-threaded.  The block sums are combined pairwise, so
+    memory is O(block + one axis) and `points` is the full grid count."""
     dims = len(domain)
     probe = [np.linspace(lo, hi, 9) for lo, hi in domain]
     mesh = np.meshgrid(*probe, indexing="ij")
@@ -313,14 +335,23 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
             f"tensor oscillatory grid of {total} points over budget")
     axes_pts, axes_w = zip(*(composite_gl(lo, hi, c, n)
                              for (lo, hi), c in zip(domain, counts)))
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh])
-    wts = np.ones(pts.shape[1])
-    for ax in range(dims):
-        mw = np.meshgrid(*[axes_w[i] if i == ax else np.ones_like(axes_w[i])
-                           for i in range(dims)], indexing="ij")[ax]
-        wts = wts * mw.ravel()
-    vals = np.asarray(amp(pts), dtype=complex) * np.exp(
-        1j * np.asarray(phase(pts)) / mu)
-    value = complex(np.dot(vals, wts))
-    return QuadResult(value, abs(value) * 1e-6, True, pts.shape[1])
+    lead = tuple(len(x) for x in axes_pts[:-1])
+    x_last, w_last = axes_pts[-1], axes_w[-1]
+    nrows, width = math.prod(lead), len(x_last)
+    step = max(1, TENSOR_BLOCK // width)
+    sums = []
+    for r0 in range(0, nrows, step):
+        rows = np.unravel_index(np.arange(r0, min(r0 + step, nrows)), lead)
+        pts = np.empty((dims, len(rows[0]), width))
+        w_lead = np.ones(len(rows[0]))
+        for ax, idx in enumerate(rows):
+            pts[ax] = axes_pts[ax][idx, None]
+            w_lead *= axes_w[ax][idx]
+        pts[-1] = x_last
+        pts = pts.reshape(dims, -1)
+        vals = np.asarray(amp(pts), dtype=complex) * np.exp(
+            1j * np.asarray(phase(pts)) / mu)
+        sums.append(np.einsum("ij,i,j->", vals.reshape(-1, width), w_lead,
+                              w_last))
+    value = complex(pairwise_sum(sums))
+    return QuadResult(value, abs(value) * 1e-6, True, total)

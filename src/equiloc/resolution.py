@@ -640,10 +640,11 @@ class SweepReport:
 def singular_sweep(model, amplitude: Amplitude, mus: Sequence[float],
                    sigma: float = 0.0) -> SweepReport:
     """The model's oracle I(mu) against (2 pi mu)^kappa L0 with the
-    remainder fit."""
+    remainder fit.  The oracle runs first, so an amplitude it refuses
+    costs no direct_leading work."""
     kappa = model.group.kappa
-    l0 = direct_leading(model, amplitude, sigma=sigma)
     vals = model.sweep_oracle(amplitude, mus, sigma)
+    l0 = direct_leading(model, amplitude, sigma=sigma)
     lam = stratify(model).lam
     rows = []
     for mu, val in zip(mus, vals):

@@ -307,6 +307,46 @@ def test_linrot2_singular_refuses_a_bump_below_order_6(tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))
 
 
+def test_linrot2_oracle_refuses_the_bump_before_direct_leading(
+        tmp_path, monkeypatch):
+    from equiloc import resolution
+
+    def never(*args, **kwargs):
+        raise AssertionError("direct_leading ran before the oracle")
+
+    monkeypatch.setattr(resolution, "direct_leading", never)
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"model": {"kind": "linrot2",
+                                         "bump": {"R": 1, "order": 4}}}))
+    assert run(["singular", "--config", str(cfg)], tmp_path) == 4
+
+
+@pytest.mark.parametrize("model,limits", [
+    ({"kind": "sphere"}, 1),
+    ({"kind": "sphere", "radius": 2}, 2),
+])
+def test_residue_calibrate_computes_the_unit_sphere_limit_once(
+        model, limits, tmp_path, monkeypatch):
+    from equiloc import localization
+    calls = []
+    smeared_limit = localization.smeared_limit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smeared_limit(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "smeared_limit", counted)
+    localization.calibration_limit.cache_clear()
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    assert run(["residue", "--config", str(cfg), "--calibrate"],
+               tmp_path) == 0
+    assert len(calls) == limits
+    stamp = json.loads((tmp_path / "calibration.json").read_text())
+    smeared = latest_report(tmp_path)["results"]["smeared"]
+    assert (smeared == stamp["measured"]) == (limits == 1)
+
+
 @pytest.mark.parametrize("log_power", [None, 1.1, 1.3])
 def test_remainder_log_power_reports_the_bound_it_gates(
         log_power, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ ZONE_PHASES = {
 
 @pytest.mark.parametrize("name", sorted(ZONE_PHASES))
 @pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3, 1e-4])
-def test_zones_tile_the_table(name, mu):
+def test_zones_tile_the_table(name, mu, monkeypatch):
     phase, dphase, (a, b) = ZONE_PHASES[name]
     s, psi, dpsi, cum, zones = quadrature._zone_table(phase, a, b, mu)
     assert zones[0][0] == 0 and zones[-1][1] == len(s) - 1
@@ -168,6 +169,12 @@ def test_zones_tile_the_table(name, mu):
     assert again[4] == zones
     for x, y in zip(again[:4], (s, psi, dpsi, cum)):
         assert np.array_equal(x, y)
+    # psi' by the table's scalar spacing gives the zones of the
+    # non-uniform-spacing gradient np.gradient(psi, s); at mu = 1e-3 the
+    # Fresnel flip at s = 0 moves by one table cell and the zones do not
+    grad = np.gradient
+    monkeypatch.setattr(np, "gradient", lambda f, h: grad(f, s))
+    assert quadrature._zone_table(phase, a, b, mu)[4] == zones
 
 
 def test_one_table_per_integral_and_one_solve_per_filon_zone(monkeypatch):
@@ -233,3 +240,101 @@ def test_points_charged_are_the_points_evaluated(monkeypatch):
     # 18,354 then 42,978: the fine pass halves every cell and has 13 Filon
     # nodes per chunk against 11
     assert evaluated[1] > 2 * evaluated[0]
+
+
+# separable factors a_i(x_i) e^{i p_i(x_i)/mu} of the tensor-rule tests
+SEPARABLE = [(lambda x: 1.0 / (1.0 + x * x), lambda x: 3.0 * x),
+             (lambda y: np.cos(y) + 2.0, lambda y: 0.5 * y * y),
+             (lambda z: np.exp(-z * z), lambda z: np.sin(2.0 * z))]
+
+
+@pytest.mark.parametrize("domain,mu", [
+    ([(-1.0, 1.3), (-2.0, 2.0)], 0.05),
+    ([(-1.0, 1.3), (-2.0, 2.0), (-1.5, 0.5)], 0.2),
+])
+def test_tensor_rule_of_a_separable_integrand_is_the_product(domain, mu,
+                                                             monkeypatch):
+    """On a separable integrand the tensor rule is the product of the 1-D
+    sums on its own axes, block boundaries and all."""
+    axes = []
+
+    def recorded(*args):
+        axes.append(composite_gl(*args))
+        return axes[-1]
+
+    monkeypatch.setattr(quadrature, "composite_gl", recorded)
+    factors = SEPARABLE[:len(domain)]
+    res = quadrature.tensor_oscillatory(
+        lambda p: math.prod(a(x) for (a, _), x in zip(factors, p)),
+        lambda p: sum(ph(x) for (_, ph), x in zip(factors, p)),
+        domain, mu)
+    sizes = [len(x) for x, _ in axes]
+    assert len(sizes) == len(domain)
+    # the rows along the last axis end in a partial block
+    rows, per_block = math.prod(sizes[:-1]), \
+        quadrature.TENSOR_BLOCK // sizes[-1]
+    assert rows > per_block and rows % per_block != 0
+    assert res.points == math.prod(sizes)
+    assert all(n % 8 == 0 for n in sizes)     # counts x 8 Gauss nodes
+    product = math.prod(complex(np.sum(w * a(x) * np.exp(1j * ph(x) / mu)))
+                        for (x, w), (a, ph) in zip(axes, factors))
+    assert abs(res.value - product) <= 1e-12 * abs(product)
+
+
+def _saddle():
+    """amp and phase of `spexpand --model saddle`."""
+    bump = Bump(radius=2.5, order=4, kind="poly")
+    return (lambda s: bump(np.sqrt(s[0] ** 2 + s[1] ** 2)),
+            lambda s: 0.5 * (s[0] ** 2 - s[1] ** 2))
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes that tracemalloc saw allocated during it)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_budget_raises_before_any_grid_is_built(monkeypatch):
+    # 2,534,464 points at mu = 0.02; the grid alone would take 20 MB
+    amp, phase = _saddle()
+    called = []
+    monkeypatch.setattr(quadrature, "MAX_POINTS", 10_000)
+    info, peak = _traced_peak(lambda: pytest.raises(
+        quadrature.BudgetExceeded, quadrature.tensor_oscillatory,
+        lambda s: called.append(s) or amp(s), phase,
+        [(-2.5, 2.5), (-2.5, 2.5)], 0.02))
+    info.match("2534464 points")
+    assert called == []
+    assert peak < 256 * 1024
+
+
+def test_tensor_rule_streams_the_saddle_grid():
+    """The saddle at mu = 0.02 is 2,534,464 points; holding one float per
+    point would take 20 MB, the grid's points and values together 81 MB."""
+    amp, phase = _saddle()
+    res, peak = _traced_peak(lambda: quadrature.tensor_oscillatory(
+        amp, phase, [(-2.5, 2.5), (-2.5, 2.5)], 0.02))
+    assert res.points == 2_534_464
+    assert peak < 16e6
+    # the value the full-grid rule gave, to round-off
+    assert abs(res.value - 0.12563282460636874) <= 1e-14
+
+
+def test_fresnel_table_memory_and_value_at_the_smallest_benchmark_mu():
+    """The Fresnel phase table at mu = 10^-3.5 has 2 million points; the
+    engine holds s, psi, psi' and the accumulated variation of it.  The
+    value is pinned to round-off against the one the rule gave with psi'
+    from the non-uniform-spacing gradient (its true error, 1e-9 to 1e-8,
+    is too large to pin round-off)."""
+    bump = Bump(radius=20.0, order=4, kind="poly")
+    res, peak = _traced_peak(lambda: oscillatory_quad_1d(
+        bump, lambda s: 0.5 * np.asarray(s) ** 2, -20.0, 20.0,
+        3.1622776601683795e-4))
+    assert peak < 100e6
+    recorded = 0.03151928076980441 + 0.03151908284092822j
+    assert abs(res.value - recorded) <= 1e-12 * abs(recorded)
+    assert res.points == 61_332
