@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -11,12 +12,29 @@ from .quadrature import composite_gl
 
 
 def _smoothstep_coeffs(m: int):
-    # antiderivative of t^m (1-t)^m, normalized so S(1) = 1
-    coeffs = {}
+    """Horner coefficients, highest degree first, of the smoothstep
+    S(t) = int_0^t s^m (1-s)^m ds / B(m+1, m+1): exact rationals, each
+    rounded to float once."""
+    beta = Fraction(math.factorial(m) ** 2, math.factorial(2 * m + 1))
+    coeffs = [0.0] * (2 * m + 2)
     for k in range(m + 1):
-        coeffs[m + k + 1] = ((-1) ** k * math.comb(m, k)) / (m + k + 1)
-    total = sum(coeffs.values())
-    return {p: c / total for p, c in coeffs.items()}
+        coeffs[m - k] = float(Fraction((-1) ** k * math.comb(m, k),
+                                       m + k + 1) / beta)
+    return tuple(coeffs)
+
+
+def _smoothstep(t, coeffs):
+    """S(t) for t in [0, 1] by one Horner pass; t > 1/2 through
+    S(t) = 1 - S(1 - t), which keeps the alternating sum away from the
+    cancellation near t = 1."""
+    flip = t > 0.5
+    r = np.where(flip, 1.0 - t, t)
+    acc = np.full_like(r, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= r
+        if c:
+            acc += c
+    return np.where(flip, 1.0 - acc, acc)
 
 
 class Bump:
@@ -46,17 +64,17 @@ class Bump:
             out = np.where(u < 1.0, (1.0 - np.minimum(u, 1.0) ** 2)
                            ** self.order, 0.0)
             return out
-        t = (1.0 - u) / (1.0 - self.flat)
-        t = np.clip(t, 0.0, 1.0)
-        s = np.zeros_like(t)
-        for p, c in self._steps.items():
-            s += c * t ** p
-        s = np.where(u <= self.flat, 1.0, s)
-        return np.where(u < 1.0, s, 0.0)
+        # 1 on the plateau, 0 outside; the smoothstep on the band only
+        u = np.asarray(u)
+        out = np.where(u <= self.flat, 1.0, 0.0)
+        band = (u > self.flat) & (u < 1.0)
+        out[band] = _smoothstep((1.0 - u[band]) / (1.0 - self.flat),
+                                self._steps)
+        return out
 
     def mass(self) -> float:
         x, dx = composite_gl(-self.radius, self.radius, 64)
-        return float(self(x) @ dx)
+        return float(np.einsum("i,i->", self(x), dx))
 
 
 BASE_PANELS = 64    # panels of [0, R] of every call with max|w| R below 196

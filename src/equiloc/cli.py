@@ -68,6 +68,23 @@ _SCHEMA = {
                     "an object or null"),
 }
 
+# model.bump field -> (test, what it must be); an absent field keeps the
+# catalog default
+_BUMP_SCHEMA = {
+    "R": (lambda v: _number(v) and 0 < v < math.inf, "a finite number > 0"),
+    "order": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
+}
+
+
+def _bump_problems(bump) -> List[str]:
+    if bump is None:
+        return []
+    if not isinstance(bump, dict):
+        return ["model.bump: must be an object"]
+    return [f"model.bump.{name}: must be {what}"
+            for name, (ok, what) in _BUMP_SCHEMA.items()
+            if name in bump and not ok(bump[name])]
+
 
 @dataclass
 class RunConfig:
@@ -92,6 +109,8 @@ class RunConfig:
             problems.append(f"command: unknown {self.command!r}")
         if not isinstance(self.model, dict) or "kind" not in self.model:
             problems.append("model: must be an object with a 'kind'")
+        else:
+            problems += _bump_problems(self.model.get("bump"))
         for name, (ok, what) in _SCHEMA.items():
             if not ok(getattr(self, name)):
                 problems.append(f"{name}: must be {what}")

@@ -7,6 +7,10 @@ with the area form, the smeared limit of the transformed distribution must
 equal 4 pi^2.  With the transform convention of piecewise.py this fixes the
 pairing constant to (2 pi)^{d_T} * vol G / (|W| vol T); `calibrate`
 recomputes the smeared side by quadrature and returns the measured ratio.
+
+The smeared limit's X-integrals and the L(X) and reduced-space sums it
+calls are np.einsum contractions on the calling thread; none enters the
+BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -211,7 +215,7 @@ def smeared_limit(model, rho: EquivariantForm,
     vals = []
     for eps in eps_list:
         integrand = lvals * np.asarray(kernel.phi_hat(eps * nodes), float)
-        v = float(np.dot(integrand, wts))
+        v = float(np.einsum("i,i->", integrand, wts))
         vals.append((eps, 2.0 * v))
     seq = [v for _, v in vals]
     # Richardson on the eps^2 ladder (eps halves along the list)

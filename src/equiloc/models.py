@@ -13,6 +13,12 @@ Three families:
 Conventions: generators are declared orthonormal in the Lie algebra, so a
 2*pi-periodic rotation circle has volume 2*pi; orbit volumes and the Gram
 matrix of the fundamental fields are exact rationals at rational points.
+
+The weighted sums over many points (the cosine and sine sums of L(X) in
+MomentumProfile, the chunks of reduced_integral) are np.einsum
+contractions, which run on the calling thread and never enter the BLAS
+thread pool; BLAS products remain only for one point's generator
+algebra.
 """
 
 from __future__ import annotations
@@ -117,6 +123,12 @@ def _fold(s, a):
             a[half:] - a[half - 1::-1])
 
 
+def _weigh(table, weights):
+    """table . weights over the last axis of a C-order table, by einsum:
+    one thread, never the BLAS pool."""
+    return np.einsum("...j,j->...", table, weights)
+
+
 @dataclass
 class MomentumProfile:
     """Nodes s along J and weights (a, b) with L(X) / scale =
@@ -135,10 +147,11 @@ class MomentumProfile:
         arg = np.multiply.outer(x, pos)
         sin = np.sin(arg)
         cos = np.cos(arg, out=arg)
-        re, im = cos @ a_even, sin @ a_odd
+        re, im = _weigh(cos, a_even), _weigh(sin, a_odd)
         if self.b is not None:
             _, b_even, b_odd = _fold(self.s, self.b)
-            re, im = re - x * (sin @ b_odd), im + x * (cos @ b_even)
+            re = re - x * _weigh(sin, b_odd)
+            im = im + x * _weigh(cos, b_even)
         return re + 1j * im
 
     def l_alpha_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -146,7 +159,7 @@ class MomentumProfile:
         cosines of l_alpha."""
         pos, a_even, _ = _fold(self.s, self.a)
         block = np.multiply.outer(xs, pos)
-        return np.cos(block, out=block) @ a_even
+        return _weigh(np.cos(block, out=block), a_even)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +727,7 @@ def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:
     total = 0.0
     for i in range(0, w.size, REDUCED_CHUNK):
         part = slice(i, i + REDUCED_CHUNK)
-        total += float(w[part] @ np.asarray(f(pts[:, part]), dtype=float))
+        total += float(np.einsum("i,i->", w[part],
+                                 np.asarray(f(pts[:, part]), dtype=float)))
     g = model.group
     return g.vol_g / g.principal_isotropy_order * total

@@ -14,6 +14,10 @@ the Bessel integral and Hankel's asymptotic series by range, and
 int_0^inf e^{-x cosh t} dt, one fixed trapezoid rule for all x >= 1.5.
 The planar-rotation oracle's I(mu) is one composite Gauss pass over
 graded panels.  The package needs numpy only.
+
+Every quadrature sum here is an np.einsum over operands contiguous along
+the summed axis (the planar-rotation pushforward table is stored one row
+per Gauss node for that), so no oracle enters the BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def sphere_bv_oracle(radius: float, y: float) -> complex:
         nz *= 2
     z, w = composite_gl(-r, r, 1, nz)
     ring = 2 * math.pi * np.ones_like(z) * r
-    return complex(np.dot(ring * np.exp(1j * y * z), w))
+    return complex(np.einsum("i,i->", ring * np.exp(1j * y * z), w))
 
 
 def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
@@ -196,7 +200,7 @@ def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
     for mu in mus:
         inner = (f_theta_p(tt, sigma + mu * ww) * bw).sum(axis=0) * (
             2 * math.pi / n_theta)
-        out.append(mu * float(np.dot(inner, wts)))
+        out.append(mu * float(np.einsum("i,i->", inner, wts)))
     return out
 
 
@@ -209,7 +213,7 @@ def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,
     tt, pp = np.meshgrid(th, p, indexing="ij")
     vals = np.asarray(f_theta_p(tt, pp), dtype=complex) * np.exp(1j * x * pp)
     inner = vals.sum(axis=0) * (2 * math.pi / n_theta)
-    return complex(np.dot(inner, wp))
+    return complex(np.einsum("i,i->", inner, wp))
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +373,18 @@ class Linrot2Oracle:
     def _pushforward_table(self):
         """rho dv on 16-point Gauss panels of [0, 20] as (panel midpoints
         c_p, positive half h t_j of the scaled Gauss nodes, even and odd
-        parts of the weights in t_j): 960 panels resolve X <= 600 (within
-        3e-14 of 4 pi^2 / (4 + X^2)); past v = 20 rho is below 4e-17."""
+        parts of the weights in t_j, one row per t_j so that the sums over
+        panels run along contiguous rows): 960 panels resolve X <= 600
+        (within 3e-14 of 4 pi^2 / (4 + X^2)); past v = 20 rho is below
+        4e-17."""
         panels = 960
         half = 10.0 / panels
         t, w = gauss_legendre(16)
         mid = (np.arange(panels) + 0.5) * (2.0 * half)
         wd = half * w * self.pushforward_density(mid[:, None] + half * t)
         # t_j = -t_{15-j}: cos(X h t) is even in t, sin(X h t) odd
-        return (mid, half * t[8:], wd[:, 8:] + wd[:, 7::-1],
-                wd[:, 8:] - wd[:, 7::-1])
+        return (mid, half * t[8:], (wd[:, 8:] + wd[:, 7::-1]).T.copy(),
+                (wd[:, 8:] - wd[:, 7::-1]).T.copy())
 
     def l_alpha(self, x):
         """L(X), real as the pushforward is even: l_alpha_batch + 0j."""
@@ -398,8 +404,11 @@ class Linrot2Oracle:
         sin_c = np.sin(arg)
         cos_c = np.cos(arg, out=arg)
         arg = np.multiply.outer(xs, ht)
-        return 2.0 * (np.einsum("ij,ij->i", np.cos(arg), cos_c @ even)
-                      - np.einsum("ij,ij->i", np.sin(arg), sin_c @ odd))
+        return 2.0 * (
+            np.einsum("ij,ij->i", np.cos(arg),
+                      np.einsum("ip,jp->ij", cos_c, even))
+            - np.einsum("ij,ij->i", np.sin(arg),
+                        np.einsum("ip,jp->ij", sin_c, odd)))
 
 
 _LINROT2_CACHE = {}

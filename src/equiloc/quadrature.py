@@ -13,6 +13,9 @@ points, over both refine passes, Gauss panels and Filon chunks alike.
 The 2-D and 3-D tensor rule streams its grid in blocks of TENSOR_BLOCK
 points, whole rows along the last axis, so it holds one block and one axis
 at a time; its budget still counts every grid point.
+
+Filon chunks and tensor blocks are reduced by np.einsum without
+optimize=, on the calling thread: no sum enters the BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -296,7 +299,8 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
     sn = np.interp(tn, tt, st)
     sn = sn - (np.interp(sn, ss, pp) - tn) / np.interp(sn, ss, dd)  # Newton
     g = np.asarray(amp(sn), dtype=complex) / np.abs(np.interp(sn, ss, dd))
-    vals = np.exp(1j * mid / mu) * half * (g.reshape(nchunk, -1) @ w)
+    vals = np.exp(1j * mid / mu) * half * np.einsum(
+        "ij,j->i", g.reshape(nchunk, -1), w)
     return pairwise_sum(list(vals))
 
 

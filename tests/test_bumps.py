@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,3 +54,44 @@ def test_phi_hat_closed_form_against_bump_hat():
             <= 1e-14
     assert kernel.phi_hat(0.0) == 1.0
     assert np.array_equal(kernel.phi_hat(-ws), kernel.phi_hat(ws))
+
+
+def _smoothstep_exact(t: Fraction, order: int) -> Fraction:
+    """int_0^t s^m (1-s)^m ds / B(m+1, m+1) in exact arithmetic."""
+    num = sum(Fraction((-1) ** k * math.comb(order, k), order + k + 1)
+              * t ** (order + k + 1) for k in range(order + 1))
+    return num * Fraction(math.factorial(2 * order + 1),
+                          math.factorial(order) ** 2)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_plateau_against_exact_smoothstep(order):
+    # dyadic x in the band (0.5, 1) of a radius-1 bump with flat 0.5, so
+    # t = (1 - x) / 0.5 is exact; the float coefficient sum, normalized by
+    # a float total, once lost 1.1e-13, 5.2e-12 and 2.9e-10 here
+    bump = Bump(radius=1.0, order=order, kind="plateau", flat=0.5)
+    x = 0.5 + np.arange(1, 2048) / 4096.0
+    vals = bump(x)
+    exact = [_smoothstep_exact(2 * (1 - Fraction(xi)), order) for xi in x]
+    err = max(abs(Fraction(float(v)) - e) for v, e in zip(vals, exact))
+    assert err <= 1e-13
+    assert np.array_equal(bump(-x), vals)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_plateau_band_edges_and_scalars(order):
+    bump = Bump(radius=2.0, order=order, kind="plateau", flat=0.5)
+    tiny = np.finfo(float).eps
+    x = np.array([0.0, 1.0, 1.0 + 2 * tiny, 2.0 - 4 * tiny, 2.0, 2.5, 1e300])
+    vals = bump(x)
+    assert vals[0] == vals[1] == 1.0
+    assert 1.0 - 1e-15 < vals[2] <= 1.0
+    assert 0.0 <= vals[3] < 1e-15
+    assert vals[4] == vals[5] == vals[6] == 0.0
+    # a 0-d input gives a 0-d float array, as on every other branch
+    for xi, vi in zip(x, vals):
+        out = bump(xi)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out == vi
+    assert bump(1.5).dtype == float
+    assert bump(np.empty((0, 3))).shape == (0, 3)

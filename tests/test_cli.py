@@ -307,6 +307,31 @@ def test_linrot2_singular_refuses_a_bump_below_order_6(tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("command,kind", [
+    ("singular", "cotangent-circle"), ("resolve-verify", "linrot2")])
+@pytest.mark.parametrize("bump,field", [
+    ({"R": 0}, "model.bump.R"),          # once a traceback, NaN in the report
+    ({"R": -1}, "model.bump.R"),         # once ran, exit 2
+    ({"R": "x"}, "model.bump.R"),        # once a traceback
+    ({"R": True}, "model.bump.R"),
+    ({"R": float("inf")}, "model.bump.R"),
+    ({"order": 0}, "model.bump.order"),  # once ran, exit 2
+    ({"order": 2.5}, "model.bump.order"),  # once ran silently as order 2
+    ({"order": True}, "model.bump.order"),
+    (3, "model.bump"),
+])
+def test_bump_off_the_schema_exits_4(command, kind, bump, field, tmp_path,
+                                     capsys):
+    cfg = tmp_path / "bump.json"
+    cfg.write_text(json.dumps({"model": {"kind": kind, "bump": bump}}))
+    assert run([command, "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()
+            if line.startswith("  - ")] == [f"  - {field}"]
+    assert not list(tmp_path.glob("run-*"))
+
+
 def test_linrot2_oracle_refuses_the_bump_before_direct_leading(
         tmp_path, monkeypatch):
     from equiloc import resolution

@@ -7,7 +7,7 @@ import pytest
 
 from equiloc.models import (Amplitude, CotangentCircle, GroupData,
                             LinearCotangent, ModelError, Sphere, make_model,
-                            rotation_generator)
+                            reduced_integral, rotation_generator)
 from equiloc.mpoly import LinForm
 from equiloc.symmat import ldlt
 
@@ -348,3 +348,12 @@ def test_large_sphere_profiles_use_panels_of_cached_rules(radius,
     ref = 4 * math.pi * radius * np.sin(x * radius) / x
     assert np.max(np.abs(closed.l_alpha(x) - ref)) <= 1e-11
     assert np.max(np.abs(exact.l_alpha(x))) <= 1e-7
+
+
+def test_reduced_integral_of_the_gaussian_on_linrot2():
+    # the chunked weighted sum of reduced_integral, pinned at round-off to
+    # the value of its earlier BLAS dot (pi^2 to the rule's 5.7e-9
+    # relative)
+    val = reduced_integral(make_model("linrot2"),
+                           lambda pts: np.exp(-(pts ** 2).sum(axis=0)))
+    assert val == pytest.approx(9.869604344724165, rel=1e-13, abs=0)

@@ -212,3 +212,12 @@ def test_sphere_bv_oracle_refuses_past_its_node_cap():
     r, y = 10.0, 32.4
     closed = 4 * math.pi * r * math.sin(y * r) / y
     assert abs(sphere_bv_oracle(r, y) - closed) <= 1e-11
+
+
+def test_linrot2_l_alpha_batch_closed_form():
+    # the whole smeared-limit X grid in one call, through the table's
+    # panel and node sums: 2 int_0^inf pi^2 e^{-2v} cos(X v) dv
+    xs = np.linspace(0.0, 600.0, 3056)
+    vals = linrot2_oracle(G_BUMP).l_alpha_batch(xs)
+    assert np.max(np.abs(vals - 4.0 * math.pi ** 2 / (4.0 + xs * xs))) \
+        <= 1e-13
