@@ -69,7 +69,7 @@ _SCHEMA = {
 }
 
 # model.bump field -> (test, what it must be); an absent field keeps the
-# catalog default
+# catalog default, and any other field is refused
 _BUMP_SCHEMA = {
     "R": (lambda v: _number(v) and 0 < v < math.inf, "a finite number > 0"),
     "order": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
@@ -81,9 +81,12 @@ def _bump_problems(bump) -> List[str]:
         return []
     if not isinstance(bump, dict):
         return ["model.bump: must be an object"]
-    return [f"model.bump.{name}: must be {what}"
-            for name, (ok, what) in _BUMP_SCHEMA.items()
-            if name in bump and not ok(bump[name])]
+    return [f"model.bump.{name}: unknown field (known: "
+            f"{', '.join(_BUMP_SCHEMA)})"
+            for name in bump if name not in _BUMP_SCHEMA] + [
+        f"model.bump.{name}: must be {what}"
+        for name, (ok, what) in _BUMP_SCHEMA.items()
+        if name in bump and not ok(bump[name])]
 
 
 @dataclass
@@ -619,8 +622,12 @@ def build_config(args) -> RunConfig:
             # an empty list would stand for the command's default sweep
             raise ConfigError(["mu: must not be empty"])
     model = base.get("model", {})
-    if args.model:
-        model = {"kind": args.model}
+    if args.model and isinstance(model, dict):
+        # --model names the kind; the config's other model fields stay
+        if model.get("kind", args.model) != args.model:
+            raise ConfigError([f"model.kind: the config gives "
+                               f"{model['kind']!r}, --model {args.model!r}"])
+        model = {**model, "kind": args.model}
     if not model and args.command in ("spexpand", "convergence"):
         model = {"kind": "fresnel"}
     # the RunConfig defaults stand for whatever neither source gives

@@ -32,11 +32,10 @@ import numpy as np
 
 from .bumps import Bump, BumpHat
 from .mpoly import LinForm
-from .quadrature import composite_gl
+from .quadrature import BLOCK_POINTS, composite_gl
 from .symmat import SymMat
 
 LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
-REDUCED_CHUNK = 16_384     # points per call of f in reduced_integral
 PROFILE_FD_STEP = 1e-6     # central-difference step of an exact form's f'
 
 
@@ -722,11 +721,11 @@ def make_model(kind: str, **params):
 def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:
     """vol G / |H| * int_{Reg Omega_sigma} f / vol O_eta by the model's
     reduced_rule; f maps points (dim, m) to m values and is called on
-    chunks of REDUCED_CHUNK points."""
+    chunks of BLOCK_POINTS points."""
     pts, w = model.reduced_rule(sigma)
     total = 0.0
-    for i in range(0, w.size, REDUCED_CHUNK):
-        part = slice(i, i + REDUCED_CHUNK)
+    for i in range(0, w.size, BLOCK_POINTS):
+        part = slice(i, i + BLOCK_POINTS)
         total += float(np.einsum("i,i->", w[part],
                                  np.asarray(f(pts[:, part]), dtype=float)))
     g = model.group

@@ -31,7 +31,8 @@ import numpy as np
 
 from .bumps import Bump, BumpHat
 from .models import ModelError
-from .quadrature import composite_gl, gauss_legendre
+from .quadrature import (BLOCK_POINTS, composite_gl, cosine_panels,
+                         cosine_sum, gauss_legendre)
 
 # the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
 # below 3e-16 rho there
@@ -189,18 +190,30 @@ def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
 
     The X-integral of e^{i (p - sigma) X / mu} g(X) is exactly
     ghat((p - sigma)/mu); the substitution w = (p - sigma)/mu is exact.
+
+    The w rule is mirrored and bhat even, so bhat is evaluated once per
+    sweep, on the 600 positive nodes.  For each mu the (theta, w) grid is
+    streamed in blocks of whole theta rows, BLOCK_POINTS points at most,
+    and summed over theta into one 1200-vector, so no temporary grows
+    with the grid.
     """
     n_theta = 256
     th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
     w, wts = composite_gl(-400.0, 400.0, 1, 1200)
-    tt, ww = np.meshgrid(th, w, indexing="ij")
-    # bhat depends on w alone: evaluate it once per sweep and broadcast
-    bw = bhat(w)
+    half = w.size // 2
+    bw = bhat(w[half:])
+    # bhat and its weights, summed against the theta sums once per mu
+    bw_wts = np.concatenate([bw[::-1], bw]) * wts * (2 * math.pi / n_theta)
+    rows = max(1, BLOCK_POINTS // w.size)
     out = []
     for mu in mus:
-        inner = (f_theta_p(tt, sigma + mu * ww) * bw).sum(axis=0) * (
-            2 * math.pi / n_theta)
-        out.append(mu * float(np.einsum("i,i->", inner, wts)))
+        p = sigma + mu * w
+        inner = np.zeros(w.size)
+        for r0 in range(0, n_theta, rows):
+            tt = th[r0:r0 + rows, None]
+            inner += np.einsum("ij->j", f_theta_p(
+                *np.broadcast_arrays(tt, p[None, :])))
+        out.append(mu * float(np.einsum("i,i->", inner, bw_wts)))
     return out
 
 
@@ -283,8 +296,8 @@ class Linrot2Oracle:
     L(X) = 2 int_0^inf cos(X v) rho(v) dv, the smeared limit's side, is
     the cosine transform of the pushforward density rho of J under the
     Gaussian: a table of rho built in one vectorised pass at the first
-    l_alpha_batch call, summed by angle addition over its panels, with no
-    BumpHat call.
+    l_alpha_batch call, summed by angle addition over its panels
+    (`cosine_sum`, the helper BumpHat sums by), with no BumpHat call.
     """
 
     g_bump: Bump
@@ -371,20 +384,10 @@ class Linrot2Oracle:
 
     @cached_property
     def _pushforward_table(self):
-        """rho dv on 16-point Gauss panels of [0, 20] as (panel midpoints
-        c_p, positive half h t_j of the scaled Gauss nodes, even and odd
-        parts of the weights in t_j, one row per t_j so that the sums over
-        panels run along contiguous rows): 960 panels resolve X <= 600
-        (within 3e-14 of 4 pi^2 / (4 + X^2)); past v = 20 rho is below
-        4e-17."""
-        panels = 960
-        half = 10.0 / panels
-        t, w = gauss_legendre(16)
-        mid = (np.arange(panels) + 0.5) * (2.0 * half)
-        wd = half * w * self.pushforward_density(mid[:, None] + half * t)
-        # t_j = -t_{15-j}: cos(X h t) is even in t, sin(X h t) odd
-        return (mid, half * t[8:], (wd[:, 8:] + wd[:, 7::-1]).T.copy(),
-                (wd[:, 8:] - wd[:, 7::-1]).T.copy())
+        """rho dv on 960 16-point Gauss panels of [0, 20], folded for
+        `cosine_sum`: they resolve X <= 600 (within 3e-14 of
+        4 pi^2 / (4 + X^2)); past v = 20 rho is below 4e-17."""
+        return cosine_panels(self.pushforward_density, 0.0, 20.0, 960)
 
     def l_alpha(self, x):
         """L(X), real as the pushforward is even: l_alpha_batch + 0j."""
@@ -392,23 +395,10 @@ class Linrot2Oracle:
         return (vals if np.ndim(x) else vals[0]) + 0j
 
     def l_alpha_batch(self, xs) -> np.ndarray:
-        """L(X) over an array of X on the pushforward table.  Angle
-        addition over its P equal panels,
-        cos(X (c_p + h t_j)) = cos(X c_p) cos(X h t_j)
-                               - sin(X c_p) sin(X h t_j),
-        with the symmetric t_j folded, takes 2 (P + 8) transcendentals per
-        X instead of 16 P."""
-        mid, ht, even, odd = self._pushforward_table
+        """L(X) over an array of X: twice the `cosine_sum` of the
+        pushforward table, by angle addition over its 960 panels."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        arg = np.multiply.outer(xs, mid)
-        sin_c = np.sin(arg)
-        cos_c = np.cos(arg, out=arg)
-        arg = np.multiply.outer(xs, ht)
-        return 2.0 * (
-            np.einsum("ij,ij->i", np.cos(arg),
-                      np.einsum("ip,jp->ij", cos_c, even))
-            - np.einsum("ij,ij->i", np.sin(arg),
-                        np.einsum("ip,jp->ij", sin_c, odd)))
+        return 2.0 * cosine_sum(self._pushforward_table, xs)
 
 
 _LINROT2_CACHE = {}

@@ -10,12 +10,17 @@ serves all its chunks.  Cells are reduced in a fixed pairwise order, so
 results are run-to-run identical.  One integral uses at most MAX_POINTS
 points, over both refine passes, Gauss panels and Filon chunks alike.
 
-The 2-D and 3-D tensor rule streams its grid in blocks of TENSOR_BLOCK
+The 2-D and 3-D tensor rule streams its grid in blocks of BLOCK_POINTS
 points, whole rows along the last axis, so it holds one block and one axis
-at a time; its budget still counts every grid point.
+at a time; its budget still counts every grid point.  BLOCK_POINTS is the
+block of every streamed grid in the package.
 
-Filon chunks and tensor blocks are reduced by np.einsum without
-optimize=, on the calling thread: no sum enters the BLAS thread pool.
+A cosine transform on equal Gauss panels (`cosine_panels`,
+`cosine_sum`) is summed by angle addition over the panels.
+
+Filon chunks, tensor blocks and cosine sums are reduced by np.einsum
+without optimize=, on the calling thread: no sum enters the BLAS thread
+pool.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ FILON_DEGREE = 10
 TENSOR_MIN_PANELS = 6             # minimum panels per tensor-rule axis
 PANEL_NODES = 16                  # Gauss nodes per panel of panel_gauss
 MAX_POINTS = 6_000_000            # point budget of one oscillatory integral
-TENSOR_BLOCK = 1 << 14            # grid points per tensor-rule evaluation
-GL_NEWTON_STEPS = 10              # Newton steps before gauss_legendre raises
+BLOCK_POINTS = 1 << 14            # grid points per block of a streamed sum
+GL_NEWTON_STEPS = 10              # root passes before gauss_legendre raises
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,22 +79,27 @@ def _legendre_and_derivative(n: int, x):
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
 
-    Newton's method on P_n, run on the (n + 1) // 2 roots in [0, 1) at
-    once as one vector from Tricomi's guess
+    The (n + 1) // 2 roots of P_n in [0, 1) are found at once, as one
+    vector, from Tricomi's guess
     x_k = (1 - (n - 1)/8n^3) cos(pi (4k - 1)/(4n + 2)) (the middle root
-    of odd n is 0 exactly).  Each step is one pass of the three-term
-    recurrence, so the rule costs O(n^2) flops against the O(n^3)
-    eigensolve of numpy's `leggauss` (n = 2048: 0.09 s against 0.7 s on
-    a 2-core VM).  Newton stops once its largest step is at round-off,
-    4 eps, which takes at most 4 steps (every n to 1024, sampled n to
-    4096); GL_NEWTON_STEPS steps without it raise instead of returning
-    an unconverged rule.  The weights are
-    2/((1 - x^2) P_n'(x)^2) from one more pass at the returned nodes.
-    Nodes and weights are mirrored, so the rule is exactly symmetric.
-    Against `leggauss` (n <= 2048) the nodes agree to 1.1e-16 and the
-    weights to 1.1e-13 absolute; `leggauss` is the less accurate of the
-    two (largest relative weight error against 40-digit references at
-    n = 400: 2.7e-12 here, 5.7e-10 there).
+    of odd n is 0 exactly).  A pass runs the three-term recurrence once,
+    for P = P_n and P'; Legendre's equation gives
+    P'' = (2x P' - n(n+1) P)/(1 - x^2) and
+    P''' = (4x P'' - (n(n+1) - 2) P')/(1 - x^2), and the step is the
+    series reversion of P(x - step) = 0 to third order,
+    u + A u^2 + (2A^2 - B) u^3 with u = P/P', A = P''/2P', B = P'''/6P'.
+    Once the largest step is at round-off, 4 eps, the rule returns
+    x - step, and the weights 2/((1 - x^2) P'(x)^2) take P' corrected by
+    P'' step: two passes for n >= 400, three below, where Newton took
+    four and five.  The rule costs O(n^2) flops against the O(n^3)
+    eigensolve of numpy's `leggauss` (n = 2048: 0.02 s against 0.7 s on
+    a 2-core VM).  GL_NEWTON_STEPS passes without a round-off step raise
+    instead of returning an unconverged rule.  Nodes and weights are
+    mirrored, so the rule is exactly symmetric.  Against `leggauss`
+    (n <= 2048) the nodes agree to 1.1e-16 and the weights to 1.1e-13
+    absolute; `leggauss` is the less accurate of the two (largest
+    relative weight error against 40-digit references at n = 400:
+    2.8e-12 here, 5.7e-10 there).
 
     One cached pair per n is shared by every caller, so both arrays are
     read-only: an in-place write raises instead of corrupting the rule.
@@ -99,17 +109,23 @@ def gauss_legendre(n: int):
         math.pi * (4 * k - 1) / (4 * n + 2))
     if n % 2:
         x[-1] = 0.0
+    nn = n * (n + 1)
     for _ in range(GL_NEWTON_STEPS):
         p, dp = _legendre_and_derivative(n, x)
-        step = p / dp
+        one = (1.0 - x) * (1.0 + x)
+        d2p = (2.0 * x * dp - nn * p) / one
+        d3p = (4.0 * x * d2p - (nn - 2) * dp) / one
+        u = p / dp
+        a = d2p / (2.0 * dp)
+        step = u * (1.0 + u * (a + u * (2.0 * a * a - d3p / (6.0 * dp))))
         x = x - step
         if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            dp = dp - d2p * step
             break
     else:
-        raise RuntimeError(f"gauss_legendre({n}): Newton did not converge "
-                           f"in {GL_NEWTON_STEPS} steps (last step "
-                           f"{np.max(np.abs(step)):.1e})")
-    _, dp = _legendre_and_derivative(n, x)
+        raise RuntimeError(f"gauss_legendre({n}): the root iteration did "
+                           f"not converge in {GL_NEWTON_STEPS} passes (last "
+                           f"step {np.max(np.abs(step)):.1e})")
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     half = n // 2
     x = np.concatenate([-x[:half], x[::-1]])
@@ -129,6 +145,41 @@ def composite_gl(a: float, b: float, panels: int, n: int = 16):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def cosine_panels(f: Callable, a: float, b: float, panels: int):
+    """f(x) dx on PANEL_NODES-point Gauss panels of [a, b], folded for
+    `cosine_sum`: (panel midpoints c_p, the positive half h t_j of the
+    scaled nodes, the even and odd parts in t_j of the weights).  The
+    weight parts are (PANEL_NODES / 2, panels) C-order arrays, one row per
+    t_j, so the sums over panels run along contiguous rows.  f is called
+    once, on a (panels, PANEL_NODES) array of nodes."""
+    t, w = gauss_legendre(PANEL_NODES)
+    half = 0.5 * (b - a) / panels
+    mid = a + (np.arange(panels) + 0.5) * (2.0 * half)
+    wd = half * w * f(mid[:, None] + half * t)
+    # t_j = -t_{15-j}: cos(X h t) is even in t, sin(X h t) odd
+    k = PANEL_NODES // 2
+    return (mid, half * t[k:], (wd[:, k:] + wd[:, k - 1::-1]).T.copy(),
+            (wd[:, k:] - wd[:, k - 1::-1]).T.copy())
+
+
+def cosine_sum(table, xs) -> np.ndarray:
+    """sum f(x) cos(X x) dx over a `cosine_panels` table, for each X of
+    the 1-D array xs, by angle addition over its P equal panels,
+    cos(X (c_p + h t_j)) = cos(X c_p) cos(X h t_j)
+                           - sin(X c_p) sin(X h t_j):
+    2 (P + PANEL_NODES / 2) transcendentals per X instead of
+    PANEL_NODES P."""
+    mid, ht, even, odd = table
+    arg = np.multiply.outer(xs, mid)
+    sin_c = np.sin(arg)
+    cos_c = np.cos(arg, out=arg)
+    arg = np.multiply.outer(xs, ht)
+    return (np.einsum("ij,ij->i", np.cos(arg),
+                      np.einsum("ip,jp->ij", cos_c, even))
+            - np.einsum("ij,ij->i", np.sin(arg),
+                        np.einsum("ip,jp->ij", sin_c, odd)))
 
 
 def pairwise_sum(values: Sequence[complex]) -> complex:
@@ -312,7 +363,7 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
     before any of them is built.
 
     The grid, in C order, is a stack of rows along the last axis.  It is
-    evaluated TENSOR_BLOCK points at a time (at least one row): a block
+    evaluated BLOCK_POINTS points at a time (at least one row): a block
     of rows r has the weights w_lead[r] (x) w_last, where w_lead is the
     product of the leading axes' weights, and is reduced by einsum, which
     stays single-threaded.  The block sums are combined pairwise, so
@@ -342,7 +393,7 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
     lead = tuple(len(x) for x in axes_pts[:-1])
     x_last, w_last = axes_pts[-1], axes_w[-1]
     nrows, width = math.prod(lead), len(x_last)
-    step = max(1, TENSOR_BLOCK // width)
+    step = max(1, BLOCK_POINTS // width)
     sums = []
     for r0 in range(0, nrows, step):
         rows = np.unravel_index(np.arange(r0, min(r0 + step, nrows)), lead)

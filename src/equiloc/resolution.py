@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .models import Amplitude, LinearCotangent, ModelError, reduced_integral
-from .quadrature import composite_gl, pairwise_sum
+from .quadrature import BLOCK_POINTS, composite_gl, pairwise_sum
 from .oscillatory import OrderFit, order_fit
 
 
@@ -164,22 +164,25 @@ class BlowupChart:
         return (f[0] - f[1]) / (2 * h)
 
     def hessian(self, pt) -> np.ndarray:
-        """Central-difference Hessian at one point (step 1e-4), from one
-        psi_wk call on the whole stencil."""
+        """Central-difference Hessians (step 1e-4); points of shape
+        (..., n) give Hessians of shape (..., n, n), from one psi_wk call
+        on all the stencils."""
         pt = np.asarray(pt, dtype=float)
-        n = len(pt)
+        n = pt.shape[-1]
         h = 1e-4
         e = h * np.eye(n)
         iu, ju = np.triu_indices(n, 1)
         ei, ej = e[iu], e[ju]
+        x = pt[..., None, :]
         f = self.psi_wk(np.concatenate([
-            pt[None], pt + e, pt - e,
-            pt + ei + ej, pt + ei - ej, pt - ei + ej, pt - ei - ej]))
-        f0, fp, fm = f[0], f[1:n + 1], f[n + 1:2 * n + 1]
-        fpp, fpm, fmp, fmm = f[2 * n + 1:].reshape(4, -1)
-        out = np.empty((n, n))
-        out[iu, ju] = out[ju, iu] = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
-        out[np.diag_indices(n)] = (fp - 2 * f0 + fm) / h ** 2
+            x, x + e, x - e, x + ei + ej, x + ei - ej, x - ei + ej,
+            x - ei - ej], axis=-2))
+        f0, fp, fm = f[..., :1], f[..., 1:n + 1], f[..., n + 1:2 * n + 1]
+        fpp, fpm, fmp, fmm = np.split(f[..., 2 * n + 1:], 4, axis=-1)
+        out = np.empty(pt.shape[:-1] + (n, n))
+        out[..., iu, ju] = out[..., ju, iu] = \
+            (fpp - fpm - fmp + fmm) / (4 * h ** 2)
+        out[..., range(n), range(n)] = (fp - 2 * f0 + fm) / h ** 2
         return out
 
 
@@ -489,8 +492,7 @@ def transversal_hessian(chart: BlowupChart, pt,
     """
     full = chart.hessian(np.asarray(pt, dtype=float))
     eigs = np.linalg.eigvalsh(full)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    nonzero = eigs[np.abs(eigs) > 1e-6 * scale]
+    nonzero = eigs[_nonzero(eigs)]
     if frame == "orthonormal":
         det = float(np.prod(nonzero)) if len(nonzero) else 0.0
         sig = int((nonzero > 0).sum() - (nonzero < 0).sum())
@@ -508,6 +510,13 @@ def transversal_hessian(chart: BlowupChart, pt,
     return TransversalHessian(det=det, signature=sig,
                               min_abs_eig=float(np.abs(eigs).min()),
                               rank=len(nonzero))
+
+
+def _nonzero(eigs) -> np.ndarray:
+    """Mask of the eigenvalues above 1e-6 of the largest (at least 1),
+    per Hessian: the spectrum transversal to Crit(psi_wk)."""
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    return np.abs(eigs) > 1e-6 * scale
 
 
 def _pivot_columns(grads: List[np.ndarray]) -> List[int]:
@@ -550,9 +559,11 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     n_s Gauss s in [-4.2, 4.2] and n_ang Gauss angles.
 
     The ratio dCrit / |det Hess_perp|^{1/2} is sampled on a probe grid of
-    about 5 points per axis and must be constant to 1e-8 (the planar
-    catalog cancels it exactly); the verified constant then carries the
-    fine grid.  A ratio that varies raises ModelError.
+    about 5 points per axis, in one `probe_ratios` pass per chart, and
+    must be constant to 1e-8 (the planar catalog cancels it exactly); the
+    verified constant then carries the fine grid.  A ratio that varies,
+    or one that is not finite, raises ModelError.  The fine grid is
+    streamed in blocks of whole tau slices, BLOCK_POINTS points at most.
     """
     if not isinstance(model, LinearCotangent) or model.n != 2:
         raise ModelError("resolved_leading covers the planar rotation model")
@@ -561,57 +572,66 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     svals, wsv = composite_gl(-4.2, 4.2, 1, n_s)
     # angle substitution theta = tan(phi): d theta = sec^2 phi d phi
     phis, wph = composite_gl(-math.pi / 2, math.pi / 2, 1, n_ang)
+    thetas = np.tan(phis)
+    probe = np.meshgrid(taus[::max(1, n_tau // 5)],
+                        thetas[::max(1, n_ang // 5)],
+                        svals[::max(1, n_s // 5)], indexing="ij")
+    # partition weight v_rho^2 times the smooth Jacobian, both
+    # 1/(1+theta^2), and d theta = sec^2 phi d phi
+    w_theta = (1.0 / (1.0 + thetas ** 2)) ** 2 * wph / np.cos(phis) ** 2
+    step = max(1, BLOCK_POINTS // (n_ang * n_s))
     g0 = float(amplitude.g_factor(0.0))
     total_parts = []
     for chart in charts:
-        exp_surv = chart.chain.jacobian_exponents()[0] - kappa
-
-        def meas_ratio(t, theta, s):
-            hh = transversal_hessian(chart, chart.crit_param(t, theta, s),
-                                     frame="orthonormal")
-            return _crit_measure(chart, t, theta, s) / math.sqrt(
-                abs(hh.det))
-
-        probes = [meas_ratio(t, math.tan(ph), s)
-                  for t in taus[::max(1, n_tau // 5)]
-                  for ph in phis[::max(1, n_ang // 5)]
-                  for s in svals[::max(1, n_s // 5)]]
-        if max(probes) - min(probes) > 1e-8 * max(1.0, abs(probes[0])):
+        probes = probe_ratios(chart, *(a.ravel() for a in probe))
+        if not np.all(np.isfinite(probes)) or np.ptp(probes) > \
+                1e-8 * max(1.0, abs(probes[0])):
             raise ModelError(
                 f"chart {chart.label}: dCrit / |det Hess_perp|^(1/2) is not "
                 "constant on the probe grid")
-        const_ratio = float(np.mean(probes))
-        thetas = np.tan(phis)
-        coords = chart.crit_batch(taus, thetas, svals)
-        shape = coords.shape[1:]
-        vals = amplitude.eta_factor(coords.reshape(4, -1)).reshape(
-            shape) * (g0 * const_ratio)
-        # partition weight v_rho^2 times the smooth Jacobian, both
-        # 1/(1+theta^2), and d theta = sec^2 phi d phi
-        w_theta = (1.0 / (1.0 + thetas ** 2)) ** 2 * wph / \
-            np.cos(phis) ** 2
+        exp_surv = chart.chain.jacobian_exponents()[0] - kappa
         w_tau = np.abs(taus) ** exp_surv * wtau
-        total_parts.append(float(np.einsum("tas,t,a,s->", vals, w_tau,
-                                           w_theta, wsv)))
+        blocks = []
+        for t0 in range(0, n_tau, step):
+            part = slice(t0, t0 + step)
+            coords = chart.crit_batch(taus[part], thetas, svals)
+            vals = amplitude.eta_factor(coords.reshape(4, -1))
+            blocks.append(np.einsum("tas,t,a,s->",
+                                    vals.reshape(coords.shape[1:]),
+                                    w_tau[part], w_theta, wsv))
+        total_parts.append(float(pairwise_sum(blocks))
+                           * (g0 * float(np.mean(probes))))
     return float(pairwise_sum(total_parts))
 
 
-def _crit_measure(chart: BlowupChart, tau, theta, s) -> float:
-    """sqrt Gram of the crit parametrization tangents (tau, theta, s) at
-    crit_param(tau, theta, s).  s is read back from that point as |p| with
-    the sign of s, which can differ from s in the last bit; the 1e-6 step
-    amplifies such a change, so it is kept."""
+def probe_ratios(chart: BlowupChart, tau, theta, s) -> np.ndarray:
+    """dCrit / |det Hess_perp|^(1/2) at crit_param(tau, theta, s) for 1-D
+    arrays of one length m, in one pass: one psi_wk call over the m
+    Hessian stencils, one stacked eigvalsh, and one crit_param call and
+    one stacked determinant for the Gram matrices of the parametrization
+    tangents.  |det Hess_perp| is the product of the `_nonzero`
+    eigenvalues, as in transversal_hessian's "orthonormal" frame.
+
+    The tangents are central differences of step 1e-6 at (tau, theta, s),
+    with s read back from crit_param's point as |p| with the sign of s:
+    the two can differ in the last bit, and the step amplifies such a
+    change, so the tangents are taken where the point is."""
+    pts = chart.crit_param(tau, theta, s)
+    eigs = np.linalg.eigvalsh(chart.hessian(pts))
+    nonzero = _nonzero(eigs)
+    det = np.where(nonzero.any(axis=-1),
+                   np.prod(np.where(nonzero, eigs, 1.0), axis=-1), 0.0)
     h = 1e-6
-    v = chart.crit_param(tau, theta, s)[3:5]
-    s = float(np.dot(v, v)) ** 0.5 * (1.0 if s >= 0 else -1.0)
-    tangents = []
-    for dtau, dth, ds in ((h, 0, 0), (0, h, 0), (0, 0, h)):
-        plus = chart.crit_param(tau + dtau, theta + dth, s + ds)
-        minus = chart.crit_param(tau - dtau, theta - dth, s - ds)
-        tangents.append((plus - minus) / (2 * h))
-    g = np.array([[float(np.dot(a, b)) for b in tangents]
-                  for a in tangents])
-    return math.sqrt(max(np.linalg.det(g), 0.0))
+    p = pts[..., 3:5]
+    s = np.sqrt(np.einsum("mi,mi->m", p, p)) * np.where(s >= 0, 1.0, -1.0)
+    # (coordinate, +/-, direction, point) of the tangent stencils
+    base = np.stack([tau, theta, s])[:, None, None, :]
+    d = h * np.eye(3)[:, None, :, None]
+    plus, minus = chart.crit_param(*np.concatenate([base + d, base - d],
+                                                   axis=1))
+    tangents = (plus - minus) / (2 * h)
+    gram = np.linalg.det(np.einsum("kmi,lmi->mkl", tangents, tangents))
+    return np.sqrt(np.maximum(gram, 0.0)) / np.sqrt(np.abs(det))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, jv
 
-from equiloc.bumps import PHI_SEAM, Bump, BumpHat, SmearingKernel
+from equiloc.bumps import BASE_PANELS, PHI_SEAM, Bump, BumpHat, SmearingKernel
+from equiloc.quadrature import composite_gl
 
 
 def _poly_hat(w, radius, order):
@@ -30,6 +31,42 @@ def test_hat_against_closed_form(radius, order):
     for part in np.array_split(ws, 8):
         exact = np.array([_poly_hat(w, radius, order) for w in part])
         assert np.max(np.abs(bhat(part) - exact)) <= 5e-14 * scale
+
+
+def _direct_hat(bump, w):
+    """2 int_0^R b(x) cos(w x) dx as one cosine product over the composite
+    Gauss nodes, max(BASE_PANELS, int(max|w| R / 4) + 16) panels."""
+    panels = max(BASE_PANELS, int(np.max(w) * bump.radius / 4.0) + 16)
+    x, dx = composite_gl(0.0, bump.radius, panels)
+    return np.einsum("ij,j->i", np.cos(np.multiply.outer(w, x)),
+                     2.0 * bump(x) * dx)
+
+
+@pytest.mark.parametrize("bump", [
+    Bump(radius=r, order=m, kind="poly")
+    for r in (0.25, 1.0, 1.6, 20.0) for m in (1, 2, 6, 40)] + [
+    Bump(radius=r, order=m, kind="plateau")
+    for r, m in ((0.25, 8), (2.5, 6))],
+    ids=lambda b: f"{b.kind}-R{b.radius:g}-m{b.order}")
+def test_hat_by_angle_addition_against_the_direct_cosine_sum(bump):
+    # the panel angle-addition sum against the cosine of every node, on
+    # the base table (max|w| R < 196) and on tables built per call up to
+    # w = 2,000.  Both carry the round-off of the phases w x, up to
+    # max|w| R, which sums to about eps sqrt(max|w| R) of the mass over
+    # the ~4 max|w| R nodes: 1.0e-14 is measured at R = 1, w = 2,000 and
+    # 5.6e-14 at R = 20, w = 2,000
+    eps = np.finfo(float).eps
+    mass = bump.mass()
+    bhat = BumpHat(bump)
+    edge = 4.0 * (BASE_PANELS - 16) / bump.radius     # the switch in |w|
+    for ws in (np.linspace(0.0, 0.99 * edge, 41),
+               np.linspace(-1.01 * edge, 0.0, 41),
+               np.geomspace(1e-3, 2000.0, 13),
+               np.linspace(1990.0, 2000.0, 3)):
+        w = np.abs(ws)
+        tol = mass * max(2e-15, 2.0 * eps * math.sqrt(w.max() *
+                                                       bump.radius))
+        assert np.max(np.abs(bhat(ws) - _direct_hat(bump, w))) <= tol
 
 
 @pytest.mark.parametrize("order", [4, 6])

@@ -319,6 +319,8 @@ def test_linrot2_singular_refuses_a_bump_below_order_6(tmp_path, capsys):
     ({"order": 2.5}, "model.bump.order"),  # once ran silently as order 2
     ({"order": True}, "model.bump.order"),
     (3, "model.bump"),
+    ({"radius": 2}, "model.bump.radius"),  # once ran silently with R = 1
+    ({"R": 2, "Order": 4}, "model.bump.Order"),
 ])
 def test_bump_off_the_schema_exits_4(command, kind, bump, field, tmp_path,
                                      capsys):
@@ -473,4 +475,57 @@ def test_depth_2_charts_refuse_other_t2_actions(name, planes, tmp_path,
                 _t2_config(tmp_path, name, planes)], tmp_path) == 4
     err = capsys.readouterr().err
     assert "plane i alone" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "cotangent-circle", "bump": {"R": 2, "order": 4}},
+    {"bump": {"R": 2, "order": 4}},
+])
+def test_model_flag_keeps_the_config_model_fields(model, tmp_path):
+    # --model once replaced the config's whole model with {"kind": ...},
+    # so its bump was dropped without a word
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    assert run(["singular", "--model", "cotangent-circle", "--config",
+                str(cfg)], tmp_path / "flag") == 0
+    flagged = latest_report(tmp_path / "flag")
+    assert flagged["config"]["model"] == {"kind": "cotangent-circle",
+                                          "bump": {"R": 2, "order": 4}}
+    cfg.write_text(json.dumps({"model": {"kind": "cotangent-circle",
+                                         "bump": {"R": 2, "order": 4}}}))
+    assert run(["singular", "--config", str(cfg)], tmp_path / "file") == 0
+    assert latest_report(tmp_path / "file")["results"] == \
+        flagged["results"]
+
+
+def test_model_flag_keeps_the_sphere_radius(tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere", "radius": 2}}))
+    assert run(["localize", "--model", "sphere", "--config", str(cfg)],
+               tmp_path) == 0
+    assert latest_report(tmp_path)["config"]["model"] == {
+        "kind": "sphere", "radius": 2}
+
+
+def test_model_flag_keeps_a_bump_off_the_schema_in_view(tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": {"kind": "cotangent-circle",
+                                         "bump": {"R": 0}}}))
+    assert run(["singular", "--model", "cotangent-circle", "--config",
+                str(cfg)], tmp_path) == 4
+    assert "model.bump.R" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_model_flag_against_another_config_kind_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": {"kind": "linrot2",
+                                         "bump": {"R": 2, "order": 6}}}))
+    assert run(["singular", "--model", "cotangent-circle", "--config",
+                str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()
+            if line.startswith("  - ")] == ["  - model.kind"]
     assert not list(tmp_path.glob("run-*"))

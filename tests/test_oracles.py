@@ -221,3 +221,33 @@ def test_linrot2_l_alpha_batch_closed_form():
     vals = linrot2_oracle(G_BUMP).l_alpha_batch(xs)
     assert np.max(np.abs(vals - 4.0 * math.pi ** 2 / (4.0 + xs * xs))) \
         <= 1e-13
+
+
+def _cotangent_full_grid(f_theta_p, bhat, sigma, mus):
+    """The T*S^1 sweep on the whole 256 x 1200 (theta, w) grid at once,
+    with bhat on every w node."""
+    n_theta = 256
+    th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
+    w, wts = composite_gl(-400.0, 400.0, 1, 1200)
+    tt, ww = np.meshgrid(th, w, indexing="ij")
+    bw = bhat(w)
+    return [mu * float(np.dot((f_theta_p(tt, sigma + mu * ww) * bw).sum(
+        axis=0) * (2 * math.pi / n_theta), wts)) for mu in mus]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_cotangent_oracle_in_row_blocks_against_the_full_grid(sigma):
+    # theta rows streamed into one w-vector, bhat on the 600 positive
+    # nodes and mirrored (7e-16 measured)
+    from equiloc.bumps import BumpHat
+    from equiloc.models import CotangentCircle
+    amp = CotangentCircle().amplitude(None, sigma)
+
+    def f(t, p):
+        return amp.eta_factor(np.stack([t, p]))
+
+    mus = list(np.geomspace(1e-2, 1e-4, 5))
+    bhat = BumpHat(amp.g_profile)
+    got = oracles.cotangent_regular_integral(f, bhat, sigma, mus)
+    want = _cotangent_full_grid(f, bhat, sigma, mus)
+    assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-14

@@ -58,6 +58,25 @@ def test_gauss_legendre_against_closed_forms(n):
         assert np.max(np.abs(w - ref_w)) <= 2e-13
 
 
+@pytest.mark.parametrize("n,passes", [
+    (1, 1), (16, 3), (54, 3), (96, 3), (216, 3), (400, 2), (432, 2),
+    (1200, 2), (2048, 2), (4096, 2)])
+def test_gauss_legendre_recurrence_passes(n, passes, monkeypatch):
+    # one third-order series-reversion step from Tricomi's guess reaches
+    # round-off from n = 400 on; Newton took 4 passes there and 5 at
+    # n = 54 and 96, the weights' pass included
+    runs = []
+    recurrence = quadrature._legendre_and_derivative
+
+    def counted(n, x):
+        runs.append(n)
+        return recurrence(n, x)
+
+    monkeypatch.setattr(quadrature, "_legendre_and_derivative", counted)
+    gauss_legendre.__wrapped__(n)
+    assert len(runs) == passes
+
+
 def test_gauss_legendre_raises_at_the_newton_cap(monkeypatch):
     # the first Newton step at n = 2048 is 2e-9, far from round-off
     monkeypatch.setattr(quadrature, "GL_NEWTON_STEPS", 1)
@@ -272,7 +291,7 @@ def test_tensor_rule_of_a_separable_integrand_is_the_product(domain, mu,
     assert len(sizes) == len(domain)
     # the rows along the last axis end in a partial block
     rows, per_block = math.prod(sizes[:-1]), \
-        quadrature.TENSOR_BLOCK // sizes[-1]
+        quadrature.BLOCK_POINTS // sizes[-1]
     assert rows > per_block and rows % per_block != 0
     assert res.points == math.prod(sizes)
     assert all(n % 8 == 0 for n in sizes)     # counts x 8 Gauss nodes

@@ -45,8 +45,6 @@ ALLOWED = {
         "points times the generator blocks; 4 x 4 projectors",
     ("resolution", "alpha_grad_norm.grad_norm"):
         "points times the 4 x 4 generator blocks",
-    ("resolution", "_crit_measure"):
-        "the 3 x 3 Gram matrix of one point's tangents",
 }
 
 

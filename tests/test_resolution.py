@@ -7,13 +7,14 @@ import pytest
 from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
-from equiloc.resolution import (ALPHA_DOMAIN, _pivot_columns,
+from equiloc.quadrature import composite_gl
+from equiloc.resolution import (ALPHA_DOMAIN, TAU_RANGE, _pivot_columns,
                                 alpha_grad_norm, build_charts,
                                 crit_conditions,
                                 crit_equivalence_scan,
                                 direct_leading, factorization_check,
-                                resolution_certificate, resolved_leading,
-                                singular_sweep, stratify,
+                                probe_ratios, resolution_certificate,
+                                resolved_leading, singular_sweep, stratify,
                                 transversal_hessian)
 
 
@@ -244,6 +245,68 @@ def test_resolved_leading_rejects_a_varying_ratio():
               for c in build_charts(m, stratify(m).chains[0])]
     with pytest.raises(ModelError, match="not constant"):
         resolved_leading(m, charts, GAUSS_AMP, n_tau=8, n_ang=8, n_s=8)
+
+
+def _probe_grid():
+    """(tau, theta, s) of resolved_leading's default probe grid, built as
+    it builds them."""
+    taus, _ = composite_gl(-TAU_RANGE, TAU_RANGE, 1, 160)
+    svals, _ = composite_gl(-4.2, 4.2, 1, 120)
+    phis, _ = composite_gl(-math.pi / 2, math.pi / 2, 1, 40)
+    return [a.ravel() for a in np.meshgrid(
+        taus[::32], np.tan(phis)[::8], svals[::24], indexing="ij")]
+
+
+def _crit_measure_per_point(chart, tau, theta, s):
+    """sqrt Gram of the crit tangents at one point, s read back as |p|."""
+    h = 1e-6
+    v = chart.crit_param(tau, theta, s)[3:5]
+    s = float(np.dot(v, v)) ** 0.5 * (1.0 if s >= 0 else -1.0)
+    tangents = []
+    for dtau, dth, ds in ((h, 0, 0), (0, h, 0), (0, 0, h)):
+        plus = chart.crit_param(tau + dtau, theta + dth, s + ds)
+        minus = chart.crit_param(tau - dtau, theta - dth, s - ds)
+        tangents.append((plus - minus) / (2 * h))
+    g = np.array([[float(np.dot(a, b)) for b in tangents]
+                  for a in tangents])
+    return math.sqrt(max(np.linalg.det(g), 0.0))
+
+
+def test_batched_probe_ratios_match_per_point_hessians():
+    # one psi_wk call, one stacked eigvalsh and one Gram determinant per
+    # chart against a Hessian, an eigvalsh and eight crit_param calls per
+    # probe (1e-10 measured)
+    m = make_model("linrot2")
+    tau, theta, s = _probe_grid()
+    for chart in build_charts(m, stratify(m).chains[0]):
+        got = probe_ratios(chart, tau, theta, s)
+        want = np.array([
+            _crit_measure_per_point(chart, t, th, sv) / math.sqrt(abs(
+                transversal_hessian(chart, chart.crit_param(t, th, sv),
+                                    "orthonormal").det))
+            for t, th, sv in zip(tau, theta, s)])
+        assert got.shape == want.shape == (125,)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+
+def test_a_jump_in_the_crit_parametrization_fails_the_gate(monkeypatch):
+    # crit_param with s moved by 1e-6 just above one probe: that probe's
+    # s-tangent reads 1.5 times its length, and the gate must see it
+    m = make_model("linrot2")
+    charts = build_charts(m, stratify(m).chains[0])
+    tau, theta, s = _probe_grid()
+    k = 37
+    param = charts[1].crit_param
+
+    def jumped(t, th, sv):
+        t, th, sv = np.broadcast_arrays(t, th, sv)
+        above = (t == tau[k]) & (th == theta[k]) & (sv > s[k] + 1e-7) & \
+            (sv < s[k] + 1e-5)
+        return param(t, th, np.where(above, sv + 1e-6, sv))
+
+    monkeypatch.setattr(charts[1], "crit_param", jumped)
+    with pytest.raises(ModelError, match="chart theta1.*not constant"):
+        resolved_leading(m, charts, GAUSS_AMP)
 
 
 def test_amplitude_off_divisor_reduces_to_regular_stratum():
