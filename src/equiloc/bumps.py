@@ -55,6 +55,8 @@ class Bump:
         self.kind = kind
         self.flat = float(flat)
         if kind == "plateau":
+            if self.order > 10:     # Horner: 2.1e-13 off at 10, 7.6e-11 at 16
+                raise ValueError("plateau bumps go up to order 10")
             self._steps = _smoothstep_coeffs(self.order)
 
     def __call__(self, x):

@@ -474,7 +474,8 @@ def _cmd_resolve_verify(model, cfg: RunConfig):
                     cert.crit_mismatches == 0, "gradient scan"),
         Certificate("min_transversal_eigenvalue",
                     cert.min_transversal_eig, 0.0,
-                    cert.min_transversal_eig > 0.0, "adapted-frame FD"),
+                    cert.min_transversal_eig > 0.0,
+                    "adapted-frame complex step"),
     ]
     if cert.l_resolved is not None:
         certs.append(Certificate("resolved_vs_direct", cert.rel_gap, 0.01,

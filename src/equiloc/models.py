@@ -36,6 +36,7 @@ from .quadrature import BLOCK_POINTS, composite_gl
 from .symmat import SymMat
 
 LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
+PLANAR_EXTENT = 6.5        # r, s of reduced_rule: Gaussian tail < round-off
 PROFILE_FD_STEP = 1e-6     # central-difference step of an exact form's f'
 
 
@@ -579,16 +580,16 @@ class LinearCotangent(CatalogModel):
     def reduced_rule(self, sigma: float):
         """The planar rotation's singular level: Omega minus the origin is
         {(r u, s u)} with u = (cos phi, sin phi), (r, s) in R^2, phi in
-        [0, pi).  96 Gauss r and s on [-4.2, 4.2] and 64 phi midpoints, phi
-        slowest.  The surface measure sqrt(r^2 + s^2) dr ds dphi over the
-        orbit volume 2 pi sqrt(r^2 + s^2) leaves the weight
+        [0, pi).  96 Gauss r and s on [-6.5, 6.5] and 64 phi midpoints,
+        phi slowest.  The surface measure sqrt(r^2 + s^2) dr ds dphi over
+        the orbit volume 2 pi sqrt(r^2 + s^2) leaves the weight
         w_r w_s dphi / 2 pi."""
         if self.n != 2:
             raise ModelError("reduced_rule covers the planar rotation model")
         check_unit_speed(self)
         if sigma != 0.0:
             raise ModelError("singular leading coefficient is at sigma = 0")
-        r, wr = composite_gl(-4.2, 4.2, 1, 96)
+        r, wr = composite_gl(-PLANAR_EXTENT, PLANAR_EXTENT, 1, 96)
         phi = math.pi * (np.arange(64) + 0.5) / 64
         u = np.stack([np.cos(phi), np.sin(phi)])[:, :, None, None]
         pts = np.empty((4, phi.size, r.size, r.size))

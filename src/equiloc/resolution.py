@@ -98,9 +98,19 @@ def stratify(model) -> StratifyResult:
 # tau extent of the depth-1 chart domain, its crit sampler and the
 # resolved_leading tau grid
 TAU_RANGE = 4.2
-# central-difference step of `BlowupChart.normal_equations`; the
-# gradients only pick pivot columns, so they need no more accuracy
-NORMAL_STEP = 1e-7
+
+
+def _complex_step(f, x):
+    """Derivatives of f along each coordinate of x, Im f(x + i h e_j) / h
+    with h = 1e-30: no subtraction, so no cancellation and no step size.
+    f (an array or a tuple of them) sees points (..., n, n), direction j
+    on the next-to-last axis, and j stays where f puts that axis."""
+    h = 1e-30
+    x = np.asarray(x, dtype=float)
+    out = f(x[..., None, :] + 1j * h * np.eye(x.shape[-1]))
+    if isinstance(out, tuple):
+        return tuple(np.imag(v) / h for v in out)
+    return np.imag(out) / h
 
 
 @dataclass
@@ -108,22 +118,27 @@ class BlowupChart:
     """One direction chart of the iterated monoidal transformation, a chart
     that carries Crit(psi_wk).
 
-    A chart declares its geometry: `psi_wk` the weak transform, `taus` its
-    exceptional-divisor coordinates ((tau,) at depth 1, (s1^2 s2, s1 s2)
-    at depth 2), `ambient_map` a chart point's (eta, X) upstairs,
-    `equations` the signed defining equations of Crit(psi_wk),
-    `conditions` the residuals of (I)-(III), and `crit_sampler`,
-    `crit_param` and `crit_batch` points of Crit(psi_wk).  The class
-    derives the rest: the total transform `psi_tot` = prod tau * psi_wk
-    and the gradients `normal_equations` of `equations` by central
-    differences; the Jacobian exponents are the chain's.
+    A chart declares its geometry: `taus` its exceptional-divisor
+    coordinates ((tau,) at depth 1, (s1^2 s2, s1 s2) at depth 2),
+    `ambient_map` a chart point's (eta, X) upstairs, `equations` the
+    signed defining equations e_a of Crit(psi_wk), `form` the (a, b, c_ab)
+    of psi_wk = sum c_ab e_a e_b at points, `conditions` the residuals of
+    (I)-(III), and `crit_sampler`, `crit_param` and `crit_batch` points of
+    Crit(psi_wk).  The class derives psi_wk, the total transform
+    `psi_tot` = prod tau * psi_wk, and by complex step the gradients of
+    psi_wk and of `equations` and the Hessian on Crit(psi_wk).
+    `factorization_check` certifies the declared form against the
+    momentum map.  The Jacobian exponents are the chain's.
 
     Every callable broadcasts over leading axes: points of shape (..., n)
     give values of shape (...) (`taus` and `equations` tuples of them,
     `conditions` a dict, `ambient_map` eta of shape (..., 2n) and X of
-    shape (..., k)), and one point gives floats.  `crit_sampler(rng, m)`
-    returns an (m, n) array, and `crit_batch` builds the eta coordinates
-    of a whole (tau, theta, s) grid of Crit(psi_wk) from broadcast views.
+    shape (..., k)), and one point gives floats.  `equations`, `form` and
+    `crit_param` take complex points too (always batched); `conditions`
+    and `ambient_map` are real.
+    `crit_sampler(rng, m)` returns an (m, n) array, and `crit_batch`
+    builds the eta coordinates of a whole (tau, theta, s) grid of
+    Crit(psi_wk) from broadcast views.
 
     The alpha chart, where the algebra direction is the projective unit,
     is no BlowupChart: psi_wk has no critical points there, so it only
@@ -132,14 +147,21 @@ class BlowupChart:
     chain: IsotropyChain
     label: str
     domain: tuple                       # per-coordinate (lo, hi)
-    psi_wk: Callable
     taus: Callable                      # points -> divisor coordinates
     ambient_map: Callable
     equations: Callable                 # points -> signed equations
+    form: Callable                      # points -> ((a, b, c_ab), ...)
     conditions: Callable                # points -> dict of named residuals
     crit_sampler: Callable              # rng, m -> (m, n) critical points
     crit_param: Optional[Callable] = None       # (tau, theta, s) -> point
     crit_batch: Optional[Callable] = None       # taus, thetas, svals -> eta
+
+    def psi_wk(self, pt):
+        """The weak transform sum c_ab e_a e_b of the declared form."""
+        pt = np.asarray(pt)
+        e = self.equations(pt)
+        return _scalar_or_array(sum(c * e[a] * e[b]
+                                    for a, b, c in self.form(pt)))
 
     def psi_tot(self, pt):
         """The total transform prod tau * psi_wk."""
@@ -147,43 +169,24 @@ class BlowupChart:
         return _scalar_or_array(math.prod(self.taus(pt)) * self.psi_wk(pt))
 
     def normal_equations(self, pt) -> List[np.ndarray]:
-        """Gradients of `equations` at one point, by central differences
-        of step NORMAL_STEP over every chart coordinate."""
-        pt = np.asarray(pt, dtype=float)
-        e = NORMAL_STEP * np.eye(len(pt))
-        return [(plus - minus) / (2 * NORMAL_STEP) for plus, minus in
-                zip(self.equations(pt + e), self.equations(pt - e))]
+        """Gradients of `equations` at one point, by complex step."""
+        return list(_complex_step(self.equations, pt))
 
-    def gradient(self, pt, h: float = 1e-6) -> np.ndarray:
-        """Central differences of psi_wk; points of shape (..., n) give
-        gradients of shape (..., n), from one psi_wk call."""
-        pt = np.asarray(pt, dtype=float)
-        e = h * np.eye(pt.shape[-1])
-        x = pt[..., None, :]
-        f = self.psi_wk(np.stack([x + e, x - e]))
-        return (f[0] - f[1]) / (2 * h)
+    def gradient(self, pt) -> np.ndarray:
+        """Gradients of psi_wk by complex step; points of shape (..., n)
+        give gradients of shape (..., n), from one psi_wk call."""
+        return _complex_step(self.psi_wk, pt)
 
     def hessian(self, pt) -> np.ndarray:
-        """Central-difference Hessians (step 1e-4); points of shape
-        (..., n) give Hessians of shape (..., n, n), from one psi_wk call
-        on all the stencils."""
+        """Hessians of psi_wk on Crit(psi_wk), sum c_ab (grad e_a grad
+        e_b^T + grad e_b grad e_a^T): exact there, since every e_a
+        vanishes on Crit, and not the Hessian anywhere else.  Points of
+        shape (..., n) give shape (..., n, n), from one `equations` call."""
         pt = np.asarray(pt, dtype=float)
-        n = pt.shape[-1]
-        h = 1e-4
-        e = h * np.eye(n)
-        iu, ju = np.triu_indices(n, 1)
-        ei, ej = e[iu], e[ju]
-        x = pt[..., None, :]
-        f = self.psi_wk(np.concatenate([
-            x, x + e, x - e, x + ei + ej, x + ei - ej, x - ei + ej,
-            x - ei - ej], axis=-2))
-        f0, fp, fm = f[..., :1], f[..., 1:n + 1], f[..., n + 1:2 * n + 1]
-        fpp, fpm, fmp, fmm = np.split(f[..., 2 * n + 1:], 4, axis=-1)
-        out = np.empty(pt.shape[:-1] + (n, n))
-        out[..., iu, ju] = out[..., ju, iu] = \
-            (fpp - fpm - fmp + fmm) / (4 * h ** 2)
-        out[..., range(n), range(n)] = (fp - 2 * f0 + fm) / h ** 2
-        return out
+        g = _complex_step(self.equations, pt)
+        half = sum(np.asarray(c)[..., None, None] * g[a][..., :, None] *
+                   g[b][..., None, :] for a, b, c in self.form(pt))
+        return half + np.swapaxes(half, -1, -2)
 
 
 def uniform_points(domain, rng, m: int) -> np.ndarray:
@@ -228,9 +231,9 @@ def _charts_depth1(model: LinearCotangent,
     charts = []
     for rho in (0, 1):
         def vdir(theta, _rho=rho):
-            t = np.asarray(theta, dtype=float)
+            t = np.asarray(theta)
             n = np.sqrt(1.0 + t * t)
-            v = np.empty(t.shape + (2,))
+            v = np.empty(n.shape + (2,), dtype=n.dtype)
             v[..., _rho] = 1.0 / n
             v[..., 1 - _rho] = t / n
             return v
@@ -241,13 +244,10 @@ def _charts_depth1(model: LinearCotangent,
             return np.concatenate([q, pt[..., 3:5]], axis=-1), pt[..., 2:3]
 
         def equations(pt, _vdir=vdir):
-            pt = np.asarray(pt, dtype=float)
+            """(beta, <A v, p>), signed."""
+            pt = np.asarray(pt)
             av = _vdir(pt[..., 1]) @ a.T
-            return pt[..., 2], np.vecdot(av, pt[..., 3:5])
-
-        def psi_wk(pt, _equations=equations):
-            """beta <A v, p>, the product of the defining equations."""
-            return _scalar_or_array(math.prod(_equations(pt)))
+            return pt[..., 2], np.einsum("...i,...i->...", av, pt[..., 3:5])
 
         def conditions(pt, _vdir=vdir):
             pt = np.asarray(pt, dtype=float)
@@ -285,8 +285,8 @@ def _charts_depth1(model: LinearCotangent,
             chain=chain, label=f"theta{rho}",
             domain=((-TAU_RANGE, TAU_RANGE), (-6.0, 6.0), (-2.0, 2.0),
                     (-6.0, 6.0), (-6.0, 6.0)),
-            psi_wk=psi_wk, taus=lambda pt: (pt[..., 0],),
-            ambient_map=ambient, equations=equations,
+            taus=lambda pt: (pt[..., 0],), ambient_map=ambient,
+            equations=equations, form=lambda pt: ((0, 1, 1.0),),
             conditions=conditions, crit_sampler=crit_sampler,
             crit_param=crit_param, crit_batch=crit_batch))
     return charts
@@ -311,9 +311,9 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
         return _circle_point(th1, i1, j1)
 
     def v2(phi):
-        t = np.asarray(phi, dtype=float)
+        t = np.asarray(phi)
         n = np.sqrt(1 + t * t)
-        out = np.zeros(t.shape + (4,))
+        out = np.zeros(n.shape + (4,), dtype=n.dtype)
         out[..., (i2, j2)[rho]] = 1.0 / n
         out[..., (i2, j2)[1 - rho]] = t / n
         return out
@@ -323,19 +323,9 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
         return s1 * s1 * s2, s1 * s2
 
     def mpoint(pt):
-        pt = np.asarray(pt, dtype=float)
+        pt = np.asarray(pt)
         t2 = pt[..., 0, None] * pt[..., 1, None]
         return np.cos(t2) * x2(pt[..., 2]) + np.sin(t2) * v2(pt[..., 3])
-
-    def psi_wk(pt):
-        pt = np.asarray(pt, dtype=float)
-        t2 = pt[..., 0] * pt[..., 1]
-        big = np.abs(t2) > 1e-9
-        sinc = np.where(big, np.sin(t2) / np.where(big, t2, 1.0),
-                        1.0 - t2 * t2 / 6.0)
-        vec = pt[..., 4, None] * (mpoint(pt) @ a_alpha.T) + \
-            (pt[..., 5] * sinc)[..., None] * (v2(pt[..., 3]) @ a_beta.T)
-        return _scalar_or_array(np.vecdot(vec, pt[..., 6:10]))
 
     def ambient(pt):
         pt = np.asarray(pt, dtype=float)
@@ -348,10 +338,15 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
 
     def equations(pt):
         """(alpha, beta, r2, r3), signed; r2 and r3 annihilate p."""
-        pt = np.asarray(pt, dtype=float)
+        pt = np.asarray(pt)
         p = pt[..., 6:10]
-        return (pt[..., 4], pt[..., 5], np.vecdot(mpoint(pt) @ a_alpha.T, p),
-                np.vecdot(v2(pt[..., 3]) @ a_beta.T, p))
+        return (pt[..., 4], pt[..., 5],
+                np.einsum("...i,...i->...", mpoint(pt) @ a_alpha.T, p),
+                np.einsum("...i,...i->...", v2(pt[..., 3]) @ a_beta.T, p))
+
+    def form(pt):
+        """alpha r2 + sinc(s1 s2) beta r3."""
+        return (0, 2, 1.0), (1, 3, _sinc(pt[..., 0] * pt[..., 1]))
 
     def conditions(pt):
         pt = np.asarray(pt, dtype=float)
@@ -362,15 +357,12 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
                           np.sqrt(np.vecdot(u, u)), np.abs(r2), np.abs(r3))
 
     def crit_sampler(rng, n):
+        # three draws: (s1, s2, th1, phi), normal 4-vectors and radii
         base = np.zeros((n, 10))
-        z = np.empty((n, 4))
-        r = np.empty(n)
-        # the draws interleave point by point: (s1, s2, th1, phi), then a
-        # normal 4-vector and a radius
-        for k in range(n):
-            base[k, :4] = rng.uniform((-1, -1, 0, -3), (1, 1, 2 * math.pi, 3))
-            z[k] = rng.normal(size=4)
-            r[k] = rng.uniform(0.5, 2.0)
+        base[:, :4] = rng.uniform((-1, -1, 0, -3), (1, 1, 2 * math.pi, 3),
+                                  size=(n, 4))
+        z = rng.normal(size=(n, 4))
+        r = rng.uniform(0.5, 2.0, size=n)
         u = np.stack([mpoint(base) @ a_alpha.T,
                       v2(base[:, 3]) @ a_beta.T], axis=-1)
         q, _ = np.linalg.qr(u)
@@ -382,17 +374,23 @@ def _make_theta_theta_chart(model, chain, rho: int) -> BlowupChart:
         chain=chain, label=f"theta-theta{rho}",
         domain=((-1, 1), (-1, 1), (0, 2 * math.pi), (-6, 6), (-2, 2),
                 (-2, 2), (-6, 6), (-6, 6), (-6, 6), (-6, 6)),
-        psi_wk=psi_wk, taus=taus, ambient_map=ambient, equations=equations,
+        taus=taus, ambient_map=ambient, equations=equations, form=form,
         conditions=conditions, crit_sampler=crit_sampler)
 
 
 def _circle_point(th1, i: int, j: int) -> np.ndarray:
     """cos(th1) e_i + sin(th1) e_j in R^4; broadcasts over th1."""
-    th1 = np.asarray(th1, dtype=float)
-    out = np.zeros(th1.shape + (4,))
-    out[..., i] = np.cos(th1)
+    cos = np.cos(th1)
+    out = np.zeros(cos.shape + (4,), dtype=cos.dtype)
+    out[..., i] = cos
     out[..., j] = np.sin(th1)
     return out
+
+
+def _sinc(t):
+    """sin(t) / t, and its Taylor polynomial where |t| <= 1e-9."""
+    big = np.abs(t) > 1e-9
+    return np.where(big, np.sin(t) / np.where(big, t, 1.0), 1.0 - t * t / 6.0)
 
 
 def _plane_matrix(model: LinearCotangent, plane_index: int) -> np.ndarray:
@@ -437,9 +435,7 @@ def alpha_grad_norm(model: LinearCotangent, chain: IsotropyChain) -> Callable:
         m = np.where(off[..., None], np.cos(arg)[..., None] * circle +
                      (np.sin(arg) / np.where(off, nv, 1.0))[..., None] * w,
                      circle)
-        big = np.abs(arg) > 1e-9
-        sincf = np.where(big, np.sin(arg) / np.where(big, arg, 1.0), 1.0)
-        g = m @ a_alpha.T + (beta * sincf)[..., None] * (w @ a_beta.T)
+        g = m @ a_alpha.T + (beta * _sinc(arg))[..., None] * (w @ a_beta.T)
         # the same rounding as np.linalg.norm of one vector
         return _scalar_or_array(np.sqrt(np.vecdot(g, g)))
 
@@ -490,7 +486,7 @@ def transversal_hessian(chart: BlowupChart, pt,
     frame="orthonormal": nonzero spectrum of the full coordinate Hessian,
     which is the measure-consistent transversal block.
     """
-    full = chart.hessian(np.asarray(pt, dtype=float))
+    full = chart.hessian(pt)
     eigs = np.linalg.eigvalsh(full)
     nonzero = eigs[_nonzero(eigs)]
     if frame == "orthonormal":
@@ -501,7 +497,7 @@ def transversal_hessian(chart: BlowupChart, pt,
             min_abs_eig=float(np.abs(nonzero).min()) if len(nonzero)
             else 0.0,
             rank=len(nonzero))
-    grads = chart.normal_equations(np.asarray(pt, dtype=float))
+    grads = chart.normal_equations(pt)
     idx = _pivot_columns(grads)
     sub = full[np.ix_(idx, idx)]
     eigs = np.linalg.eigvalsh(sub)
@@ -606,31 +602,22 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
 
 def probe_ratios(chart: BlowupChart, tau, theta, s) -> np.ndarray:
     """dCrit / |det Hess_perp|^(1/2) at crit_param(tau, theta, s) for 1-D
-    arrays of one length m, in one pass: one psi_wk call over the m
-    Hessian stencils, one stacked eigvalsh, and one crit_param call and
-    one stacked determinant for the Gram matrices of the parametrization
-    tangents.  |det Hess_perp| is the product of the `_nonzero`
-    eigenvalues, as in transversal_hessian's "orthonormal" frame.
-
-    The tangents are central differences of step 1e-6 at (tau, theta, s),
-    with s read back from crit_param's point as |p| with the sign of s:
-    the two can differ in the last bit, and the step amplifies such a
-    change, so the tangents are taken where the point is."""
+    arrays of one length m, in one pass: one stacked Hessian on Crit and
+    one stacked eigvalsh, and the parametrization tangents by complex step
+    (crit_param takes complex arguments) from one crit_param call, with
+    one stacked determinant of their Gram matrices.  |det Hess_perp| is
+    the product of the `_nonzero` eigenvalues, as in transversal_hessian's
+    "orthonormal" frame."""
     pts = chart.crit_param(tau, theta, s)
     eigs = np.linalg.eigvalsh(chart.hessian(pts))
     nonzero = _nonzero(eigs)
     det = np.where(nonzero.any(axis=-1),
                    np.prod(np.where(nonzero, eigs, 1.0), axis=-1), 0.0)
-    h = 1e-6
-    p = pts[..., 3:5]
-    s = np.sqrt(np.einsum("mi,mi->m", p, p)) * np.where(s >= 0, 1.0, -1.0)
-    # (coordinate, +/-, direction, point) of the tangent stencils
-    base = np.stack([tau, theta, s])[:, None, None, :]
-    d = h * np.eye(3)[:, None, :, None]
-    plus, minus = chart.crit_param(*np.concatenate([base + d, base - d],
-                                                   axis=1))
-    tangents = (plus - minus) / (2 * h)
-    gram = np.linalg.det(np.einsum("kmi,lmi->mkl", tangents, tangents))
+    # (point, parameter, coordinate)
+    tangents = _complex_step(
+        lambda z: chart.crit_param(*np.moveaxis(z, -1, 0)),
+        np.stack([tau, theta, s], axis=-1))
+    gram = np.linalg.det(np.einsum("mki,mli->mkl", tangents, tangents))
     return np.sqrt(np.maximum(gram, 0.0)) / np.sqrt(np.abs(det))
 
 

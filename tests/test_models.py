@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equiloc.models import (Amplitude, CotangentCircle, GroupData,
-                            LinearCotangent, ModelError, Sphere, make_model,
-                            reduced_integral, rotation_generator)
+from equiloc.models import (PLANAR_EXTENT, Amplitude, CotangentCircle,
+                            GroupData, LinearCotangent, ModelError, Sphere,
+                            make_model, reduced_integral, rotation_generator)
 from equiloc.mpoly import LinForm
 from equiloc.symmat import ldlt
 
@@ -273,7 +273,7 @@ def test_reduced_rule_planar_rotation():
         assert m.isotropy_dim(pts[:, i]) == m.group.d - m.group.kappa
     # the stratum measure pi * int int sqrt(r^2 + s^2) dr ds over the box
     # [-a, a]^2, in closed form
-    a = 4.2
+    a = PLANAR_EXTENT
     measure = math.pi * 4 * a ** 3 / 3 * (math.sqrt(2) + math.asinh(1))
     assert 64 * float(w[:size] @ vols) == pytest.approx(measure, rel=2e-6)
 
@@ -351,9 +351,9 @@ def test_large_sphere_profiles_use_panels_of_cached_rules(radius,
 
 
 def test_reduced_integral_of_the_gaussian_on_linrot2():
-    # the chunked weighted sum of reduced_integral, pinned at round-off to
-    # the value of its earlier BLAS dot (pi^2 to the rule's 5.7e-9
-    # relative)
+    # the chunked weighted sum of reduced_integral is pi^2: the rule's
+    # cutoff leaves the Gaussian a tail below round-off (3.4e-15 measured;
+    # at the resolved side's 4.2 it read pi^2 (1 - 5.7e-9))
     val = reduced_integral(make_model("linrot2"),
                            lambda pts: np.exp(-(pts ** 2).sum(axis=0)))
-    assert val == pytest.approx(9.869604344724165, rel=1e-13, abs=0)
+    assert val == pytest.approx(math.pi ** 2, rel=1e-13, abs=0)

@@ -35,8 +35,6 @@ ALLOWED = {
         "points times a 2 x 2 generator",
     ("resolution", "_charts_depth1.conditions"):
         "points times a 2 x 2 generator",
-    ("resolution", "_make_theta_theta_chart.psi_wk"):
-        "points times the 4 x 4 and 2 x 2 generator blocks",
     ("resolution", "_make_theta_theta_chart.equations"):
         "points times the 4 x 4 and 2 x 2 generator blocks",
     ("resolution", "_make_theta_theta_chart.conditions"):

@@ -88,18 +88,23 @@ def test_factorization_check_sees_each_divisor_factor(mutate):
                                        n=500) > 1e-12
 
 
+def _direction(chart, theta):
+    """v(theta) of a depth-1 chart and its derivative v'(theta), by hand."""
+    rho = int(chart.label[-1])
+    norm = math.sqrt(1.0 + theta * theta)
+    v, dv = np.empty(2), np.empty(2)
+    v[rho], v[1 - rho] = 1.0 / norm, theta / norm
+    dv[rho], dv[1 - rho] = -theta / norm ** 3, 1.0 / norm ** 3
+    return v, dv
+
+
 def _closed_form_rows(chart, pt):
     """The gradients of (I)-(III) written out by hand: at depth 1 e_beta
     and (0, <A v'(theta), p>, 0, (A v)_0, (A v)_1), at depth 2 e_alpha,
     e_beta and the central differences of r2, r3 over (th1, phi, p)."""
     n = len(pt)
     if chart.chain.depth == 1:
-        rho = int(chart.label[-1])
-        theta = pt[1]
-        norm = math.sqrt(1.0 + theta * theta)
-        v, dv = np.empty(2), np.empty(2)
-        v[rho], v[1 - rho] = 1.0 / norm, theta / norm
-        dv[rho], dv[1 - rho] = -theta / norm ** 3, 1.0 / norm ** 3
+        v, dv = _direction(chart, pt[1])
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
         row = np.zeros(n)
         row[1] = (a @ dv) @ pt[3:5]
@@ -223,7 +228,9 @@ def test_resolved_vs_direct_leading():
     charts = build_charts(m, stratify(m).chains[0])
     l_res = resolved_leading(m, charts, GAUSS_AMP)
     l_dir = direct_leading(m, GAUSS_AMP)
-    assert l_dir == pytest.approx(math.pi ** 2, rel=1e-6)
+    # the direct rule's cutoff leaves a tail below round-off (3.4e-15
+    # measured), the resolved side's 4.2 one of 5.7e-9
+    assert l_dir == pytest.approx(math.pi ** 2, rel=1e-13)
     assert l_res == pytest.approx(l_dir, rel=0.01)
 
 
@@ -236,12 +243,45 @@ def test_resolved_leading_zero_amplitude():
                             n_s=8) == 0.0
 
 
+def _scaled_form(chart, k, factor):
+    """The chart with coefficient k of its form multiplied by factor(pt)."""
+    def form(pt, _f=chart.form):
+        return tuple((a, b, c * factor(pt) if i == k else c)
+                     for i, (a, b, c) in enumerate(_f(pt)))
+    return dataclasses.replace(chart, form=form)
+
+
+def _scaled_equation(chart, k, factor):
+    """The chart with defining equation k multiplied by factor."""
+    def equations(pt, _f=chart.equations):
+        return tuple(e * factor if i == k else e
+                     for i, e in enumerate(_f(pt)))
+    return dataclasses.replace(chart, equations=equations)
+
+
+def test_factorization_check_sees_each_declaration():
+    # psi_wk is derived from the declared equations and form, so the
+    # certificate tests them: the last equation (r3 at depth 2) or the
+    # last coefficient (sinc(s1 s2) at depth 2) off by 1e-3 goes red on
+    # every chart (1.0e-3 measured at depth 1, 2.7e-3 and 3.2e-3 on the
+    # two depth-2 charts)
+    models = {1: make_model("linrot2"), 2: make_model("linrot4")}
+    for chart in _all_charts():
+        model = models[chart.chain.depth]
+        last_eq = len(chart.equations(np.zeros(len(chart.domain)))) - 1
+        last_c = len(chart.form(np.zeros(len(chart.domain)))) - 1
+        for bad in (_scaled_equation(chart, last_eq, 1.001),
+                    _scaled_form(chart, last_c, lambda pt: 1.001)):
+            assert factorization_check(bad, model, np.random.default_rng(3),
+                                       n=500) > 1e-12
+
+
 def test_resolved_leading_rejects_a_varying_ratio():
-    # psi_wk scaled by 1 + tau^2 scales |det Hess_perp| along Crit(psi_wk),
-    # so dCrit / |det Hess_perp|^(1/2) varies over the probe grid
+    # the form scaled by 1 + tau^2 scales |det Hess_perp| along
+    # Crit(psi_wk), so dCrit / |det Hess_perp|^(1/2) varies over the
+    # probe grid
     m = make_model("linrot2")
-    charts = [dataclasses.replace(c, psi_wk=lambda pt, _f=c.psi_wk: _f(pt) *
-                                  (1 + np.asarray(pt)[..., 0] ** 2))
+    charts = [_scaled_form(c, 0, lambda pt: 1 + np.asarray(pt)[..., 0] ** 2)
               for c in build_charts(m, stratify(m).chains[0])]
     with pytest.raises(ModelError, match="not constant"):
         resolved_leading(m, charts, GAUSS_AMP, n_tau=8, n_ang=8, n_s=8)
@@ -258,24 +298,22 @@ def _probe_grid():
 
 
 def _crit_measure_per_point(chart, tau, theta, s):
-    """sqrt Gram of the crit tangents at one point, s read back as |p|."""
-    h = 1e-6
-    v = chart.crit_param(tau, theta, s)[3:5]
-    s = float(np.dot(v, v)) ** 0.5 * (1.0 if s >= 0 else -1.0)
-    tangents = []
-    for dtau, dth, ds in ((h, 0, 0), (0, h, 0), (0, 0, h)):
-        plus = chart.crit_param(tau + dtau, theta + dth, s + ds)
-        minus = chart.crit_param(tau - dtau, theta - dth, s - ds)
-        tangents.append((plus - minus) / (2 * h))
+    """sqrt Gram of the tangents of the depth-1 crit_param (tau, theta, 0,
+    s v(theta)) at one point, written out by hand: e_tau, e_theta +
+    s v'(theta) and v(theta)."""
+    v, dv = _direction(chart, theta)
+    tangents = [np.eye(5)[0], np.eye(5)[1], np.zeros(5)]
+    tangents[1][3:5] = s * dv
+    tangents[2][3:5] = v
     g = np.array([[float(np.dot(a, b)) for b in tangents]
                   for a in tangents])
     return math.sqrt(max(np.linalg.det(g), 0.0))
 
 
 def test_batched_probe_ratios_match_per_point_hessians():
-    # one psi_wk call, one stacked eigvalsh and one Gram determinant per
-    # chart against a Hessian, an eigvalsh and eight crit_param calls per
-    # probe (1e-10 measured)
+    # one stacked Hessian, eigvalsh and Gram determinant per chart, the
+    # tangents by complex step, against a Hessian, an eigvalsh and the
+    # closed-form tangents per probe
     m = make_model("linrot2")
     tau, theta, s = _probe_grid()
     for chart in build_charts(m, stratify(m).chains[0]):
@@ -286,25 +324,22 @@ def test_batched_probe_ratios_match_per_point_hessians():
                                     "orthonormal").det))
             for t, th, sv in zip(tau, theta, s)])
         assert got.shape == want.shape == (125,)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+        # 3.3e-16 measured; finite-difference tangents put 2.7e-9 here
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
-def test_a_jump_in_the_crit_parametrization_fails_the_gate(monkeypatch):
-    # crit_param with s moved by 1e-6 just above one probe: that probe's
-    # s-tangent reads 1.5 times its length, and the gate must see it
+def test_a_stretched_crit_parametrization_fails_the_gate(monkeypatch):
+    # crit_param with s moved to s (1 + 1e-6 tau): its points stay on
+    # Crit(psi_wk), but dCrit changes by about 1e-6 tau relative across
+    # the probe grid, and the gate must see it
     m = make_model("linrot2")
     charts = build_charts(m, stratify(m).chains[0])
-    tau, theta, s = _probe_grid()
-    k = 37
     param = charts[1].crit_param
 
-    def jumped(t, th, sv):
-        t, th, sv = np.broadcast_arrays(t, th, sv)
-        above = (t == tau[k]) & (th == theta[k]) & (sv > s[k] + 1e-7) & \
-            (sv < s[k] + 1e-5)
-        return param(t, th, np.where(above, sv + 1e-6, sv))
+    def stretched(t, th, sv):
+        return param(t, th, sv * (1 + 1e-6 * t))
 
-    monkeypatch.setattr(charts[1], "crit_param", jumped)
+    monkeypatch.setattr(charts[1], "crit_param", stretched)
     with pytest.raises(ModelError, match="chart theta1.*not constant"):
         resolved_leading(m, charts, GAUSS_AMP)
 
@@ -340,7 +375,7 @@ def test_singular_sweep_linrot2():
     m = make_model("linrot2")
     rep = singular_sweep(m, GAUSS_AMP, list(np.geomspace(1e-2, 1e-4, 5)))
     assert rep.kappa == 1 and rep.lam == 2
-    assert rep.leading == pytest.approx(math.pi ** 2, rel=1e-6)
+    assert rep.leading == pytest.approx(math.pi ** 2, rel=1e-13)
     row = next(r for r in rep.rows if abs(r.mu - 1e-3) < 1e-12)
     assert abs(row.scaled - rep.leading) <= 0.01 * rep.leading
     assert abs(rep.fit.exponent - 2.0) <= 0.2
@@ -493,17 +528,25 @@ def test_psi_wk_broadcasts_over_points():
 
 
 def test_batched_stencils_match_per_point_loops():
+    # batched and per-point complex steps agree to the bit.  Against the
+    # independent central differences of the loops: the gradient
+    # everywhere (1.5e-9 measured), the Hessian of the form only on
+    # Crit(psi_wk), where it is exact (6.6e-9 measured)
     rng = np.random.default_rng(19)
     for chart in _all_charts():
         pts = [np.array([rng.uniform(lo, hi) for lo, hi in chart.domain])
                for _ in range(6)]
-        pts += list(chart.crit_sampler(rng, 3))
+        crit = list(chart.crit_sampler(rng, 3))
+        pts += crit
         grads = chart.gradient(np.array(pts))
-        for pt, g in zip(pts, grads):
-            assert np.max(np.abs(g - _loop_gradient(chart, pt))) <= 1e-12
+        hessians = chart.hessian(np.array(pts))
+        for pt, g, hess in zip(pts, grads, hessians):
+            assert np.max(np.abs(g - _loop_gradient(chart, pt))) <= 1e-8
             assert np.array_equal(chart.gradient(pt), g)
+            assert np.array_equal(chart.hessian(pt), hess)
+        for pt in crit:
             assert np.max(np.abs(chart.hessian(pt) -
-                                 _loop_hessian(chart, pt))) <= 1e-12
+                                 _loop_hessian(chart, pt))) <= 1e-7
 
 
 def test_crit_scan_matches_per_point_loop():

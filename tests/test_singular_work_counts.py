@@ -1,8 +1,10 @@
 """The singular workload's array passes stay array passes.
 
-`resolved_leading` evaluates each chart's probe grid in one pass: one
-psi_wk call over all the Hessian stencils, where a probe once made a
-call of its own (125 per chart).  The T*S^1 sweep evaluates bhat once,
+The certificate calls each chart's psi_wk twice, once for the
+factorization check and once for the gradients of the crit scan; the
+Hessians of `transversal_hessian` and of `resolved_leading`'s probe grid
+read the chart's `equations`, where each probe once made a psi_wk call
+of its own (125 per chart).  The T*S^1 sweep evaluates bhat once,
 on the positive half of its mirrored w rule.  Each such call is counted
 here, so a per-point loop or a second bhat pass cannot come back unseen.
 """
@@ -50,12 +52,13 @@ def bumphat_calls(monkeypatch):
 
 
 def test_resolve_verify_linrot2_psi_wk_calls(psi_wk_calls, tmp_path):
-    # per chart: the factorization check, the crit scan, 11 adapted-frame
-    # Hessians of the certificate and one probe-grid pass (276 when each
-    # of the 125 probes per chart made its own call)
+    # per chart: the factorization check and the crit scan; the Hessians
+    # on Crit take their gradients from `equations` (28 when the 11
+    # adapted-frame Hessians and the probe-grid pass each differenced
+    # psi_wk, 276 when each of the 125 probes made its own call)
     assert main(["resolve-verify", "--model", "linrot2", "--out",
                  str(tmp_path)]) == 0
-    assert psi_wk_calls == {"psi_wk": 2 * (1 + 1 + 11 + 1)}
+    assert psi_wk_calls == {"psi_wk": 2 * (1 + 1)}
 
 
 @pytest.mark.parametrize("command", ["singular", "spexpand"])
