@@ -24,7 +24,7 @@ algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -90,17 +90,17 @@ class Amplitude:
     """a(eta, X) = eta-factor(eta) * g-profile(X): the eta-factor is the
     product of an optional Gaussian e^{-|eta|^2} (the singular catalog)
     and an optional free density on the phase-space coordinates, 1 when
-    neither is given; the g-profile is 1 when absent."""
+    neither is given; the g-profile is 1 when absent.  `factors` = (F, P)
+    declares a T*S^1 eta-factor F(theta) P(p); the sweep oracle checks it."""
     g_profile: Optional[Bump] = None
     gaussian: bool = False
     density: Optional[Callable] = None
+    factors: Optional[Tuple[Callable, Callable]] = None
 
     def eta_factor(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
-        r2 = (coords ** 2).sum(axis=0)
-        out = np.ones_like(r2)
-        if self.gaussian:
-            out = out * np.exp(-r2)
+        out = np.exp(-(coords ** 2).sum(axis=0)) if self.gaussian \
+            else np.ones(coords.shape[1:])
         if self.density is not None:
             out = out * np.asarray(self.density(coords), dtype=float)
         return out
@@ -362,18 +362,21 @@ class CotangentCircle(CatalogModel):
 
     def amplitude(self, bump_cfg: Optional[dict], sigma: float) -> Amplitude:
         """(1 + cos^2 theta) times a momentum profile curved at the level
-        sigma: the remainder of the regular-value expansion is then
-        genuinely of second order."""
-        amp = super().amplitude(bump_cfg, sigma)
+        sigma, declared as those two factors: the remainder of the
+        regular-value expansion is then genuinely of second order."""
         p_bump = Bump(radius=1.6, order=6, kind="poly")
-        amp.density = lambda coords: (1.0 + np.cos(coords[0]) ** 2) * \
-            p_bump(coords[1] - sigma) * np.exp(-(coords[1] - sigma) ** 2)
-        return amp
+        f = (lambda t: 1.0 + np.cos(t) ** 2,
+             lambda p: p_bump(p - sigma) * np.exp(-(p - sigma) ** 2))
+        return replace(super().amplitude(bump_cfg, sigma), factors=f,
+                       density=lambda c: f[0](c[0]) * f[1](c[1]))
 
     def sweep_oracle(self, amplitude: Amplitude, mus: Sequence[float],
                      sigma: float) -> List[float]:
         from .oracles import cotangent_regular_integral
+        if amplitude.factors is None:
+            raise ModelError("the T*S^1 sweep needs declared factors")
         return cotangent_regular_integral(
+            amplitude.factors,
             lambda t, p: amplitude.eta_factor(np.stack([t, p])),
             BumpHat(amplitude.g_profile), sigma, mus)
 

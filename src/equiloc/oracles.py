@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .bumps import Bump, BumpHat
 from .models import ModelError
-from .quadrature import (BLOCK_POINTS, composite_gl, cosine_panels,
-                         cosine_sum, gauss_legendre)
+from .quadrature import composite_gl, cosine_panels, cosine_sum, gauss_legendre
 
 # the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
 # below 3e-16 rho there
@@ -168,9 +167,8 @@ def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
     """Monte Carlo pushforward of the area measure under the height:
     uniform sphere points from normalized Gaussians, histogram of z."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n_samples, 3))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    z = g[:, 2] * radius
+    a, b, c = rng.normal(size=(n_samples, 3)).T
+    z = c / np.sqrt(a * a + b * b + c * c) * radius
     area = 4 * math.pi * radius ** 2
     hist, edges = np.histogram(z, bins=bins, range=(-radius, radius))
     masses = hist / n_samples * area
@@ -181,40 +179,39 @@ def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
 # cotangent circle
 
 
-def cotangent_regular_integral(f_theta_p: Callable, bhat: BumpHat,
+def cotangent_regular_integral(factors: Tuple[Callable, Callable],
+                               f_theta_p: Callable, bhat: BumpHat,
                                sigma: float,
                                mus: Sequence[float]) -> List[float]:
     """I_sigma(mu) = mu * int int f(theta, sigma + mu w) bhat(w) dtheta dw
-    for each mu of a sweep, on 256 theta midpoints and 1200 Gauss w-nodes
-    of |w| <= 400.
+    for each mu of a sweep, for f = F(theta) P(p) with factors = (F, P):
+    mu (2 pi / 256 sum_theta F) sum_w P(sigma + mu w) bhat(w) dw on 256
+    theta midpoints and 75 16-point Gauss panels of |w| <= 400.
 
     The X-integral of e^{i (p - sigma) X / mu} g(X) is exactly
     ghat((p - sigma)/mu); the substitution w = (p - sigma)/mu is exact.
 
-    The w rule is mirrored and bhat even, so bhat is evaluated once per
-    sweep, on the 600 positive nodes.  For each mu the (theta, w) grid is
-    streamed in blocks of whole theta rows, BLOCK_POINTS points at most,
-    and summed over theta into one 1200-vector, so no temporary grows
-    with the grid.
+    F is evaluated once and P once per mu, on its 1200 w-nodes.  First,
+    F P must match f within 1e-14 of max |f| on every 16th theta midpoint
+    times every 16th w-node of each mu, or ModelError.  The w rule is
+    mirrored and bhat even, so bhat is evaluated once, on 600 nodes.
     """
-    n_theta = 256
-    th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    w, wts = composite_gl(-400.0, 400.0, 1, 1200)
-    half = w.size // 2
-    bw = bhat(w[half:])
-    # bhat and its weights, summed against the theta sums once per mu
-    bw_wts = np.concatenate([bw[::-1], bw]) * wts * (2 * math.pi / n_theta)
-    rows = max(1, BLOCK_POINTS // w.size)
-    out = []
-    for mu in mus:
-        p = sigma + mu * w
-        inner = np.zeros(w.size)
-        for r0 in range(0, n_theta, rows):
-            tt = th[r0:r0 + rows, None]
-            inner += np.einsum("ij->j", f_theta_p(
-                *np.broadcast_arrays(tt, p[None, :])))
-        out.append(mu * float(np.einsum("i,i->", inner, bw_wts)))
-    return out
+    th = 2 * math.pi * (np.arange(256) + 0.5) / 256
+    w, wts = composite_gl(-400.0, 400.0, 75)
+    # symmetrized: linspace's panel edges are mirrored only to 1e-13
+    w, wts = 0.5 * (w - w[::-1]), 0.5 * (wts + wts[::-1])
+    f_th = factors[0](th)
+    f_p = np.array([factors[1](sigma + mu * w) for mu in mus])
+    want = f_theta_p(*np.broadcast_arrays(
+        th[::16, None, None], sigma + np.multiply.outer(mus, w[::16])))
+    err = np.abs(np.multiply.outer(f_th[::16], f_p[:, ::16]) - want).max()
+    if not err <= 1e-14 * np.abs(want).max():     # a NaN fails too
+        raise ModelError(f"the declared (theta, p) factors miss by {err:.3g}")
+    bw = bhat(w[w.size // 2:])
+    bw_wts = np.concatenate([bw[::-1], bw]) * wts
+    theta_sum = 2 * math.pi / 256 * float(np.einsum("i->", f_th))
+    return [mu * theta_sum * float(np.einsum("i,i->", row, bw_wts))
+            for mu, row in zip(mus, f_p)]
 
 
 def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,

@@ -398,20 +398,22 @@ def test_remainder_log_power_reports_the_bound_it_gates(
 def test_cotangent_config_bump_reaches_the_oracle(command, tmp_path):
     # the T*S^1 sweep once kept the R = 1, order 6 g-profile whatever the
     # config's "bump" said
+    import dataclasses
+
     from equiloc.bumps import Bump
-    from equiloc.models import Amplitude, CotangentCircle
+    from equiloc.models import CotangentCircle
     from equiloc.resolution import singular_sweep
     cfg = tmp_path / "bump.json"
     cfg.write_text(json.dumps({"model": {"kind": "cotangent-circle",
                                          "bump": {"R": 2, "order": 4}}}))
     assert run([command, "--config", str(cfg)], tmp_path) == 0
     rows = [r["oracle"] for r in latest_report(tmp_path)["results"]["rows"]]
-    p_bump = Bump(radius=1.6, order=6, kind="poly")
 
     def sweep(g_profile):
-        amp = Amplitude(g_profile=g_profile, density=lambda c: (
-            1.0 + np.cos(c[0]) ** 2) * p_bump(c[1] - 0.7) *
-            np.exp(-(c[1] - 0.7) ** 2))
+        # the catalog amplitude, its declared factors included, with only
+        # the g-profile swapped
+        amp = dataclasses.replace(CotangentCircle().amplitude(None, 0.7),
+                                  g_profile=g_profile)
         rep = singular_sweep(CotangentCircle(), amp,
                              list(np.geomspace(1e-2, 1e-4, 5)), sigma=0.7)
         return [r.oracle for r in rep.rows]

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.special import j0, k0
 
 from equiloc import EquivariantForm, l_alpha, make_model, oracles
-from equiloc.bumps import Bump
+from equiloc.bumps import Bump, BumpHat
+from equiloc.models import Amplitude, CotangentCircle, ModelError
 from equiloc.oracles import bessel_j0, bessel_k0, linrot2_oracle
 from equiloc.quadrature import composite_gl
 
@@ -223,31 +224,99 @@ def test_linrot2_l_alpha_batch_closed_form():
         <= 1e-13
 
 
-def _cotangent_full_grid(f_theta_p, bhat, sigma, mus):
-    """The T*S^1 sweep on the whole 256 x 1200 (theta, w) grid at once,
-    with bhat on every w node."""
-    n_theta = 256
-    th = 2 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    w, wts = composite_gl(-400.0, 400.0, 1, 1200)
+MUS = list(np.geomspace(1e-2, 1e-4, 5))
+
+
+def _panel_rule():
+    """The T*S^1 oracle's w rule: 75 16-point Gauss panels of |w| <= 400,
+    symmetrized about 0."""
+    w, wts = composite_gl(-400.0, 400.0, 75)
+    return 0.5 * (w - w[::-1]), 0.5 * (wts + wts[::-1])
+
+
+def _cotangent_full_grid(f_theta_p, bhat, sigma, mus, rule):
+    """The T*S^1 sweep with f evaluated on the whole grid of 256 theta
+    midpoints times the w rule, and bhat on every w node."""
+    th = 2 * math.pi * (np.arange(256) + 0.5) / 256
+    w, wts = rule
     tt, ww = np.meshgrid(th, w, indexing="ij")
     bw = bhat(w)
     return [mu * float(np.dot((f_theta_p(tt, sigma + mu * ww) * bw).sum(
-        axis=0) * (2 * math.pi / n_theta), wts)) for mu in mus]
+        axis=0) * (2 * math.pi / 256), wts)) for mu in mus]
+
+
+def _cotangent_oracle(amp, sigma, mus=MUS):
+    return oracles.cotangent_regular_integral(
+        amp.factors, lambda t, p: amp.eta_factor(np.stack([t, p])),
+        BumpHat(amp.g_profile), sigma, mus)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
-def test_cotangent_oracle_in_row_blocks_against_the_full_grid(sigma):
-    # theta rows streamed into one w-vector, bhat on the 600 positive
-    # nodes and mirrored (7e-16 measured)
-    from equiloc.bumps import BumpHat
-    from equiloc.models import CotangentCircle
+def test_separable_cotangent_oracle_against_the_full_grid(sigma):
+    # one theta sum times one w sum per mu, against the amplitude on all
+    # 307,200 (theta, w) points of the same rule (5.6e-16 measured)
     amp = CotangentCircle().amplitude(None, sigma)
-
-    def f(t, p):
-        return amp.eta_factor(np.stack([t, p]))
-
-    mus = list(np.geomspace(1e-2, 1e-4, 5))
-    bhat = BumpHat(amp.g_profile)
-    got = oracles.cotangent_regular_integral(f, bhat, sigma, mus)
-    want = _cotangent_full_grid(f, bhat, sigma, mus)
+    got = _cotangent_oracle(amp, sigma)
+    want = _cotangent_full_grid(
+        lambda t, p: amp.eta_factor(np.stack([t, p])),
+        BumpHat(amp.g_profile), sigma, MUS, _panel_rule())
     assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_cotangent_w_rules_against_a_fine_reference(sigma):
+    # the oracle's 75 panels and the single 1,200-node rule it replaced,
+    # both on |w| <= 400, against 1,200 16-point panels on |w| <= 800
+    # (8.5e-15 and 1.1e-14 measured)
+    amp = CotangentCircle().amplitude(None, sigma)
+    theta_factor, p_factor = amp.factors
+    bhat = BumpHat(amp.g_profile)
+    th = 2 * math.pi * (np.arange(256) + 0.5) / 256
+    theta_sum = 2 * math.pi / 256 * float(np.sum(theta_factor(th)))
+
+    def sweep(w, wts):
+        bw = bhat(w) * wts
+        return np.array([mu * theta_sum * float(np.dot(
+            p_factor(sigma + mu * w), bw)) for mu in MUS])
+
+    fine = sweep(*composite_gl(-800.0, 800.0, 1200))
+    for got in (np.array(_cotangent_oracle(amp, sigma)),
+                sweep(*composite_gl(-400.0, 400.0, 1, 1200))):
+        assert np.max(np.abs(got - fine) / np.abs(fine)) <= 5e-14
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+@pytest.mark.parametrize("miss", [
+    lambda t, p: 1e-9 * np.sin(t) * p,
+    lambda t, p: np.where(p > 1.0, np.nan, 0.0)], ids=["1e-9", "nan"])
+def test_cotangent_sweep_refuses_factors_that_miss_the_amplitude(
+        sigma, miss):
+    # the declaration is checked, not trusted: a density 1e-9 sin(theta) p
+    # off the product of the declared factors, or NaN past p = 1
+    model = CotangentCircle()
+    amp = model.amplitude(None, sigma)
+    theta_factor, p_factor = amp.factors
+    off = Amplitude(amp.g_profile, factors=amp.factors,
+                    density=lambda c: theta_factor(c[0]) * p_factor(c[1])
+                    + miss(c[0], c[1]))
+    with pytest.raises(ModelError, match="factors miss"):
+        model.sweep_oracle(off, MUS, sigma)
+
+
+def test_cotangent_sweep_refuses_an_amplitude_without_factors():
+    model = CotangentCircle()
+    amp = Amplitude(model.amplitude(None, 0.7).g_profile,
+                    density=model.amplitude(None, 0.7).density)
+    with pytest.raises(ModelError, match="declared factors"):
+        model.sweep_oracle(amp, MUS, 0.7)
+
+
+def test_mc_pushforward_normalises_the_height_column_to_the_same_bits():
+    # the whole (n, 3) sample was once divided by its row norms
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(1_000_000, 3))
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    hist, edges = np.histogram(g[:, 2] * 2.0, bins=20, range=(-2.0, 2.0))
+    masses, got_edges = oracles.mc_pushforward_sphere(2.0, 1_000_000, 3)
+    assert np.array_equal(masses, hist / 1_000_000 * (16 * math.pi))
+    assert np.array_equal(got_edges, edges)

@@ -5,8 +5,10 @@ factorization check and once for the gradients of the crit scan; the
 Hessians of `transversal_hessian` and of `resolved_leading`'s probe grid
 read the chart's `equations`, where each probe once made a psi_wk call
 of its own (125 per chart).  The T*S^1 sweep evaluates bhat once,
-on the positive half of its mirrored w rule.  Each such call is counted
-here, so a per-point loop or a second bhat pass cannot come back unseen.
+on the positive half of its mirrored w rule, and its amplitude as two
+1-D factors, with the full amplitude only on the sample that checks them.
+Each such call is counted here, so a per-point loop, a second bhat pass
+or a 2-D (theta, w) grid cannot come back unseen.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from equiloc import resolution
 from equiloc.bumps import BumpHat
 from equiloc.cli import main
+from equiloc.models import Amplitude, CotangentCircle
 
 
 @pytest.fixture
@@ -67,3 +70,47 @@ def test_cotangent_sweep_calls_bhat_once_on_half_the_rule(
     assert main([command, "--model", "cotangent-circle", "--out",
                  str(tmp_path)]) == 0
     assert len(bumphat_calls) == 1 and bumphat_calls[0] <= 600
+
+
+@pytest.fixture
+def cotangent_points(monkeypatch):
+    """Points of each call of the declared T*S^1 factors, wrapped where
+    the sweep oracle reads them (`Amplitude.factors`; the density calls
+    its own), and of each `Amplitude.eta_factor` call."""
+    seen = {"theta": [], "p": [], "eta": []}
+    amplitude = CotangentCircle.amplitude
+    eta_factor = Amplitude.eta_factor
+
+    def counted(f, key):
+        def call(x):
+            seen[key].append(int(np.size(x)))
+            return f(x)
+        return call
+
+    def counted_amplitude(self, bump_cfg, sigma):
+        amp = amplitude(self, bump_cfg, sigma)
+        amp.factors = (counted(amp.factors[0], "theta"),
+                       counted(amp.factors[1], "p"))
+        return amp
+
+    def counted_eta(self, coords):
+        seen["eta"].append(int(np.size(coords[0])))
+        return eta_factor(self, coords)
+
+    monkeypatch.setattr(CotangentCircle, "amplitude", counted_amplitude)
+    monkeypatch.setattr(Amplitude, "eta_factor", counted_eta)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["singular", "spexpand"])
+def test_cotangent_sweep_reads_the_amplitude_as_two_factors(
+        command, cotangent_points, tmp_path):
+    # the oracle: theta factor once on the 256 midpoints, p factor once per
+    # mu on the 1,200 w-nodes, eta_factor on the check sample of 16 theta
+    # midpoints x 75 w-nodes x 5 mu; the direct side then reads eta_factor
+    # on reduced_rule's 2,048 level midpoints.  The oracle once evaluated
+    # the amplitude on all 307,200 (theta, w) points of each mu.
+    assert main([command, "--model", "cotangent-circle", "--out",
+                 str(tmp_path)]) == 0
+    assert cotangent_points == {"theta": [256], "p": [1200] * 5,
+                                "eta": [16 * 75 * 5, 2048]}
