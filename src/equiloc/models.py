@@ -15,7 +15,7 @@ Conventions: generators are declared orthonormal in the Lie algebra, so a
 matrix of the fundamental fields are exact rationals at rational points.
 
 The weighted sums over many points (the cosine and sine sums of L(X) in
-MomentumProfile, the chunks of reduced_integral) are np.einsum
+MomentumProfile, the blocks of reduced_integral) are np.einsum
 contractions, which run on the calling thread and never enter the BLAS
 thread pool; BLAS products remain only for one point's generator
 algebra.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bumps import Bump, BumpHat
 from .mpoly import LinForm
-from .quadrature import BLOCK_POINTS, composite_gl
+from .quadrature import composite_gl
 from .symmat import SymMat
 
 LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
@@ -253,9 +253,9 @@ class Sphere(CatalogModel):
         return np.zeros((1, 1))
 
     def reduced_rule(self, sigma: float):
-        """The level circle {z = sigma} at LEVEL_NODES midpoints.  Each
-        arc 2 pi rho / LEVEL_NODES over the orbit volume 2 pi rho leaves
-        the weight 1 / LEVEL_NODES."""
+        """The level circle {z = sigma} at LEVEL_NODES midpoints, one
+        (pts, w) block.  Each arc 2 pi rho / LEVEL_NODES over the orbit
+        volume 2 pi rho leaves the weight 1 / LEVEL_NODES."""
         r = float(self.radius)
         if abs(sigma) >= r:
             raise ModelError("empty stratum")
@@ -263,21 +263,19 @@ class Sphere(CatalogModel):
         th = _level_angles()
         pts = np.stack([rho * np.cos(th), rho * np.sin(th),
                         np.full(th.size, sigma)])
-        return pts, np.full(th.size, 1.0 / th.size)
+        return [(pts, np.full(th.size, 1.0 / th.size))]
 
     def profile(self, rho) -> MomentumProfile:
         """In cylindrical (z, theta), where dA = R dz dtheta, on ceil(R)
-        equal panels of the 2048-node rule (400 for an exact form), the
-        positive half mirrored so the nodes are exactly antisymmetric:
-        |X| up to about 3,900 is resolved at every R (against
-        4 pi R sin(XR)/X: error <= 1e-11 for R <= 10 and |X| <= 600, 9.3e-12
-        at R = 10; above 1e-9 first at X = 3,975 for R = 1)."""
+        equal panels of the 2048-node rule (400 for an exact form),
+        exactly mirrored about z = 0: |X| up to about 3,900 is resolved
+        at every R (against 4 pi R sin(XR)/X: error <= 1e-11 for R <= 10
+        and |X| <= 600, 9.3e-12 at R = 10; above 1e-9 first at X = 3,975
+        for R = 1)."""
         f, h = rho.exact_beta, PROFILE_FD_STEP
         r = float(self.radius)
         z, w = composite_gl(-r, r, max(1, math.ceil(r)),
                             2048 if f is None else 400)
-        z, w = z[z.size // 2:], w[w.size // 2:]
-        z, w = np.concatenate([-z[::-1], z]), np.concatenate([w[::-1], w])
         if f is not None:
             fprime = (np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h)
             return MomentumProfile(z, 2 * math.pi * fprime * w,
@@ -331,11 +329,12 @@ class CotangentCircle(CatalogModel):
         return np.zeros((1, 1))
 
     def reduced_rule(self, sigma: float):
-        """The level circle {p = sigma} at LEVEL_NODES midpoints; each arc
-        2 pi / LEVEL_NODES over the orbit volume 2 pi."""
+        """The level circle {p = sigma} at LEVEL_NODES midpoints, one
+        (pts, w) block; each arc 2 pi / LEVEL_NODES over the orbit volume
+        2 pi."""
         th = _level_angles()
-        return (np.stack([th, np.full(th.size, sigma)]),
-                np.full(th.size, 1.0 / th.size))
+        return [(np.stack([th, np.full(th.size, sigma)]),
+                 np.full(th.size, 1.0 / th.size))]
 
     def profile(self, rho) -> MomentumProfile:
         """On 1024 Gauss p-nodes of |p| < 2, where every profile lives,
@@ -584,9 +583,10 @@ class LinearCotangent(CatalogModel):
         """The planar rotation's singular level: Omega minus the origin is
         {(r u, s u)} with u = (cos phi, sin phi), (r, s) in R^2, phi in
         [0, pi).  96 Gauss r and s on [-6.5, 6.5] and 64 phi midpoints,
-        phi slowest.  The surface measure sqrt(r^2 + s^2) dr ds dphi over
-        the orbit volume 2 pi sqrt(r^2 + s^2) leaves the weight
-        w_r w_s dphi / 2 pi."""
+        one (pts, w) block of 96 x 96 (r, s) points per phi, made as it
+        is read.  The surface measure sqrt(r^2 + s^2) dr ds dphi over the
+        orbit volume 2 pi sqrt(r^2 + s^2) leaves the weight
+        w_r w_s dphi / 2 pi, the same in every block."""
         if self.n != 2:
             raise ModelError("reduced_rule covers the planar rotation model")
         check_unit_speed(self)
@@ -594,11 +594,10 @@ class LinearCotangent(CatalogModel):
             raise ModelError("singular leading coefficient is at sigma = 0")
         r, wr = composite_gl(-PLANAR_EXTENT, PLANAR_EXTENT, 1, 96)
         phi = math.pi * (np.arange(64) + 0.5) / 64
-        u = np.stack([np.cos(phi), np.sin(phi)])[:, :, None, None]
-        pts = np.empty((4, phi.size, r.size, r.size))
-        pts[:2], pts[2:] = u * r[:, None], u * r
-        w = np.outer(wr, wr) * (math.pi / 64) / (2 * math.pi)
-        return pts.reshape(4, -1), np.tile(w.ravel(), phi.size)
+        rr, ss = np.meshgrid(r, r, indexing="ij")
+        w = (np.outer(wr, wr) * (math.pi / 64) / (2 * math.pi)).ravel()
+        return ((np.stack([c * rr, s * rr, c * ss, s * ss]).reshape(4, -1), w)
+                for c, s in zip(np.cos(phi), np.sin(phi)))
 
     def profile(self, rho):
         """The Gaussian planar-rotation oracle, the one L(X) route of
@@ -617,8 +616,7 @@ class LinearCotangent(CatalogModel):
         from .oracles import linrot2_oracle
         if amplitude.density is not None or not amplitude.gaussian:
             raise ModelError("the planar rotation oracle is Gaussian only")
-        orc = linrot2_oracle(amplitude.g_profile)
-        return [orc.integral(mu) for mu in mus]
+        return linrot2_oracle(amplitude.g_profile).integral(list(mus))
 
     def lie_derivative_map(self, eta, x) -> np.ndarray:
         """Matrix of the bracket action of X in g_eta on the orbit tangent."""
@@ -725,12 +723,10 @@ def make_model(kind: str, **params):
 def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:
     """vol G / |H| * int_{Reg Omega_sigma} f / vol O_eta by the model's
     reduced_rule; f maps points (dim, m) to m values and is called on
-    chunks of BLOCK_POINTS points."""
-    pts, w = model.reduced_rule(sigma)
+    each block of the rule."""
     total = 0.0
-    for i in range(0, w.size, BLOCK_POINTS):
-        part = slice(i, i + BLOCK_POINTS)
-        total += float(np.einsum("i,i->", w[part],
-                                 np.asarray(f(pts[:, part]), dtype=float)))
+    for pts, w in model.reduced_rule(sigma):
+        total += float(np.einsum("i,i->", w,
+                                 np.asarray(f(pts), dtype=float)))
     g = model.group
     return g.vol_g / g.principal_isotropy_order * total

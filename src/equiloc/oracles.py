@@ -13,7 +13,8 @@ the Bessel integral and Hankel's asymptotic series by range, and
 `bessel_k0` is the log series or, after u = 2 sqrt(x) sinh(t/2) in
 int_0^inf e^{-x cosh t} dt, one fixed trapezoid rule for all x >= 1.5.
 The planar-rotation oracle's I(mu) is one composite Gauss pass over
-graded panels.  The package needs numpy only.
+graded panels in c = v / mu, shared by every mu of a sweep.  The package
+needs numpy only.
 
 Every quadrature sum here is an np.einsum over operands contiguous along
 the summed axis (the planar-rotation pushforward table is stored one row
@@ -194,12 +195,11 @@ def cotangent_regular_integral(factors: Tuple[Callable, Callable],
     F is evaluated once and P once per mu, on its 1200 w-nodes.  First,
     F P must match f within 1e-14 of max |f| on every 16th theta midpoint
     times every 16th w-node of each mu, or ModelError.  The w rule is
-    mirrored and bhat even, so bhat is evaluated once, on 600 nodes.
+    exactly mirrored and bhat even, so bhat is evaluated once, on 600
+    nodes.
     """
     th = 2 * math.pi * (np.arange(256) + 0.5) / 256
     w, wts = composite_gl(-400.0, 400.0, 75)
-    # symmetrized: linspace's panel edges are mirrored only to 1e-13
-    w, wts = 0.5 * (w - w[::-1]), 0.5 * (wts + wts[::-1])
     f_th = factors[0](th)
     f_p = np.array([factors[1](sigma + mu * w) for mu in mus])
     want = f_theta_p(*np.broadcast_arrays(
@@ -232,29 +232,16 @@ def cotangent_l_alpha(f_theta_p: Callable, x: float, p_lo: float,
 
 # I(mu) integrates v over [0, V_MAX]: past it K_0(2 v) v is below 1e-50
 V_MAX = 60.0
+# the edges of I(mu)'s 16-point Gauss panels in c = v / mu, the same for
+# every mu: one panel on [0, 4^-8] for the c log c of K_0(2 mu c) mu c at
+# 0, eight geometric x4 ones up to 1, sixteen equal ones on [1, 64] where
+# G turns; `Linrot2Oracle.integral` adds geometric x1.5 ones past 64
+C_EDGES_LOW = np.concatenate([[0.0], 4.0 ** -np.arange(8, 0, -1),
+                              np.linspace(1.0, 64.0, 17)])
 # the Gauss rules of G's J_0 side, c R < 800 needing at most 424 nodes.
 # A rule for each multiple of 16 would save a quarter of the J_0 points
 # but build 26 rules, 0.10-0.16 s in each process; these take 0.02 s.
 J0_RULE_NODES = (54, 108, 216, 432)
-
-
-def _graded_panels(mu: float):
-    """16-point Gauss nodes and weights of v in [0, V_MAX] on panels
-    graded for I(mu)'s integrand G(v / mu) K_0(2 v) v: eight geometric x4
-    panels down from mu and one on [0, mu 4^-8] for its v log v at 0,
-    sixteen equal ones on [mu, 64 mu] where G turns, and geometric x1.5
-    ones from 64 mu to V_MAX."""
-    top = math.ceil(math.log(V_MAX / (64.0 * mu)) / math.log(1.5))
-    edges = np.concatenate([
-        [0.0], mu * 4.0 ** -np.arange(8, 0, -1),
-        np.linspace(mu, 64.0 * mu, 17),
-        64.0 * mu * 1.5 ** np.arange(1, max(top, 0) + 1)])
-    edges = np.append(edges[edges < V_MAX], V_MAX)
-    t, w = gauss_legendre(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * t).ravel(),
-            (half[:, None] * w).ravel())
 
 
 @dataclass
@@ -269,9 +256,14 @@ class Linrot2Oracle:
 
         I(mu) = 2 pi * int_0^inf G(v / mu) K_0(2 v) v dv,
 
-    one composite 16-point Gauss pass over `_graded_panels(mu)` with
-    `bessel_k0`: within 1e-12 relative of the Hankel closed form
-    8 pi^2 mu^2 int_0^R b(x) / (x^2 + 4 mu^2) dx for 1e-4 <= mu <= 1e-2.
+    cut at v = V_MAX, one composite 16-point Gauss pass in c = v / mu over
+    panels whose edges do not depend on mu (C_EDGES_LOW, then x1.5) up to
+    V_MAX / mu, with `bessel_k0`: within 1e-12 relative of the Hankel
+    closed form 8 pi^2 mu^2 int_0^R b(x) / (x^2 + 4 mu^2) dx for
+    1e-4 <= mu <= 1e-2.  A sweep shares every panel but each mu's last,
+    so G is evaluated once, on the union of the nodes (832 distinct c for
+    the five mu of `singular --model linrot2`, not 3,392), and a mu's
+    value is the same bits alone or in a sweep.
 
     G has two exact forms, each one vectorised pass over an array of c.
     The J_0 identity int_0^{2 pi} cos(c x sin gamma) d gamma =
@@ -340,11 +332,31 @@ class Linrot2Oracle:
             out[~low] = 4.0 * np.einsum("ij,j->i", 1.0 / block, bhat_du)
         return out.reshape(c.shape) if c.ndim else float(out[0])
 
-    def integral(self, mu: float) -> float:
-        """I(mu) for one mu > 0."""
-        v, dv = _graded_panels(mu)
-        return 2.0 * math.pi * float(np.einsum(
-            "i,i->", self.angular(v / mu), bessel_k0(2.0 * v) * v * dv))
+    def integral(self, mu):
+        """I(mu) for a float mu > 0 (a float) or for each mu of a
+        sequence (a list), with one `angular` call: each mu takes the
+        shared panels below V_MAX / mu and one last panel that ends
+        there, so G is evaluated once on the union of their nodes."""
+        mus = np.atleast_1d(np.asarray(mu, dtype=float))
+        ends = V_MAX / mus
+        top = math.ceil(math.log(max(ends.max() / 64.0, 1.0), 1.5))
+        edges = np.append(C_EDGES_LOW,
+                          [64.0 * 1.5 ** k for k in range(1, top + 1)])
+        keep = np.searchsorted(edges, ends)       # edges below V_MAX / mu
+        shared = int(keep.max()) - 1
+        lo = np.append(edges[:shared], edges[keep - 1])
+        hi = np.append(edges[1:shared + 1], ends)
+        t, w = gauss_legendre(16)
+        c = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * t
+        dc = 0.5 * (hi - lo)[:, None] * w
+        g = self.angular(c)
+        out = []
+        for i, (m, k) in enumerate(zip(mus, keep)):
+            rows = np.append(np.arange(k - 1), shared + i)
+            v = m * c[rows]
+            out.append(2.0 * math.pi * float(np.einsum(
+                "ij,ij->", g[rows], bessel_k0(2.0 * v) * v * m * dc[rows])))
+        return out if np.ndim(mu) else out[0]
 
     def pushforward_density(self, v):
         """rho(v) = int delta(J - v) e^{-|eta|^2} d eta

@@ -137,9 +137,14 @@ def gauss_legendre(n: int):
 
 def composite_gl(a: float, b: float, panels: int, n: int = 16):
     """(nodes, weights) of the n-point Gauss rule on each of `panels`
-    equal panels of [a, b], panel by panel."""
+    equal panels of [a, b], panel by panel.  On [-b, b] the rule is
+    exactly mirrored (nodes[::-1] == -nodes, weights[::-1] == weights):
+    linspace's edges are mirrored only to round-off, so they are
+    antisymmetrized first."""
     x, w = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
+    if a == -b:
+        edges = 0.5 * (edges - edges[::-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

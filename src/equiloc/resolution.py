@@ -712,12 +712,17 @@ def factorization_check(chart: BlowupChart, model, rng,
 def crit_equivalence_scan(chart: BlowupChart, rng,
                           n: int = 10_000) -> Tuple[int, int]:
     """(witness count, mismatches) over a mixed grid of constructed
-    critical points and random points: (I)-(III) <=> grad psi_wk = 0."""
+    critical points and random points: (I)-(III) <=> grad psi_wk = 0.
+    The gradients are taken in blocks of m points: for a chart of
+    dimension d the (m, d, d) complex-step array of a block holds at most
+    BLOCK_POINTS entries."""
     crit_pts = chart.crit_sampler(rng, n // 4)
     pts = np.concatenate([crit_pts,
                           uniform_points(chart.domain, rng,
                                          n - len(crit_pts))])
-    grads = chart.gradient(pts)
+    m = max(1, BLOCK_POINTS // len(chart.domain) ** 2)
+    grads = np.concatenate([chart.gradient(pts[i:i + m])
+                            for i in range(0, len(pts), m)])
     # the same rounding as np.linalg.norm of each gradient on its own
     grad_zero = np.sqrt(np.vecdot(grads, grads)) <= 1e-6
     res = chart.conditions(pts)

@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from equiloc.models import (PLANAR_EXTENT, Amplitude, CotangentCircle,
-                            GroupData, LinearCotangent, ModelError, Sphere,
-                            make_model, reduced_integral, rotation_generator)
+from equiloc.models import (LEVEL_NODES, PLANAR_EXTENT, Amplitude,
+                            CotangentCircle, GroupData, LinearCotangent,
+                            ModelError, Sphere, make_model, reduced_integral,
+                            rotation_generator)
 from equiloc.mpoly import LinForm
 from equiloc.symmat import ldlt
 
@@ -201,12 +203,14 @@ def test_lie_derivative_flow_conjugation():
 
 
 def test_reduced_rule_level_circles():
-    # w * vol O_eta sums to the length of the level circle, and every point
-    # lies on the level with principal isotropy
+    # one block of the whole circle: w * vol O_eta sums to the length of
+    # the level circle, and every point lies on the level with principal
+    # isotropy
     for model, sigma, length in ((Sphere(1), 0.0, 2 * math.pi),
                                  (Sphere(2), 1.0, 2 * math.pi * math.sqrt(3)),
                                  (CotangentCircle(), 0.7, 2 * math.pi)):
-        pts, w = model.reduced_rule(sigma)
+        (pts, w), = model.reduced_rule(sigma)
+        assert w.size == LEVEL_NODES
         vols = np.array([model.orbit_volume(pts[:, i])
                          for i in range(w.size)])
         assert float(w @ vols) == pytest.approx(length, rel=1e-12)
@@ -260,22 +264,44 @@ def test_amplitude_factors():
 
 def test_reduced_rule_planar_rotation():
     m = make_model("linrot2")
-    pts, w = m.reduced_rule(0.0)
-    # phi is the slowest index of the rule and vol O_eta does not depend
-    # on phi, so w * vol O_eta sums to 64 times its sum over one phi slice
-    size = w.size // 64
-    vols = np.array([m.orbit_volume(pts[:, i]) for i in range(size)])
-    for i in range(0, w.size, 4999):
-        assert m.orbit_volume(pts[:, i]) == pytest.approx(
-            vols[i % size], rel=1e-12)
-        assert w[i] == w[i % size]
+    blocks = list(m.reduced_rule(0.0))
+    # one block of 96 x 96 (r, s) points per phi midpoint, all with the
+    # same weights; vol O_eta does not depend on phi, so w * vol O_eta
+    # sums to 64 times its sum over one phi slice
+    assert len(blocks) == 64
+    assert all(pts.shape == (4, 96 * 96) for pts, _ in blocks)
+    (pts0, w0) = blocks[0]
+    vols = np.array([m.orbit_volume(pts0[:, i]) for i in range(w0.size)])
+    assert all(np.array_equal(w, w0) for _, w in blocks)
+    # every 4999th point of the rule read phi slowest, as when it was one
+    # (4, 589,824) array
+    for j in range(0, 64 * w0.size, 4999):
+        k, i = divmod(j, w0.size)
+        pts = blocks[k][0]
+        assert m.orbit_volume(pts[:, i]) == pytest.approx(vols[i],
+                                                          rel=1e-12)
         assert abs(m.momentum(pts[:, i], [1.0])) < 1e-12
         assert m.isotropy_dim(pts[:, i]) == m.group.d - m.group.kappa
     # the stratum measure pi * int int sqrt(r^2 + s^2) dr ds over the box
     # [-a, a]^2, in closed form
     a = PLANAR_EXTENT
     measure = math.pi * 4 * a ** 3 / 3 * (math.sqrt(2) + math.asinh(1))
-    assert 64 * float(w[:size] @ vols) == pytest.approx(measure, rel=2e-6)
+    assert 64 * float(w0 @ vols) == pytest.approx(measure, rel=2e-6)
+
+
+def test_direct_leading_on_linrot2_builds_no_grid_sized_temporary():
+    # the planar rule is read one phi slice at a time: 1.1 MB traced peak,
+    # where the whole (4, 589,824) rule and its tiled weights took 24 MB
+    from equiloc.resolution import direct_leading
+    m = make_model("linrot2")
+    amp = m.amplitude(None, 0.0)
+    tracemalloc.start()
+    try:
+        direct_leading(m, amp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_reduced_rule_planar_rotation_rejects():
@@ -351,7 +377,7 @@ def test_large_sphere_profiles_use_panels_of_cached_rules(radius,
 
 
 def test_reduced_integral_of_the_gaussian_on_linrot2():
-    # the chunked weighted sum of reduced_integral is pi^2: the rule's
+    # the blocked weighted sum of reduced_integral is pi^2: the rule's
     # cutoff leaves the Gaussian a tail below round-off (3.4e-15 measured;
     # at the resolved side's 4.2 it read pi^2 (1 - 5.7e-9))
     val = reduced_integral(make_model("linrot2"),

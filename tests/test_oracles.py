@@ -12,6 +12,8 @@ from equiloc.oracles import bessel_j0, bessel_k0, linrot2_oracle
 from equiloc.quadrature import composite_gl
 
 G_BUMP = Bump(radius=1.0, order=6, kind="poly")
+# the sweep of `singular` on linrot2 and on T*S^1
+MUS = list(np.geomspace(1e-2, 1e-4, 5))
 
 
 def _hankel_closed_form(g_bump: Bump, mu: float) -> float:
@@ -27,30 +29,56 @@ def _hankel_closed_form(g_bump: Bump, mu: float) -> float:
     return 4.0 * math.pi ** 2 * mu * val
 
 
-@pytest.mark.parametrize("mu", list(np.geomspace(1e-2, 1e-4, 5)))
+@pytest.mark.parametrize("mu", MUS)
 def test_linrot2_oracle_against_hankel_closed_form(mu):
     # the sweep of `singular --model linrot2`; the graded Gauss panels over
-    # v leave 7.8e-14 to 8.8e-13, most of it on the x1.5 panels past 64 mu
+    # c = v / mu leave 7.8e-14 to 8.8e-13, most of it on the x1.5 panels
+    # past c = 64
     exact = _hankel_closed_form(G_BUMP, mu)
     assert abs(linrot2_oracle(G_BUMP).integral(mu) - exact) <= 1e-10 * exact
+
+
+def test_linrot2_sweep_against_hankel_closed_form_in_one_call():
+    exact = [_hankel_closed_form(G_BUMP, mu) for mu in MUS]
+    got = linrot2_oracle(G_BUMP).integral(MUS)
+    assert max(abs(g - e) / e for g, e in zip(got, exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("mus", [MUS,
+                                 [1e-3, 0.5, 2.0, 1e-4, 30.0, 59.9, 1e-5]])
+def test_linrot2_sweep_equals_one_call_per_mu(mus):
+    # each mu reads the shared panels below V_MAX / mu and its own last
+    # panel, so the sweep changes no bit of any entry
+    orc = linrot2_oracle(G_BUMP)
+    alone = [orc.integral(mu) for mu in mus]
+    assert all(isinstance(v, float) for v in alone)
+    assert orc.integral(mus) == alone
 
 
 def test_the_linrot2_sweep_evaluates_few_j0_points(monkeypatch):
     # the five-mu sweep of `singular --model linrot2` sent 1,804,448 points
     # to a J_0 in 1,411 calls when G(c) took BumpHat's rule of 16 nodes per
-    # 4 radians, at least 1,024, for each c on its own
+    # 4 radians, at least 1,024, for each c on its own, and 233,550 points
+    # in 20 calls when each mu built G on its own 3,392-node v panels;
+    # the panels in c = v / mu share all but each mu's last, 832 nodes
     seen = []
+    angular = []
 
     def counted(x):
         seen.append(np.size(x))
         return bessel_j0(x)
 
+    def counted_angular(self, c, _f=oracles.Linrot2Oracle.angular):
+        angular.append(np.size(c))
+        return _f(self, c)
+
     monkeypatch.setattr(oracles, "_LINROT2_CACHE", {})
     monkeypatch.setattr(oracles, "bessel_j0", counted)
+    monkeypatch.setattr(oracles.Linrot2Oracle, "angular", counted_angular)
     model = make_model("linrot2")
-    model.sweep_oracle(model.amplitude(None, 0.0),
-                       list(np.geomspace(1e-2, 1e-4, 5)), 0.0)
-    assert (len(seen), sum(seen)) == (20, 233_550)
+    model.sweep_oracle(model.amplitude(None, 0.0), MUS, 0.0)
+    assert (len(seen), sum(seen)) == (4, 46_710)
+    assert angular == [832]
 
 
 def test_bessel_k0_integrates_to_pi_over_2():
@@ -224,14 +252,10 @@ def test_linrot2_l_alpha_batch_closed_form():
         <= 1e-13
 
 
-MUS = list(np.geomspace(1e-2, 1e-4, 5))
-
-
 def _panel_rule():
     """The T*S^1 oracle's w rule: 75 16-point Gauss panels of |w| <= 400,
-    symmetrized about 0."""
-    w, wts = composite_gl(-400.0, 400.0, 75)
-    return 0.5 * (w - w[::-1]), 0.5 * (wts + wts[::-1])
+    exactly mirrored about 0."""
+    return composite_gl(-400.0, 400.0, 75)
 
 
 def _cotangent_full_grid(f_theta_p, bhat, sigma, mus, rule):

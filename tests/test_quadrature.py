@@ -13,9 +13,13 @@ from equiloc.quadrature import (composite_gl, gauss_legendre,
 
 
 def _hand_built(a, b, panels, n):
-    """The composite rule as each caller used to build it."""
+    """The composite rule as each caller used to build it, with the panel
+    edges of a symmetric interval made antisymmetric (the T*S^1 oracle
+    and the large-sphere profile used to mirror the rule afterwards)."""
     x, w = gauss_legendre(n)
     edges = np.linspace(a, b, panels + 1)
+    if a == -b:
+        edges = 0.5 * (edges - edges[::-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
@@ -97,6 +101,18 @@ def test_composite_gl_equals_hand_built_rule(a, b, panels, n):
     ref_nodes, ref_weights, _ = _hand_built(a, b, panels, n)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(weights, ref_weights)
+
+
+@pytest.mark.parametrize("a,panels,n", [(400.0, 75, 16), (6.5, 7, 16),
+                                       (2.5, 7, 8), (3.0, 1, 16),
+                                       (400.0, 1, 1200)])
+def test_composite_gl_on_a_symmetric_interval_is_exactly_mirrored(a, panels,
+                                                                  n):
+    # linspace's edges alone left nodes[::-1] + nodes up to 1.1e-13 at
+    # a = 400 with 75 panels, so callers that fold a rule mirrored it
+    nodes, weights = composite_gl(-a, a, panels, n)
+    assert np.array_equal(nodes[::-1], -nodes)
+    assert np.array_equal(weights[::-1], weights)
 
 
 @pytest.mark.parametrize("lo,hi,n", [(-1.0, 1.0, 400), (-2.0, 2.0, 1024),

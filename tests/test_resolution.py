@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from equiloc.bumps import Bump
 from equiloc.models import (Amplitude, CotangentCircle, ModelError, Sphere,
                             make_model)
 from equiloc.quadrature import composite_gl
-from equiloc.resolution import (ALPHA_DOMAIN, TAU_RANGE, _pivot_columns,
-                                alpha_grad_norm, build_charts,
+from equiloc.resolution import (ALPHA_DOMAIN, TAU_RANGE, BlowupChart,
+                                _pivot_columns, alpha_grad_norm, build_charts,
                                 crit_conditions,
                                 crit_equivalence_scan,
                                 direct_leading, factorization_check,
@@ -565,3 +566,39 @@ def test_crit_scan_matches_per_point_loop():
                 mism += w.all_conditions != (w.grad_norm <= 1e-6)
             assert got == (len(pts), mism) == (400, 0)
             assert rng_a.uniform() == rng_b.uniform()
+
+
+@pytest.mark.parametrize("kind,block", [("linrot2", 655), ("linrot4", 163)])
+def test_crit_scan_gradients_in_blocks_equal_one_call(kind, block):
+    # the scan's 5,000 gradients are taken BLOCK_POINTS // d^2 points at a
+    # time on a chart of dimension d; concatenated, the blocks are the
+    # bits of one gradient call
+    model = make_model(kind)
+    chart = build_charts(model, stratify(model).chains[0])[0]
+    seen = []
+
+    def recorded(pt, _f=chart.gradient):
+        seen.append((pt, _f(pt)))
+        return seen[-1][1]
+
+    chart.gradient = recorded
+    crit_equivalence_scan(chart, np.random.default_rng(3), n=5000)
+    assert [len(pt) for pt, _ in seen[:-1]] == [block] * (len(seen) - 1)
+    pts = np.concatenate([pt for pt, _ in seen])
+    assert len(pts) == 5000 and 0 < len(seen[-1][0]) <= block
+    assert np.array_equal(np.concatenate([g for _, g in seen]),
+                          BlowupChart.gradient(chart, pts))
+
+
+def test_crit_scan_on_linrot4_builds_no_grid_sized_temporary():
+    # 1.6 MB traced peak; the (5000, 10, 10) complex-step array of one
+    # gradient call took 18.9 MB
+    model = make_model("linrot4")
+    chart = build_charts(model, stratify(model).chains[0])[0]
+    tracemalloc.start()
+    try:
+        crit_equivalence_scan(chart, np.random.default_rng(7), n=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -1,10 +1,10 @@
 """The singular workload's array passes stay array passes.
 
-The certificate calls each chart's psi_wk twice, once for the
-factorization check and once for the gradients of the crit scan; the
-Hessians of `transversal_hessian` and of `resolved_leading`'s probe grid
-read the chart's `equations`, where each probe once made a psi_wk call
-of its own (125 per chart).  The T*S^1 sweep evaluates bhat once,
+The certificate calls each chart's psi_wk once for the factorization
+check and once per block of the crit scan's gradients; the Hessians of
+`transversal_hessian` and of `resolved_leading`'s probe grid read the
+chart's `equations`, where each probe once made a psi_wk call of its
+own (125 per chart).  The T*S^1 sweep evaluates bhat once,
 on the positive half of its mirrored w rule, and its amplitude as two
 1-D factors, with the full amplitude only on the sample that checks them.
 Each such call is counted here, so a per-point loop, a second bhat pass
@@ -23,8 +23,10 @@ from equiloc.models import Amplitude, CotangentCircle
 @pytest.fixture
 def psi_wk_calls(monkeypatch):
     """Calls of every chart's psi_wk, wrapped on the charts that
-    build_charts returns, as the benchmark tracer wraps them."""
-    seen = {"psi_wk": 0}
+    build_charts returns, as the benchmark tracer wraps them, and the
+    points each call sees: all but the last axis, so a complex-step
+    array (m, n, n) is m n points."""
+    seen = {"psi_wk": 0, "points": []}
     build = resolution.build_charts
 
     def counted_charts(*args, **kwargs):
@@ -32,6 +34,7 @@ def psi_wk_calls(monkeypatch):
         for chart in charts:
             def counted(pt, _f=chart.psi_wk):
                 seen["psi_wk"] += 1
+                seen["points"].append(int(np.prod(np.shape(pt)[:-1])))
                 return _f(pt)
             chart.psi_wk = counted
         return charts
@@ -55,13 +58,19 @@ def bumphat_calls(monkeypatch):
 
 
 def test_resolve_verify_linrot2_psi_wk_calls(psi_wk_calls, tmp_path):
-    # per chart: the factorization check and the crit scan; the Hessians
-    # on Crit take their gradients from `equations` (28 when the 11
+    # per chart: the factorization check on 500 points and the crit scan's
+    # 5,000 gradients in blocks of 655 points (5 x 5 complex-step entries
+    # each, BLOCK_POINTS at most), 1 + 8 calls; the Hessians on Crit take
+    # their gradients from `equations`.  The call count was 28 when the 11
     # adapted-frame Hessians and the probe-grid pass each differenced
-    # psi_wk, 276 when each of the 125 probes made its own call)
+    # psi_wk, 276 when each of the 125 probes made its own call, and 4
+    # when the scan was one call, which saw the same 2 x 25,500 points
     assert main(["resolve-verify", "--model", "linrot2", "--out",
                  str(tmp_path)]) == 0
-    assert psi_wk_calls == {"psi_wk": 2 * (1 + 1)}
+    per_chart = [500] + [655 * 5] * 7 + [(5000 - 7 * 655) * 5]
+    assert psi_wk_calls == {"psi_wk": 2 * (1 + 8),
+                            "points": 2 * per_chart}
+    assert sum(psi_wk_calls["points"]) == 2 * (500 + 5000 * 5)
 
 
 @pytest.mark.parametrize("command", ["singular", "spexpand"])
