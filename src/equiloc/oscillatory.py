@@ -326,7 +326,6 @@ def decay_check(l_eval: Callable, ts: Optional[Sequence[float]] = None
 class OrderFit:
     exponent: float
     log_power: float
-    exact: bool = False
 
 
 def fit_problem(mus: Sequence[float]) -> Optional[str]:
@@ -346,7 +345,7 @@ def order_fit(samples: Sequence[Tuple[float, float]]) -> OrderFit:
     if problem:
         raise ValueError(problem)
     if np.all(errs == 0.0):
-        return OrderFit(exponent=float("inf"), log_power=0.0, exact=True)
+        return OrderFit(exponent=float("inf"), log_power=0.0)
     if np.any(errs <= 0.0):
         errs = np.maximum(errs, errs[errs > 0].min() * 1e-6)
     a = np.stack([np.ones_like(mus), np.log(mus), np.log(-np.log(mus))],

@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equiloc.cli import Report, main
+from equiloc.cli import Certificate, Report, main
 from equiloc.models import MODELS
 
 
@@ -262,7 +263,32 @@ def test_every_report_is_strict_json(command, kind, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(fields))
     assert run([command, "--config", str(cfg)], tmp_path) == 0
-    latest_report(tmp_path)
+    for c in latest_report(tmp_path)["certificates"]:
+        # passed tests the gate the report shows
+        assert c["kind"] in _RULES
+        assert (c["target"] is None) == (c["kind"] != "about")
+        assert c["passed"] == _RULES[c["kind"]](c["value"], c["tolerance"],
+                                                c["target"])
+
+
+# certificate kind -> its gate on (value, tolerance, target), as
+# docs/formats.md states it
+_RULES = {"upper": lambda v, tol, t: v <= tol,
+          "about": lambda v, tol, t: abs(v - t) <= tol,
+          "above": lambda v, tol, t: v > tol}
+
+
+@pytest.mark.parametrize("kind,value,target,passed", [
+    ("upper", 0.5, None, True), ("above", 0.5, None, False),
+    ("upper", 0.5 + 1e-12, None, False), ("above", 0.5 + 1e-12, None, True),
+    ("about", 1.5, 2.0, True), ("about", 2.5, 2.0, True),
+    ("about", 1.5 - 1e-12, 2.0, False), ("about", 2.5 + 1e-12, 2.0, False),
+    ("upper", math.nan, None, False), ("above", math.nan, None, False),
+    ("about", math.nan, 2.0, False)])
+def test_certificate_gate_at_its_boundary(kind, value, target, passed):
+    cert = Certificate("gate", value, 0.5, "rule", kind, target)
+    assert cert.passed is passed
+    assert cert.to_dict()["passed"] is passed
 
 
 def test_depth_2_report_has_null_leading_coefficients(tmp_path):
@@ -390,6 +416,7 @@ def test_remainder_log_power_reports_the_bound_it_gates(
     cert, = [c for c in latest_report(tmp_path)["certificates"]
              if c["name"] == "remainder_log_power"]
     assert cert["tolerance"] == 1.2
+    assert cert["kind"] == "upper"
     assert cert["passed"] == (cert["value"] <= cert["tolerance"])
     assert code == (0 if cert["passed"] else 2)
 
@@ -531,3 +558,23 @@ def test_model_flag_against_another_config_kind_exits_4(tmp_path, capsys):
     assert [line.split(":")[0] for line in err.splitlines()
             if line.startswith("  - ")] == ["  - model.kind"]
     assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("sweep,name,mu", [
+    # a rising sweep once gated the largest mu, 0.1
+    ("2e-2:1e-1:2", "scaled_vs_leading_at_min_mu", 2e-2),
+    # a sweep that repeats mu = 1e-3 once gated it twice
+    ("1e-3:1e-3:2", "scaled_vs_leading_at_mu_1e-3", 1e-3)])
+def test_singular_gates_scaled_vs_leading_on_one_row(sweep, name, mu,
+                                                     tmp_path):
+    code = run(["singular", "--model", "linrot2", "--mu-sweep", sweep],
+               tmp_path)
+    rep = latest_report(tmp_path)
+    cert, = [c for c in rep["certificates"]
+             if c["name"].startswith("scaled_vs_leading")]
+    assert cert["name"] == name
+    row = min(rep["results"]["rows"], key=lambda r: r["mu"])
+    leading = rep["results"]["leading"]
+    assert row["mu"] == mu
+    assert cert["value"] == abs(row["scaled"] - leading) / abs(leading)
+    assert code == (0 if rep["passed"] else 2)

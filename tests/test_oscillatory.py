@@ -221,8 +221,7 @@ def test_order_fit_examples():
     assert abs(f.exponent - 2.0) <= 0.05 and abs(f.log_power) <= 0.05
     f = order_fit([(m, m ** 2 * (-math.log(m))) for m in mus])
     assert abs(f.exponent - 2.0) <= 0.1 and abs(f.log_power - 1.0) <= 0.1
-    f = order_fit([(m, 0.0) for m in mus])
-    assert f.exact
+    assert order_fit([(m, 0.0) for m in mus]).exponent == math.inf
 
 
 def test_order_fit_input_validation():
