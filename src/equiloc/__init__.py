@@ -7,8 +7,7 @@ from .scalars import CRat, Rat, TwoPi
 from .mpoly import LinForm, MPoly
 from .symmat import SymMat, ldlt
 from .ratexp import RatExp, RatTerm
-from .piecewise import (Atom, ConeError, Piece, PiecewisePoly, Wall,
-                        admissible_cone, ft_shifted)
+from .piecewise import Atom, Piece, PiecewisePoly, ft_shifted
 from .bumps import Bump, BumpHat, SmearingKernel
 from .models import (Amplitude, CotangentCircle, FixedComponent, GroupData,
                      LinearCotangent, ModelError, Sphere, make_model,

@@ -48,6 +48,10 @@ def _numbers(v) -> bool:
     return isinstance(v, list) and all(map(_number, v))
 
 
+def _positive(v) -> bool:
+    return _number(v) and 0 < v < math.inf
+
+
 # RunConfig field -> (test, what the field must be), the schema of
 # docs/formats.md; each test checks the type before it compares
 _SCHEMA = {
@@ -67,12 +71,30 @@ _SCHEMA = {
                     "an object or null"),
 }
 
+# model field -> (test, what it must be), for the kinds that read it; an
+# absent field keeps the catalog default or is named by make_model
+_MODEL_SCHEMA = {
+    "radius": (_positive, "a finite number > 0"),
+    "n": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
+    "generators": (lambda v: isinstance(v, list) and len(v) > 0 and all(
+        isinstance(g, list) and all(_numbers(r) and len(r) == len(g)
+                                    for r in g) for g in v),
+                   "a nonempty list of square lists of numbers"),
+}
+
 # model.bump field -> (test, what it must be); an absent field keeps the
 # catalog default, and any other field is refused
 _BUMP_SCHEMA = {
-    "R": (lambda v: _number(v) and 0 < v < math.inf, "a finite number > 0"),
+    "R": (_positive, "a finite number > 0"),
     "order": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
 }
+
+
+def _off_schema(prefix: str, schema: Dict, fields: Dict) -> List[str]:
+    """A problem for each field of `fields` that its schema test fails."""
+    return [f"{prefix}{name}: must be {what}"
+            for name, (ok, what) in schema.items()
+            if name in fields and not ok(fields[name])]
 
 
 def _bump_problems(bump) -> List[str]:
@@ -82,10 +104,8 @@ def _bump_problems(bump) -> List[str]:
         return ["model.bump: must be an object"]
     return [f"model.bump.{name}: unknown field (known: "
             f"{', '.join(_BUMP_SCHEMA)})"
-            for name in bump if name not in _BUMP_SCHEMA] + [
-        f"model.bump.{name}: must be {what}"
-        for name, (ok, what) in _BUMP_SCHEMA.items()
-        if name in bump and not ok(bump[name])]
+            for name in bump if name not in _BUMP_SCHEMA] + \
+        _off_schema("model.bump.", _BUMP_SCHEMA, bump)
 
 
 @dataclass
@@ -112,10 +132,9 @@ class RunConfig:
         if not isinstance(self.model, dict) or "kind" not in self.model:
             problems.append("model: must be an object with a 'kind'")
         else:
+            problems += _off_schema("model.", _MODEL_SCHEMA, self.model)
             problems += _bump_problems(self.model.get("bump"))
-        for name, (ok, what) in _SCHEMA.items():
-            if not ok(getattr(self, name)):
-                problems.append(f"{name}: must be {what}")
+        problems += _off_schema("", _SCHEMA, asdict(self))
         if problems:
             raise ConfigError(problems)
         return self
@@ -137,7 +156,8 @@ _GATES = {
 
 @dataclass
 class Certificate:
-    """A value and its gate; `passed` applies the _GATES rule of its kind."""
+    """A value and its gate; `passed` applies the _GATES rule of its kind
+    to a finite value, and a non-finite value fails every kind."""
     name: str
     value: float
     tolerance: float
@@ -147,10 +167,19 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        return bool(_GATES[self.kind](self))
+        return math.isfinite(self.value) and bool(_GATES[self.kind](self))
 
     def to_dict(self):
-        return dict(asdict(self), passed=self.passed)
+        return _null_non_finite(dict(asdict(self), passed=self.passed))
+
+
+def _null_non_finite(doc):
+    """doc with every non-finite float, at any depth, as None (JSON null)."""
+    if isinstance(doc, dict):
+        return {k: _null_non_finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_null_non_finite(v) for v in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
 
 
 @dataclass
@@ -578,12 +607,13 @@ def run(cfg: RunConfig, out_dir: Path,
             f"evaluate"]))
 
     report = Report(command=cfg.command, inputs_hash=cfg.run_hash(),
-                    seed=cfg.seed, results=results, certificates=certs,
-                    calibration=cfg.calibration,
+                    seed=cfg.seed, results=_null_non_finite(results),
+                    certificates=certs, calibration=cfg.calibration,
                     config_echo=json.loads(cfg.canonical()))
+    text = report.to_json()
     run_dir = out_dir / f"run-{cfg.run_hash()}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "report.json").write_text(report.to_json())
+    (run_dir / "report.json").write_text(text)
     (run_dir / "timings.json").write_text(json.dumps(
         {"elapsed_seconds": elapsed}))
     for name, content in files.items():

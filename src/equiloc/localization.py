@@ -28,7 +28,7 @@ from .models import (Amplitude, FixedComponent, ModelError, Sphere,
                      reduced_integral)
 from .mpoly import LinForm, MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
-from .piecewise import PiecewisePoly, admissible_cone, ft_shifted
+from .piecewise import PiecewisePoly, _require_rank_one, ft_shifted
 from .quadrature import composite_gl
 from .ratexp import RatExp, RatTerm
 from .scalars import CRat, TwoPi, i_power
@@ -123,39 +123,31 @@ def weyl_factor(roots: Sequence[LinForm]):
     return phi, phi * phi
 
 
-def weight_cone(model) -> List[LinForm]:
-    forms = [form for fc in model.fixed_components()
-             for form, _ in fc.weights]
-    if not forms:
-        raise NoFixedPointsError()
-    return admissible_cone(forms)
-
-
-def dh_measure(model, rho: EquivariantForm,
-               cone: Optional[Sequence[LinForm]] = None) -> PiecewisePoly:
-    """Pushforward-normalized piecewise-polynomial measure: the shifted
-    transform of the summed fixed-point terms."""
+def _fixed_point_sum(model, rho: EquivariantForm) -> RatExp:
+    """sum_F u_F over the fixed components of a rank-1 model."""
     comps = model.fixed_components()
     if not comps:
         raise NoFixedPointsError()
-    cone = cone or weight_cone(model)
+    _require_rank_one(model.group.d_t)
     u = RatExp(model.group.d_t, [])
     for fc in comps:
         u = u + u_f_symbolic(model, fc, rho)
-    return ft_shifted(u, cone)
+    return u
+
+
+def dh_measure(model, rho: EquivariantForm, side: int = 1) -> PiecewisePoly:
+    """Pushforward-normalized piecewise-polynomial measure: the shifted
+    transform of the summed fixed-point terms over the cone side * Y > 0."""
+    return ft_shifted(_fixed_point_sum(model, rho), side)
 
 
 def jk_residue(model, rho: EquivariantForm, direction) -> TwoPi:
     """sum_F Res^{Lambda, sigma} of the transformed u_F Phi^2 terms over
-    the weight cone, in the pushforward normalization (multiply by the
+    the cone Y > 0, in the pushforward normalization (multiply by the
     pairing constant to match the smeared limit)."""
-    cone = weight_cone(model)
     _, phi2 = weyl_factor(model.group.roots)
-    u = RatExp(model.group.d_t, [])
-    for fc in model.fixed_components():
-        u = u + u_f_symbolic(model, fc, rho).mul_poly(phi2)
-    U = ft_shifted(u, cone)
-    return U.residue_ray(direction)
+    u = _fixed_point_sum(model, rho).mul_poly(phi2)
+    return ft_shifted(u).residue_ray(direction)
 
 
 def pairing_constant(model) -> float:

@@ -6,12 +6,13 @@ Convention (pinned by the calibration oracle, see localization.py):
     F(u)(xi) = (2*pi)^{-1} * integral u(Y) e^{+i xi Y} dY,
 
 with the contour pushed so every denominator of u is nonvanishing on the
-open cone Lambda, a half-line.  A simple-pole term e^{i a Y}/Y then
-transforms to a step across the wall xi + a = 0, supported on the side
-selected by the cone.  Repeated denominators follow by differentiating the
-simple-pole transform in the phase offset, which is the polynomial ladder
-below; a polynomial numerator of degree >= the pole order leaves point
-atoms delta^{(j)}(xi + a).
+open cone Lambda, a half-line, which is a sign: side = +1 for Y > 0, -1 for
+Y < 0.  A nonzero rank-1 form never vanishes there.  A simple-pole term
+e^{i a Y}/Y then transforms to a step at the cut xi = -a, supported on the
+side of the cut that the cone's sign selects.  Repeated denominators follow
+by differentiating the simple-pole transform in the phase offset, which is
+the polynomial ladder below; a polynomial numerator of degree >= the pole
+order leaves point atoms delta^{(j)}(xi + a).
 
 Only rank 1 (a circle torus) is implemented: a rank-2 transform would
 need its own oracle, and no catalog command makes one.
@@ -25,13 +26,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence
 
-from .mpoly import LinForm, MPoly
+from .mpoly import MPoly
 from .ratexp import RatExp
 from .scalars import CRat, TwoPi, i_power
-
-
-class ConeError(ValueError):
-    pass
 
 
 def _require_rank_one(dim: int):
@@ -46,36 +43,14 @@ def _require_rank_one(dim: int):
 
 
 @dataclass(frozen=True)
-class Wall:
-    """Closed half-line {n xi + c >= 0} (normal and offset exact)."""
-    normal: tuple
-    offset: Fraction
-
-    def value(self, point):
-        return sum(n * Fraction(x) for n, x in zip(self.normal, point)) \
-            + self.offset
-
-    def line_key(self):
-        """Canonical key of the supporting point (sign-normalized)."""
-        items = list(self.normal) + [self.offset]
-        lead = next((x for x in items if x != 0), None)
-        if lead is None:
-            raise ValueError("degenerate wall")
-        s = 1 if lead > 0 else -1
-        return tuple(x * s for x in items)
-
-
-def make_wall(normal, offset) -> Wall:
-    return Wall(tuple(Fraction(n) for n in normal), Fraction(offset))
-
-
-@dataclass(frozen=True)
 class Piece:
-    walls: tuple          # tuple[Wall]; region = intersection
+    """A density on the open half-line side * (xi - cut) > 0."""
+    cut: Fraction
+    side: int             # +1 or -1
     density: MPoly        # TwoPi coefficients
 
-    def contains_interior(self, point) -> bool:
-        return all(w.value(point) > 0 for w in self.walls)
+    def covers(self, x: Fraction) -> bool:
+        return self.side * (x - self.cut) > 0
 
 
 @dataclass(frozen=True)
@@ -87,12 +62,25 @@ class Atom:
     coeff: TwoPi
 
 
-class PiecewisePoly:
-    """Sum of polynomial densities over intervals of the line, plus point
-    atoms.
+def _cells(cuts):
+    """(lo, hi, x) for each interval between the sorted distinct cuts, x a
+    rational point inside it; None marks an open end."""
+    edges = [None] + sorted(set(cuts)) + [None]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo is None and hi is None:
+            x = Fraction(0)
+        elif lo is None or hi is None:
+            x = hi - 1 if lo is None else lo + 1
+        else:
+            x = (lo + hi) / 2
+        yield lo, hi, x
 
-    Pieces may overlap (they add); canonical() resolves them into chambers
-    with pairwise-disjoint interiors.
+
+class PiecewisePoly:
+    """Sum of half-line polynomial densities on the line, plus point atoms.
+
+    Pieces overlap (they add); canonical() resolves them into the chambers
+    between the cuts.
     """
 
     def __init__(self, pieces: Sequence[Piece] = (),
@@ -103,11 +91,12 @@ class PiecewisePoly:
     # -- evaluation -------------------------------------------------------
 
     def density_at(self, point) -> MPoly:
-        """Exact density polynomial valid near an interior rational point."""
-        point = [Fraction(x) for x in point]
+        """Exact density polynomial valid near a rational point off the
+        cuts."""
+        x = Fraction(point[0])
         out = MPoly.zero(1)
         for p in self.pieces:
-            if p.contains_interior(point):
+            if p.covers(x):
                 out = out + p.density
         return out
 
@@ -117,62 +106,33 @@ class PiecewisePoly:
     def value_float(self, point) -> float:
         return float(self.value_at(point))
 
-    # -- walls / chambers ---------------------------------------------------
+    # -- cuts / chambers ----------------------------------------------------
 
-    def wall_lines(self):
-        seen = {}
-        for p in self.pieces:
-            for w in p.walls:
-                seen.setdefault(w.line_key(), w)
-        return list(seen.values())
-
-    def _sample_points(self):
-        """One rational point inside each cell of the wall arrangement."""
-        cuts = sorted(set(-w.offset / w.normal[0] for w in self.wall_lines()))
-        if not cuts:
-            return [(Fraction(0),)]
-        pts = {(cuts[0] - 1,), (cuts[-1] + 1,)}
-        for a, b in zip(cuts, cuts[1:]):
-            pts.add(((a + b) / 2,))
-        return sorted(pts)
+    def cuts(self) -> List[Fraction]:
+        """The distinct cuts, in the order the pieces name them."""
+        return list(dict.fromkeys(p.cut for p in self.pieces))
 
     def canonical(self):
-        """List of (walls, density) chambers with disjoint interiors and
-        nonzero density, derived from the wall arrangement."""
-        walls = self.wall_lines()
-        cells: Dict[tuple, tuple] = {}
-        for p in self._sample_points():
-            sig = tuple(1 if w.value(p) > 0 else -1 for w in walls)
-            if sig not in cells:
-                cells[sig] = p
+        """(lo, hi, density) for each chamber of nonzero density, in
+        increasing xi; None marks an open end."""
         out = []
-        for sig, p in sorted(cells.items()):
-            dens = self.density_at(p)
-            if dens.is_zero():
-                continue
-            cw = []
-            for s, w in zip(sig, walls):
-                if s > 0:
-                    cw.append(w)
-                else:
-                    cw.append(make_wall([-n for n in w.normal], -w.offset))
-            out.append((tuple(cw), dens))
+        for lo, hi, x in _cells(self.cuts()):
+            dens = self.density_at((x,))
+            if not dens.is_zero():
+                out.append((lo, hi, dens))
         return out
 
     def piecewise_equal(self, other: "PiecewisePoly") -> bool:
         """Exact equality as piecewise densities (atoms not compared)."""
-        merged = PiecewisePoly(self.pieces + other.pieces)
-        for p in merged._sample_points():
-            if self.density_at(p) != other.density_at(p):
-                return False
-        return True
+        return all(self.density_at((x,)) == other.density_at((x,))
+                   for _, _, x in _cells(self.cuts() + other.cuts()))
 
     # -- support ------------------------------------------------------------
 
     def support_kind(self) -> str:
-        ends = [_interval(walls) for walls, _ in self.canonical()]
-        open_below = any(lo is None for lo, _ in ends)
-        open_above = any(hi is None for _, hi in ends)
+        chambers = self.canonical()
+        open_below = any(lo is None for lo, _, _ in chambers)
+        open_above = any(hi is None for _, hi, _ in chambers)
         if open_below and open_above:
             return "unbounded"
         return "half-bounded" if open_below or open_above else "bounded"
@@ -182,16 +142,15 @@ class PiecewisePoly:
     def residue_ray(self, direction) -> TwoPi:
         """Limit of the density along t*direction as t -> 0+.
 
-        Atoms are excluded.  Every wall normal is nonzero, so no nonzero
-        ray lies in a wall.
+        Atoms are excluded.  A piece whose cut is 0 counts when the ray
+        leaves 0 into its side.
         """
         d = Fraction(direction[0])
         if d == 0:
             raise ValueError("zero direction")
         total = TwoPi.of(0)
         for p in self.pieces:
-            if all(w.offset > 0 or (w.offset == 0 and w.normal[0] * d > 0)
-                   for w in p.walls):
+            if p.covers(Fraction(0)) or (p.cut == 0 and p.side * d > 0):
                 total = total + TwoPi.coerce(p.density.eval((Fraction(0),)))
         return total
 
@@ -199,8 +158,7 @@ class PiecewisePoly:
 
     def mass(self) -> TwoPi:
         total = TwoPi.of(0)
-        for walls, dens in self.canonical():
-            lo, hi = _interval(walls)
+        for lo, hi, dens in self.canonical():
             if lo is None or hi is None:
                 raise ValueError("mass of unbounded support")
             total = total + _integrate_1d(dens, lo, hi)
@@ -209,8 +167,11 @@ class PiecewisePoly:
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Each chamber with one wall [[n], -n*cut] per cut, in the pieces'
+        order, oriented into the chamber (n = +1 when the chamber lies
+        above the cut)."""
         chambers = []
-        for walls, dens in self.canonical():
+        for lo, _, dens in self.canonical():
             coeff_pow = _common_two_pi_power(dens)
             density = {}
             for e, c in dens.terms.items():
@@ -223,9 +184,12 @@ class PiecewisePoly:
                 q = mono[0].re
                 key = ",".join(str(k) for k in e)
                 density[key] = [q.numerator, q.denominator]
+            walls = []
+            for cut in self.cuts():
+                n = 1 if lo is not None and lo >= cut else -1
+                walls.append([[str(n)], str(-n * cut)])
             chambers.append({
-                "walls": [[[str(n) for n in w.normal], str(w.offset)]
-                          for w in walls],
+                "walls": walls,
                 "two_pi_power": coeff_pow,
                 "density": density,
             })
@@ -243,11 +207,12 @@ class PiecewisePoly:
 
     def samples(self, lo: float, hi: float, n: int) -> List[Dict]:
         """Rows {xi, density} at n equispaced points of [lo, hi], a point
-        on a wall moved off it by 1e-9, for plotting."""
+        on a cut moved off it by 1e-9, for plotting."""
+        cuts = set(self.cuts())
         rows = []
         for k in range(n):
             x = Fraction(lo) + Fraction(k, n - 1) * (Fraction(hi) - Fraction(lo))
-            if any(w.value((x,)) == 0 for w in self.wall_lines()):
+            if x in cuts:
                 x += Fraction(1, 10 ** 9)
             rows.append({"xi": float(x), "density": self.value_float((x,))})
         return rows
@@ -265,18 +230,6 @@ def _common_two_pi_power(dens: MPoly) -> int:
     return 0
 
 
-def _interval(walls):
-    """The chamber cut out by walls as (lo, hi); None marks an open end."""
-    lo, hi = None, None
-    for w in walls:
-        cut = -w.offset / w.normal[0]
-        if w.normal[0] > 0:
-            lo = cut if lo is None else max(lo, cut)
-        else:
-            hi = cut if hi is None else min(hi, cut)
-    return lo, hi
-
-
 def _integrate_1d(dens: MPoly, lo: Fraction, hi: Fraction) -> TwoPi:
     total = TwoPi.of(0)
     for (e,), c in dens.terms.items():
@@ -287,46 +240,20 @@ def _integrate_1d(dens: MPoly, lo: Fraction, hi: Fraction) -> TwoPi:
 
 
 # ---------------------------------------------------------------------------
-# cone handling
-
-
-def interior_point(cone: Sequence[LinForm]):
-    if not cone:
-        raise ConeError("empty cone description")
-    for z in ((Fraction(1),), (Fraction(-1),)):
-        if all(l(z) > 0 for l in cone):
-            return z
-    raise ConeError("cone has empty interior")
-
-
-def admissible_cone(forms: Sequence[LinForm]) -> List[LinForm]:
-    """An open cone on which every given form is nonvanishing: orient
-    every form positively at Z = 1."""
-    for f in forms:
-        _require_rank_one(f.dim)
-    if any(f.is_zero() for f in forms):
-        raise ConeError("no admissible cone found")
-    z = (Fraction(1),)
-    return [f if f(z) > 0 else -f for f in forms]
-
-
-# ---------------------------------------------------------------------------
 # the transform
 
 
-def ft_shifted(u: RatExp, cone: Sequence[LinForm]) -> PiecewisePoly:
+def ft_shifted(u: RatExp, side: int = 1) -> PiecewisePoly:
     """Cone-shifted Fourier transform of u as a PiecewisePoly, in closed
-    form: each term e^{iaY} c Y^e / prod l_q(Y)^{m_q} is a step of degree
-    sum m_q - e - 1 at xi = -a, or a point atom there if that is negative.
+    form, for the cone side * Y > 0: each term e^{iaY} c Y^e / prod
+    l_q(Y)^{m_q} is a step of degree sum m_q - e - 1 at xi = -a, or a point
+    atom there if that is negative.
     """
     _require_rank_one(u.dim)
-    z = interior_point(cone)
-    for form in u.denominator_forms():
-        if form(z) == 0:
-            raise ConeError(f"denominator {form} vanishes on the cone")
+    if side not in (1, -1):
+        raise ValueError(f"cone side must be +1 or -1, not {side!r}")
     pieces: List[Piece] = []
     atoms: List[Atom] = []
-    sigma = 1 if z[0] > 0 else -1
     for t in u.terms:
         a = t.phase.coeffs[0]
         R = sum(m for _, m in t.denoms)
@@ -338,7 +265,7 @@ def ft_shifted(u: RatExp, cone: Sequence[LinForm]) -> PiecewisePoly:
             k = R - e
             cc = base.scale(c)
             if k > 0:
-                pieces.append(_step_piece(cc, a, k, sigma))
+                pieces.append(_step_piece(cc, a, k, side))
             else:
                 # e^{iaY} Y^j -> (-i)^j delta^{(j)}(xi + a)
                 j = -k
@@ -347,12 +274,11 @@ def ft_shifted(u: RatExp, cone: Sequence[LinForm]) -> PiecewisePoly:
     return PiecewisePoly(pieces, atoms)
 
 
-def _step_piece(coeff: TwoPi, a: Fraction, k: int, sigma: int) -> Piece:
-    # e^{iaY} Y^{-k}  ->  i^k * sigma * (xi+a)^{k-1}/(k-1)! on the
-    # sigma-side of xi + a = 0 (the transform's 2 pi cancels the
+def _step_piece(coeff: TwoPi, a: Fraction, k: int, side: int) -> Piece:
+    # e^{iaY} Y^{-k}  ->  i^k * side * (xi+a)^{k-1}/(k-1)! on the
+    # side-half-line of the cut xi = -a (the transform's 2 pi cancels the
     # convention's (2 pi)^{-1})
-    c = coeff.scale(i_power(k) * CRat(Fraction(sigma, factorial(k - 1))))
+    c = coeff.scale(i_power(k) * CRat(Fraction(side, factorial(k - 1))))
     shifted = MPoly(1, {(1,): Fraction(1), (0,): a}) ** (k - 1)
     density = shifted.map_coeffs(lambda q: c.scale(q))
-    wall = make_wall([sigma], Fraction(sigma) * a)
-    return Piece(walls=(wall,), density=density)
+    return Piece(-a, side, density)

@@ -86,10 +86,3 @@ class RatExp:
 
     def eval_complex(self, point) -> complex:
         return sum((t.eval_complex(point) for t in self.terms), complex(0))
-
-    def denominator_forms(self):
-        out = []
-        for t in self.terms:
-            for form, _ in t.denoms:
-                out.append(form)
-        return out

@@ -67,11 +67,6 @@ class LDLTResult:
     singular: bool
     transform: tuple = ()     # C with C m C^T = diag(pivots, 0...)
 
-    @property
-    def nondegenerate_signature(self) -> int:
-        """Signature of the nondegenerate part (all of it when det != 0)."""
-        return self.signature
-
     def reconstruct(self) -> SymMat:
         """C^{-1} diag(pivots) C^{-T}; equals the input exactly."""
         n = len(self.transform)

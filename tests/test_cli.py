@@ -284,7 +284,10 @@ _RULES = {"upper": lambda v, tol, t: v <= tol,
     ("about", 1.5, 2.0, True), ("about", 2.5, 2.0, True),
     ("about", 1.5 - 1e-12, 2.0, False), ("about", 2.5 + 1e-12, 2.0, False),
     ("upper", math.nan, None, False), ("above", math.nan, None, False),
-    ("about", math.nan, 2.0, False)])
+    ("about", math.nan, 2.0, False),
+    ("upper", math.inf, None, False), ("above", math.inf, None, False),
+    ("about", math.inf, 2.0, False), ("upper", -math.inf, None, False),
+    ("above", -math.inf, None, False), ("about", -math.inf, 2.0, False)])
 def test_certificate_gate_at_its_boundary(kind, value, target, passed):
     cert = Certificate("gate", value, 0.5, "rule", kind, target)
     assert cert.passed is passed
@@ -307,6 +310,56 @@ def test_report_refuses_non_finite_values():
                     calibration=None, config_echo={})
     with pytest.raises(ValueError):
         report.to_json()
+
+
+def test_non_finite_certificate_fails_into_a_null(tmp_path, monkeypatch,
+                                                   capsys):
+    # a NaN log power once ended the run on a JSON ValueError, exit 1,
+    # leaving an empty run directory
+    import dataclasses
+    from equiloc import resolution
+    order_fit = resolution.order_fit
+
+    def nan_log_power(samples):
+        return dataclasses.replace(order_fit(samples), log_power=math.nan)
+
+    monkeypatch.setattr(resolution, "order_fit", nan_log_power)
+    assert run(["singular", "--model", "linrot2"], tmp_path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    rep = latest_report(tmp_path)
+    cert, = [c for c in rep["certificates"]
+             if c["name"] == "remainder_log_power"]
+    assert cert["value"] is None and cert["passed"] is False
+    assert rep["results"]["fit_scaled"]["log_power"] is None
+    assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("model,field", [
+    ({"kind": "sphere", "radius": "x"}, "model.radius"),  # once ValueError
+    ({"kind": "sphere", "radius": True}, "model.radius"),  # once ran as 1
+    ({"kind": "sphere", "radius": 0}, "model.radius"),
+    ({"kind": "linear-cotangent", "n": "x",
+      "generators": [[[0, -1], [1, 0]]]}, "model.n"),      # once ValueError
+    ({"kind": "linear-cotangent", "n": 2, "generators": 5},
+     "model.generators"),                                  # once TypeError
+    ({"kind": "linear-cotangent", "n": 2, "generators": ["a"]},
+     "model.generators"),                                  # once ValueError
+    ({"kind": "linear-cotangent", "n": 2, "generators": []},
+     "model.generators"),                                  # once IndexError
+    ({"kind": "linear-cotangent", "n": 2,
+      "generators": [[[0, -1, 0], [1, 0, 0]]]}, "model.generators"),
+])
+def test_model_parameter_off_the_schema_exits_4(model, field, tmp_path,
+                                                capsys):
+    command = MODELS[model["kind"]][1][0]
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    assert run([command, "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()
+            if line.startswith("  - ")] == [f"  - {field}"]
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_linrot2_singular_refuses_a_nonzero_sigma(tmp_path, capsys):

@@ -257,3 +257,29 @@ def test_no_field_that_nothing_reads():
             if qualname.rsplit(".", 1)[-1] not in reads:
                 unread.add(f"{path.name} {qualname}")
     assert not unread, "fields nothing reads: " + ", ".join(sorted(unread))
+
+
+# ---------------------------------------------------------------------------
+# imports that nothing reads
+
+
+def test_no_unused_imports():
+    """Every name a package module other than __init__ imports at module
+    level is read in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)

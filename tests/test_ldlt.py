@@ -24,7 +24,7 @@ def test_singular_flags_nondegenerate_part():
     assert res.det == 0
     assert res.inverse is None
     assert res.rank == 2
-    assert res.nondegenerate_signature == 0
+    assert res.signature == 0
 
 
 def rand_sym(rng, n):

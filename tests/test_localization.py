@@ -101,8 +101,8 @@ def test_dh_measure_sphere():
 
 def test_dh_measure_cone_flip_identity():
     s = Sphere(1)
-    up = dh_measure(s, RHO1, cone=[LinForm([1])])
-    dn = dh_measure(s, RHO1, cone=[LinForm([-1])])
+    up = dh_measure(s, RHO1, side=1)
+    dn = dh_measure(s, RHO1, side=-1)
     assert up.piecewise_equal(dn)
 
 

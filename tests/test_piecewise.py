@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,12 +7,9 @@ import numpy as np
 import pytest
 
 from equiloc.mpoly import LinForm, MPoly
-from equiloc.piecewise import ft_shifted, make_wall, Piece, PiecewisePoly
+from equiloc.piecewise import ft_shifted, Piece, PiecewisePoly
 from equiloc.ratexp import RatExp, RatTerm
 from equiloc.scalars import CRat, TwoPi, I
-
-CONE_P = [LinForm([1])]
-CONE_M = [LinForm([-1])]
 
 
 def term(c, power, a, denoms, num=None, dim=1):
@@ -22,12 +20,10 @@ def term(c, power, a, denoms, num=None, dim=1):
 def test_simple_pole_step():
     # e^{iY}/(iY) = -i e^{iY}/Y: step at xi = -1 with positive constant
     u = RatExp(1, [term(CRat(0, -1), 0, [1], [(LinForm([1]), 1)])])
-    U = ft_shifted(u, CONE_P)
-    cells = U.canonical()
-    assert len(cells) == 1
-    walls, dens = cells[0]
-    assert len(walls) == 1
-    assert walls[0].normal == (Fraction(1),) and walls[0].offset == 1
+    U = ft_shifted(u, 1)
+    assert U.cuts() == [-1]
+    assert [(lo, hi) for lo, hi, _ in U.canonical()] == [(-1, None)]
+    assert U.to_json_dict()["chambers"][0]["walls"] == [[["1"], "1"]]
     # constant density, real, positive
     val = U.value_at((Fraction(0),))
     assert val.is_real() and float(val) > 0
@@ -38,7 +34,7 @@ def test_simple_pole_step():
 def test_polynomial_gives_atoms_only():
     u = RatExp(1, [term(CRat(1), 0, [0], [],
                         num=MPoly.constant(1, Fraction(1)))])
-    U = ft_shifted(u, CONE_P)
+    U = ft_shifted(u, 1)
     assert not U.pieces
     assert len(U.atoms) == 1
     assert U.atoms[0].location == (Fraction(0),)
@@ -55,7 +51,7 @@ def sphere_pair(radius=1):
 
 def test_sphere_pair_indicator():
     u = sphere_pair()
-    U = ft_shifted(u, CONE_P)
+    U = ft_shifted(u, 1)
     cells = U.canonical()
     assert len(cells) == 1
     assert float(U.value_at((Fraction(0),))) == pytest.approx(
@@ -63,24 +59,25 @@ def test_sphere_pair_indicator():
     assert float(U.mass()) == pytest.approx(4 * math.pi, rel=1e-15)
     assert U.support_kind() == "bounded"
     # cone flip gives the identical measure
-    U2 = ft_shifted(u, CONE_M)
+    U2 = ft_shifted(u, -1)
     assert U.piecewise_equal(U2)
+    # a cone on the line is a sign
+    for side in (0, 2):
+        with pytest.raises(ValueError, match="side"):
+            ft_shifted(u, side)
 
 
 def test_numeric_inverse_transform_matches_u():
     # u(Y) = int U(xi) e^{-i xi Y} d xi at 20 sample points, 1e-6 relative
     u = sphere_pair()
-    U = ft_shifted(u, CONE_P)
+    U = ft_shifted(u, 1)
     xs, ws = np.polynomial.legendre.leggauss(400)
     rng = random.Random(4)
     for _ in range(20):
         y = rng.uniform(0.3, 6.0)
         total = 0j
-        for walls, dens in U.canonical():
-            lo = max(-float(w.offset) / float(w.normal[0])
-                     for w in walls if w.normal[0] > 0)
-            hi = min(-float(w.offset) / float(w.normal[0])
-                     for w in walls if w.normal[0] < 0)
+        for lo, hi, dens in U.canonical():
+            lo, hi = float(lo), float(hi)
             xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
             vals = np.array([dens.eval_float((x,)) for x in xi])
             total += 0.5 * (hi - lo) * np.dot(
@@ -93,7 +90,7 @@ def test_repeated_pole_ramp():
     # e^{iaY}/Y^2: density proportional to (xi + a) on the cone side
     u = RatExp(1, [term(CRat(-1), 0, [Fraction(1, 2)],
                         [(LinForm([1]), 2)])])
-    U = ft_shifted(u, CONE_P)
+    U = ft_shifted(u, 1)
     v1 = float(U.value_at((Fraction(1, 2),)))
     v2 = float(U.value_at((Fraction(3, 2),)))
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
@@ -102,24 +99,22 @@ def test_repeated_pole_ramp():
 
 def test_residue_ray_examples():
     c = TwoPi.of(Fraction(7, 3))
-    ind = PiecewisePoly([Piece(
-        walls=(make_wall([1], 1), make_wall([-1], 1)),
-        density=MPoly.constant(1, c))])
+    one = MPoly.constant(1, c)
+    # the indicator of (-1, 1) as a step up at -1 and a step down at 1
+    ind = PiecewisePoly([Piece(-1, 1, one), Piece(1, 1, -one)])
     assert ind.residue_ray((1,)) == c
     assert ind.residue_ray((5,)) == c      # scaling invariance
-    step = PiecewisePoly([Piece(walls=(make_wall([1], 0),),
-                                density=MPoly.constant(1, c))])
+    step = PiecewisePoly([Piece(0, 1, one)])
     assert step.residue_ray((-1,)).is_zero()
     # the ray leaves 0 into the chamber whose wall passes through 0
     assert step.residue_ray((1,)) == c
-    ramp = PiecewisePoly([Piece(
-        walls=(make_wall([1], 0), make_wall([-1], 2)),
-        density=MPoly(1, {(1,): TwoPi.of(1)}))])
+    xi = MPoly(1, {(1,): TwoPi.of(1)})
+    ramp = PiecewisePoly([Piece(0, 1, xi), Piece(2, 1, -xi)])
     assert ramp.residue_ray((1,)).is_zero()
 
 
 def test_json_roundtrip_schema():
-    U = ft_shifted(sphere_pair(), CONE_P)
+    U = ft_shifted(sphere_pair(), 1)
     doc = U.to_json_dict()
     assert doc["dim"] == 1
     assert doc["support"] == "bounded"
@@ -131,9 +126,51 @@ def test_json_roundtrip_schema():
 
 def test_csv_export():
     # the (xi, density) rows that dh writes to density.csv
-    U = ft_shifted(sphere_pair(), CONE_P)
+    U = ft_shifted(sphere_pair(), 1)
     rows = U.samples(-2.0, 2.0, 21)
     assert len(rows) == 21
     assert all(list(r) == ["xi", "density"] and type(r["xi"]) is float and
                type(r["density"]) is float for r in rows)
     assert rows[0]["xi"] == -2.0
+
+
+# to_json() of three measures, pinned byte for byte by its sha256: the
+# piecewise JSON of docs/formats.md, walls of both orientations included
+def four_chambers():
+    """Sphere pair at R = 3/2, -2 pi e^{iY/2}/Y^2, 2 pi i e^{-iY/3}/(2Y)^3
+    and e^{5iY/7}: cuts -3/2, -1/2, 1/3, 3/2 and an atom at -5/7."""
+    return sphere_pair(Fraction(3, 2)) + RatExp(1, [
+        term(CRat(-1), 1, [Fraction(1, 2)], [(LinForm([1]), 2)]),
+        term(I, 1, [Fraction(-1, 3)], [(LinForm([2]), 3)]),
+        term(CRat(1), 0, [Fraction(5, 7)], [])])
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_json_pin_sphere_radius_2():
+    from equiloc.localization import EquivariantForm, dh_measure
+    from equiloc.models import Sphere
+    U = dh_measure(Sphere(2), EquivariantForm(scale=3))
+    assert _sha(U.to_json()) == (
+        "4e90653fcae665423653de813d968afaec366542267d74771b7121faea9f2768")
+
+
+def test_json_pin_four_chambers_and_an_atom():
+    U = ft_shifted(four_chambers(), 1)
+    assert len(U.to_json_dict()["chambers"]) == 4
+    assert _sha(U.to_json()) == (
+        "ad4b5c82f8f1a5e2fd5dfb1a7fa778ba3bfd17df15680a22b2943582bc8d81f8")
+
+
+def test_json_pin_side_minus_one_in_increasing_xi():
+    # chambers in increasing xi for either side; the first lies below
+    # every cut, so each of its walls points down
+    U = ft_shifted(four_chambers(), -1)
+    doc = U.to_json_dict()
+    assert doc["chambers"][0]["walls"] == [
+        [["-1"], "-3/2"], [["-1"], "3/2"], [["-1"], "-1/2"],
+        [["-1"], "1/3"]]
+    assert _sha(U.to_json()) == (
+        "3fbd366a3d53d013293935dcddf619f305b37d0b1b3dc18f8aa75041113c9b23")
