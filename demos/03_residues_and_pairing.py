@@ -3,11 +3,11 @@
 #
 # The residue is the ray limit at 0 of the transformed fixed-point terms.
 # It is independent of the ray direction (exact chamber equality), and the
-# calibrated pairing constant (2 pi)^{d_T} vol G / (|W| vol T) turns it
-# into the smeared delta-limit, which in turn equals the stratum integral
-# over the reduced space.  The free circle action on T*S^1 has no fixed
-# points at all; there the smeared route is the only one, and it still
-# matches the stratum integral.
+# calibrated pairing constant (2 pi)^d of a d-torus turns it into the
+# smeared delta-limit, which in turn equals the stratum integral over the
+# reduced space.  The free circle action on T*S^1 has no fixed points at
+# all; there the smeared route is the only one, and it still matches the
+# stratum integral.
 
 import numpy as np
 

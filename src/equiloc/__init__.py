@@ -19,7 +19,7 @@ from .localization import (EquivariantForm, NoFixedPointsError,
                            asymptotic_l, bv_sum, bv_term, calibrate,
                            dh_measure, euler_inverse, jk_residue,
                            kirwan_integral, l_alpha, pairing_constant,
-                           smeared_limit, u_f_symbolic, weyl_factor)
+                           smeared_limit, u_f_symbolic)
 from .resolution import (BlowupChart, CritWitness, IsotropyChain,
                          ResolutionCertificate, build_charts,
                          crit_conditions, direct_leading,

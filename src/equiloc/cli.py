@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bumps import Bump
+from .localization import SMEAR_EPS, ladder_problem
 from .models import MODELS, ModelError, make_model
 from .oscillatory import fit_problem
 from .quadrature import BudgetExceeded
@@ -65,8 +66,10 @@ _SCHEMA = {
                  "a nonempty list of nonzero numbers"),
     "mc_samples": (lambda v: _number(v, int) and v > 0, "a positive integer"),
     "bins": (lambda v: _number(v, int) and v > 0, "a positive integer"),
-    "eps_list": (lambda v: _numbers(v) and len(v) > 0 and
-                 all(e > 0 for e in v), "a nonempty list of positive numbers"),
+    "eps_list": (lambda v: _numbers(v) and all(e > 0 for e in v) and
+                 ladder_problem(v) is None,
+                 "a list of at least 2 positive numbers, each half the one "
+                 "before"),
     "calibration": (lambda v: v is None or isinstance(v, dict),
                     "an object or null"),
 }
@@ -121,8 +124,7 @@ class RunConfig:
                                                            5.0])
     mc_samples: int = 1_000_000
     bins: int = 10
-    eps_list: List[float] = field(default_factory=lambda: [0.2, 0.1, 0.05,
-                                                           0.025])
+    eps_list: List[float] = field(default_factory=lambda: list(SMEAR_EPS))
     calibration: Optional[Dict] = None
 
     def validate(self):
@@ -304,11 +306,10 @@ def _cmd_localize(model, cfg: RunConfig):
 
 
 def _cmd_residue(model, cfg: RunConfig):
-    from .localization import (CALIBRATION_MODEL, SMEAR_EPS,
-                               EquivariantForm, NoFixedPointsError,
-                               calibration_limit, jk_residue,
-                               kirwan_integral, pairing_constant,
-                               smeared_limit)
+    from .localization import (CALIBRATION_MODEL, EquivariantForm,
+                               NoFixedPointsError, calibration_limit,
+                               jk_residue, kirwan_integral,
+                               pairing_constant, smeared_limit)
     results = {}
     certs = []
     rho = EquivariantForm(density=model.residue_density)

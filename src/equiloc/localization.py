@@ -1,12 +1,12 @@
 """Fixed-point localization sums, Duistermaat-Heckman measures, ray
-residues, Weyl-factor plumbing, smeared delta-limits, and the pairing with
-the reduced-space integral.
+residues, smeared delta-limits, and the pairing with the reduced-space
+integral.
 
 Normalization is pinned by one calibration identity: for the unit sphere
 with the area form, the smeared limit of the transformed distribution must
 equal 4 pi^2.  With the transform convention of piecewise.py this fixes the
-pairing constant to (2 pi)^{d_T} * vol G / (|W| vol T); `calibrate`
-recomputes the smeared side by quadrature and returns the measured ratio.
+pairing constant of a d-torus to (2 pi)^d; `calibrate` recomputes the
+smeared side by quadrature and returns the measured ratio.
 
 The smeared limit's X-integrals and the L(X) and reduced-space sums it
 calls are np.einsum contractions on the calling thread; none enters the
@@ -26,7 +26,7 @@ import numpy as np
 from .bumps import Bump, SmearingKernel
 from .models import (Amplitude, FixedComponent, ModelError, Sphere,
                      reduced_integral)
-from .mpoly import LinForm, MPoly
+from .mpoly import MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
 from .piecewise import PiecewisePoly, _require_rank_one, ft_shifted
 from .quadrature import composite_gl
@@ -107,20 +107,12 @@ def u_f_symbolic(model, fc: FixedComponent,
     """Exact fixed-point term: phase = J-value, denominators = weights."""
     if rho.density is not None:
         raise ModelError("symbolic route needs a constant form")
-    d_t = model.group.d_t
+    d = model.group.d
     coeff = TwoPi.of(i_power(fc.rank_nf // 2) * CRat(rho.scale),
                      fc.rank_nf // 2)
     term = RatTerm(coeff, fc.j_value,
-                   MPoly.constant(d_t, Fraction(1)), list(fc.weights))
-    return RatExp(d_t, [term])
-
-
-def weyl_factor(roots: Sequence[LinForm]):
-    """(Phi, Phi^2) with Phi the product of the positive roots."""
-    phi = MPoly.constant(roots[0].dim if roots else 1, Fraction(1))
-    for g in roots:
-        phi = phi * g.to_mpoly()
-    return phi, phi * phi
+                   MPoly.constant(d, Fraction(1)), list(fc.weights))
+    return RatExp(d, [term])
 
 
 def _fixed_point_sum(model, rho: EquivariantForm) -> RatExp:
@@ -128,8 +120,8 @@ def _fixed_point_sum(model, rho: EquivariantForm) -> RatExp:
     comps = model.fixed_components()
     if not comps:
         raise NoFixedPointsError()
-    _require_rank_one(model.group.d_t)
-    u = RatExp(model.group.d_t, [])
+    _require_rank_one(model.group.d)
+    u = RatExp(model.group.d, [])
     for fc in comps:
         u = u + u_f_symbolic(model, fc, rho)
     return u
@@ -142,17 +134,16 @@ def dh_measure(model, rho: EquivariantForm, side: int = 1) -> PiecewisePoly:
 
 
 def jk_residue(model, rho: EquivariantForm, direction) -> TwoPi:
-    """sum_F Res^{Lambda, sigma} of the transformed u_F Phi^2 terms over
-    the cone Y > 0, in the pushforward normalization (multiply by the
-    pairing constant to match the smeared limit)."""
-    _, phi2 = weyl_factor(model.group.roots)
-    u = _fixed_point_sum(model, rho).mul_poly(phi2)
-    return ft_shifted(u).residue_ray(direction)
+    """sum_F Res^{Lambda, sigma} of the transformed u_F terms, in the
+    pushforward normalization (multiply by the pairing constant to match
+    the smeared limit): on a torus the Weyl factor Phi^2 is 1, so this is
+    the DH measure's limit along the ray `direction`."""
+    return dh_measure(model, rho).residue_ray(direction)
 
 
 def pairing_constant(model) -> float:
-    g = model.group
-    return (2 * math.pi) ** g.d_t * g.vol_g / (g.weyl_order * g.vol_t)
+    """(2 pi)^d: on a torus vol T = vol G and |W| = 1 cancel."""
+    return (2 * math.pi) ** model.group.d
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +186,23 @@ SMEAR_X_MAX = 600.0     # the smeared limit integrates |X| <= SMEAR_X_MAX
 SMEAR_EPS = (0.2, 0.1, 0.05, 0.025)     # the default eps ladder
 
 
+def ladder_problem(eps_list: Sequence[float]) -> Optional[str]:
+    """Why smeared_limit's Richardson steps, whose factor 4 assumes eps
+    halves, cannot use this eps ladder, or None."""
+    if len(eps_list) < 2 or any(
+            2 * b != a for a, b in zip(eps_list, eps_list[1:])):
+        return "need at least 2 values, each half the one before"
+    return None
+
+
 def smeared_limit(model, rho: EquivariantForm,
                   eps_list: Sequence[float] = SMEAR_EPS) -> SmearedResult:
     """<F_g L, phi_eps> = int L(X) phi_hat(eps X) dX over |X| <= SMEAR_X_MAX
     at each eps, with phi the default smearing kernel, then Richardson
     extrapolation with the even-kernel O(eps^2) ansatz."""
+    problem = ladder_problem(eps_list)
+    if problem:
+        raise ValueError(f"eps ladder: {problem}")
     kernel = default_kernel()
     panels = max(64, int(SMEAR_X_MAX / math.pi) + 1)
     nodes, wts = composite_gl(0.0, SMEAR_X_MAX, panels)
@@ -210,7 +213,7 @@ def smeared_limit(model, rho: EquivariantForm,
         v = float(np.einsum("i,i->", integrand, wts))
         vals.append((eps, 2.0 * v))
     seq = [v for _, v in vals]
-    # Richardson on the eps^2 ladder (eps halves along the list)
+    # Richardson on the eps^2 ladder
     while len(seq) > 1:
         seq = [(4.0 * b - a) / 3.0 for a, b in zip(seq[:-1], seq[1:])]
     converged = abs(seq[0] - vals[-1][1]) < 0.05 * (1 + abs(seq[0]))
@@ -219,7 +222,7 @@ def smeared_limit(model, rho: EquivariantForm,
 
 
 def kirwan_integral(model, rho: EquivariantForm) -> float:
-    """(2 pi)^d vol G / |H| * int_{Reg Omega_0} r(rho) / vol O_eta; a form
+    """(2 pi)^d vol G * int_{Reg Omega_0} r(rho) / vol O_eta; a form
     without a density integrates the model's default amplitude."""
     g = model.group
     if g.kappa != g.d:
@@ -229,20 +232,19 @@ def kirwan_integral(model, rho: EquivariantForm) -> float:
         model, dens)
 
 
+CALIBRATION_MODEL = {"kind": "sphere", "radius": 1}
+
+
 @dataclass
 class CalibrationStamp:
     pairing_constant: float
     measured: float
     ratio: float
-    model: str = "sphere"
 
     def to_dict(self):
         return {"pairing_constant": self.pairing_constant,
                 "measured": self.measured, "ratio": self.ratio,
-                "model": self.model}
-
-
-CALIBRATION_MODEL = {"kind": "sphere", "radius": 1}
+                "model": CALIBRATION_MODEL["kind"]}
 
 
 @lru_cache(maxsize=1)
@@ -263,14 +265,10 @@ def calibrate() -> CalibrationStamp:
     sphere = Sphere(CALIBRATION_MODEL["radius"])
     rho = EquivariantForm()
     sm = calibration_limit()
-    res = jk_residue(sphere, rho, (1,))
-    exact_side = float(res) * sphere.group.vol_g / (
-        sphere.group.weyl_order * sphere.group.vol_t)
     return CalibrationStamp(
         pairing_constant=pairing_constant(sphere),
         measured=sm.extrapolated,
-        ratio=sm.extrapolated / exact_side,
-        model="sphere")
+        ratio=sm.extrapolated / float(jk_residue(sphere, rho, (1,))))
 
 
 # ---------------------------------------------------------------------------

@@ -50,25 +50,14 @@ def _level_angles() -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupData:
+    """Every catalog group is a torus T^d of volume vol_g, with principal
+    orbits of dimension kappa.  A torus is abelian, with an empty root
+    system, a trivial Weyl group and T = G, and the catalog's principal
+    isotropy is trivial, so no Weyl factor, |W|, vol T, |H| or bracket
+    is carried."""
     d: int
-    d_t: int
-    roots: tuple            # tuple[LinForm], positive roots
     vol_g: float
-    vol_t: float
-    weyl_order: int
-    principal_isotropy_order: int
     kappa: int
-
-    def validate(self):
-        if self.d - self.d_t != 2 * len(self.roots):
-            raise ModelError("root count inconsistent with d - d_T")
-        if self.kappa > self.d:
-            raise ModelError("principal orbit dimension exceeds dim g")
-        if min(self.vol_g, self.vol_t) <= 0:
-            raise ModelError("group volumes must be positive")
-        if self.weyl_order < 1 or self.principal_isotropy_order < 1:
-            raise ModelError("orders must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -76,13 +65,10 @@ class FixedComponent:
     points: tuple                  # coordinates of the component (isolated)
     j_value: LinForm               # Y -> J_Y(F)
     weights: tuple                 # tuple[(LinForm, multiplicity)]
-    rank_nf: int
 
-    def validate(self):
-        nw = sum(m for _, m in self.weights)
-        if self.rank_nf != 2 * nw:
-            raise ModelError("rank NF must be twice the weight count")
-        return self
+    @property
+    def rank_nf(self) -> int:      # the normal bundle's rank
+        return 2 * sum(m for _, m in self.weights)
 
 
 @dataclass
@@ -196,10 +182,7 @@ class Sphere(CatalogModel):
         if self.radius <= 0:
             raise ModelError("radius must be positive")
         r = float(self.radius)
-        self.group = GroupData(
-            d=1, d_t=1, roots=(), vol_g=2 * math.pi * r,
-            vol_t=2 * math.pi * r, weyl_order=1,
-            principal_isotropy_order=1, kappa=1).validate()
+        self.group = GroupData(d=1, vol_g=2 * math.pi * r, kappa=1)
 
     # points are (x, y, z) with |.| = R; the chart language below works in
     # cylindrical coordinates (z, theta) where the area form is R dz dtheta.
@@ -222,13 +205,11 @@ class Sphere(CatalogModel):
         north = FixedComponent(
             points=(Fraction(0), Fraction(0), r),
             j_value=LinForm([r]),
-            weights=((LinForm([Fraction(-1, 1) / r]), 1),),
-            rank_nf=2).validate()
+            weights=((LinForm([Fraction(-1, 1) / r]), 1),))
         south = FixedComponent(
             points=(Fraction(0), Fraction(0), -r),
             j_value=LinForm([-r]),
-            weights=((LinForm([Fraction(1, 1) / r]), 1),),
-            rank_nf=2).validate()
+            weights=((LinForm([Fraction(1, 1) / r]), 1),))
         return [north, south]
 
     def isotropy_dim(self, eta) -> int:
@@ -246,11 +227,6 @@ class Sphere(CatalogModel):
         if val == 0:
             raise ModelError("trivial orbit")
         return SymMat([[val]])
-
-    def lie_derivative_map(self, eta, x):
-        if self.isotropy_dim(eta) == 0 and float(x) != 0.0:
-            raise ModelError("X not in the isotropy algebra")
-        return np.zeros((1, 1))
 
     def reduced_rule(self, sigma: float):
         """The level circle {z = sigma} at LEVEL_NODES midpoints, one
@@ -298,9 +274,7 @@ class CotangentCircle(CatalogModel):
     default_level = 0.7
 
     def __init__(self):
-        self.group = GroupData(
-            d=1, d_t=1, roots=(), vol_g=2 * math.pi, vol_t=2 * math.pi,
-            weyl_order=1, principal_isotropy_order=1, kappa=1).validate()
+        self.group = GroupData(d=1, vol_g=2 * math.pi, kappa=1)
 
     def momentum(self, eta, x=1.0) -> float:
         return float(x) * float(eta[1])
@@ -322,11 +296,6 @@ class CotangentCircle(CatalogModel):
 
     def xi_map(self, eta) -> SymMat:
         return SymMat([[1]])
-
-    def lie_derivative_map(self, eta, x):
-        if float(x) != 0.0:
-            raise ModelError("X not in the isotropy algebra")
-        return np.zeros((1, 1))
 
     def reduced_rule(self, sigma: float):
         """The level circle {p = sigma} at LEVEL_NODES midpoints, one
@@ -438,10 +407,8 @@ class LinearCotangent(CatalogModel):
             raise ModelError("generators leave a common fixed subspace; "
                              "catalog requires isolated fixed points")
         self.group = GroupData(
-            d=self.k, d_t=self.k, roots=(), vol_g=(2 * math.pi) ** self.k,
-            vol_t=(2 * math.pi) ** self.k, weyl_order=1,
-            principal_isotropy_order=1,
-            kappa=_rank_frac([pl.speeds for pl in self.planes])).validate()
+            d=self.k, vol_g=(2 * math.pi) ** self.k,
+            kappa=_rank_frac([pl.speeds for pl in self.planes]))
 
     def _extract_planes(self) -> List[RotationPlane]:
         """Require generators in common 2x2 block-rotation form."""
@@ -522,8 +489,7 @@ class LinearCotangent(CatalogModel):
         return [FixedComponent(
             points=tuple(Fraction(0) for _ in range(2 * self.n)),
             j_value=LinForm([0] * self.k),
-            weights=tuple(weights),
-            rank_nf=4 * len(self.planes)).validate()]
+            weights=tuple(weights))]
 
     def isotropy_dim(self, eta) -> int:
         rows = []
@@ -618,28 +584,6 @@ class LinearCotangent(CatalogModel):
             raise ModelError("the planar rotation oracle is Gaussian only")
         return linrot2_oracle(amplitude.g_profile).integral(list(mus))
 
-    def lie_derivative_map(self, eta, x) -> np.ndarray:
-        """Matrix of the bracket action of X in g_eta on the orbit tangent."""
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(x)),
-                    float(np.max(np.abs(np.asarray(eta, float)))))
-        if np.linalg.norm(self.fundamental_field(eta, x)) > 1e-10 * scale:
-            raise ModelError("X not in the isotropy algebra")
-        fields = [self.fundamental_field(eta, _unit(self.k, i))
-                  for i in range(self.k)]
-        active = [i for i in range(self.k)
-                  if np.linalg.norm(fields[i]) > 1e-13]
-        ax = self.generator_matrix(x)
-        out = np.zeros((len(active), len(active)))
-        basis_vecs = [fields[i] / np.linalg.norm(fields[i])
-                      for i in active]
-        for col, i in enumerate(active):
-            ai = self.generator_matrix(_unit(self.k, i))
-            vec = self._act(ai.dot(ax) - ax.dot(ai), eta)   # [X~, Y~]
-            for row in range(len(active)):
-                out[row, col] = float(np.dot(vec, basis_vecs[row]))
-        return out
-
 
 def _unit(k, i):
     v = np.zeros(k)
@@ -721,12 +665,11 @@ def make_model(kind: str, **params):
 
 
 def reduced_integral(model, f: Callable, sigma: float = 0.0) -> float:
-    """vol G / |H| * int_{Reg Omega_sigma} f / vol O_eta by the model's
+    """vol G * int_{Reg Omega_sigma} f / vol O_eta by the model's
     reduced_rule; f maps points (dim, m) to m values and is called on
     each block of the rule."""
     total = 0.0
     for pts, w in model.reduced_rule(sigma):
         total += float(np.einsum("i,i->", w,
                                  np.asarray(f(pts), dtype=float)))
-    g = model.group
-    return g.vol_g / g.principal_isotropy_order * total
+    return model.group.vol_g * total

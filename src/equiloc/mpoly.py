@@ -64,15 +64,6 @@ class LinForm:
     def __repr__(self):
         return f"LinForm({list(self.coeffs)})"
 
-    def to_mpoly(self) -> "MPoly":
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                e = [0] * self.dim
-                e[i] = 1
-                terms[tuple(e)] = c
-        return MPoly(self.dim, terms)
-
 
 class MPoly:
     """Sparse polynomial: map exponent tuple -> coefficient, no zeros kept."""

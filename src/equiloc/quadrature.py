@@ -79,7 +79,7 @@ def _legendre_and_derivative(n: int, x):
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
 
-    The (n + 1) // 2 roots of P_n in [0, 1) are found at once, as one
+    The (n + 1) // 2 zeros of P_n in [0, 1) are found at once, as one
     vector, from Tricomi's guess
     x_k = (1 - (n - 1)/8n^3) cos(pi (4k - 1)/(4n + 2)) (the middle root
     of odd n is 0 exactly).  A pass runs the three-term recurrence once,

@@ -43,9 +43,6 @@ class RatTerm:
         return RatTerm(self.coeff * TwoPi.coerce(c), self.phase, self.num,
                        self.denoms)
 
-    def mul_poly(self, p: MPoly) -> "RatTerm":
-        return RatTerm(self.coeff, self.phase, self.num * p, self.denoms)
-
     def eval_complex(self, point) -> complex:
         """Numerical value at a real point off every denominator hyperplane."""
         import cmath
@@ -80,9 +77,6 @@ class RatExp:
 
     def scale(self, c) -> "RatExp":
         return RatExp(self.dim, [t.scale(c) for t in self.terms])
-
-    def mul_poly(self, p: MPoly) -> "RatExp":
-        return RatExp(self.dim, [t.mul_poly(p) for t in self.terms])
 
     def eval_complex(self, point) -> complex:
         return sum((t.eval_complex(point) for t in self.terms), complex(0))

@@ -540,8 +540,8 @@ def _pivot_columns(grads: List[np.ndarray]) -> List[int]:
 
 def direct_leading(model, amplitude: Amplitude,
                    sigma: float = 0.0) -> float:
-    """L0 = (vol G / |H|) int_{Reg Omega_sigma} [int_{g_eta} a dX] /
-    vol O_eta.  For kappa = d the inner integral is a(eta, 0)."""
+    """L0 = vol G int_{Reg Omega_sigma} [int_{g_eta} a dX] / vol O_eta.
+    For kappa = d the inner integral is a(eta, 0)."""
     return float(amplitude.g_factor(0.0)) * reduced_integral(
         model, amplitude.eta_factor, sigma)
 

@@ -144,6 +144,13 @@ def test_malformed_or_unfittable_mu_sweep_exits_4(argv, tmp_path, capsys):
     ("dh", {"model": {"kind": "sphere"}, "bins": 0}),
     ("localize", {"model": {"kind": "sphere"}, "y_values": []}),
     ("localize", {"model": {"kind": "sphere"}, "y_values": [0]}),
+    # the Richardson steps need a ladder that halves: these once passed
+    # 175x worse than the default ladder, or failed the gate
+    ("residue", {"model": {"kind": "cotangent-circle"},
+                 "eps": [0.3, 0.2, 0.1, 0.05]}),
+    ("residue", {"model": {"kind": "cotangent-circle"},
+                 "eps": [0.025, 0.05, 0.1, 0.2]}),
+    ("residue", {"model": {"kind": "cotangent-circle"}, "eps": [0.8]}),
 ])
 def test_config_fields_off_the_schema_exit_4(command, fields, tmp_path,
                                              capsys):
@@ -155,6 +162,15 @@ def test_config_fields_off_the_schema_exit_4(command, fields, tmp_path,
     err = capsys.readouterr().err
     assert "invalid config" in err and "Traceback" not in err
     assert not list(tmp_path.glob("run-*"))
+
+
+def test_eps_ladder_that_does_not_halve_writes_no_calibration(tmp_path):
+    cfg = tmp_path / "eps.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere"},
+                               "eps": [0.3, 0.2, 0.1, 0.05]}))
+    assert run(["residue", "--config", str(cfg), "--calibrate"],
+               tmp_path) == 4
+    assert not (tmp_path / "calibration.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,10 @@ than keep it "just in case".  A method counts as used only where it is
 read as an attribute, so a local variable of the same name does not keep
 it alive.  Dunder names are exempt.
 
+A definition that only tests/ and demos/ name, and no module under src/,
+is declared in TEST_ONLY with the reason it is kept: an oracle of a test,
+or public API a caller outside the package uses.
+
 A default-valued parameter or dataclass field that no call under src/,
 tests/ or demos/ sets is a constant in disguise: make it one.
 """
@@ -59,10 +63,11 @@ def _methods(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _unreferenced(definitions, references=_references):
-    """`path:line name` of each package definition named nowhere else."""
-    files = [p for d in ("src", "tests", "demos")
-             for p in sorted((ROOT / d).rglob("*.py"))]
+def _unreferenced(definitions, references=_references,
+                  dirs=("src", "tests", "demos")):
+    """(module, name, line) of each package definition that no file under
+    `dirs` names outside its own definition."""
+    files = [p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
     uses = {}
     for path, tree in trees.items():
@@ -78,18 +83,96 @@ def _unreferenced(definitions, references=_references):
                        if not (p == path and
                                node.lineno <= line <= node.end_lineno)]
             if not outside:
-                dead.append(f"{path.name}:{node.lineno} {qualname}")
+                dead.append((path.stem, qualname, node.lineno))
     return dead
+
+
+def _where(found):
+    return ", ".join(f"{m}.py:{line} {name}" for m, name, line in found)
 
 
 def test_no_unreferenced_module_level_names():
     dead = _unreferenced(_definitions)
-    assert not dead, "unreferenced module-level names: " + ", ".join(dead)
+    assert not dead, "unreferenced module-level names: " + _where(dead)
 
 
 def test_no_unreferenced_methods():
     dead = _unreferenced(_methods, _attribute_references)
-    assert not dead, "unreferenced methods: " + ", ".join(dead)
+    assert not dead, "unreferenced methods: " + _where(dead)
+
+
+# (module, name) -> why a definition that no module under src/ names is
+# kept
+TEST_ONLY = {
+    ("oracles", "cotangent_l_alpha"):
+        "brute-force oracle of the T*S^1 L(X) in test_localization and "
+        "test_oscillatory",
+    ("oscillatory", "selection_rule_terms"):
+        "public API, called by perfbench/jobs.py and the acceptance suite",
+    ("models", "Sphere.flow"):
+        "oracle of test_models' invariance of J and of the fundamental "
+        "field",
+    ("models", "CotangentCircle.flow"):
+        "oracle of test_models' invariance of J and of the fundamental "
+        "field",
+    ("models", "LinearCotangent.flow"):
+        "oracle of test_models' equivariance of J, checked against expm",
+    ("models", "Sphere.isotropy_dim"):
+        "oracle of test_models' principal isotropy on reduced_rule points",
+    ("models", "CotangentCircle.isotropy_dim"):
+        "oracle of test_models' principal isotropy on reduced_rule points",
+    ("models", "LinearCotangent.isotropy_dim"):
+        "oracle of test_models' principal isotropy on reduced_rule points",
+    ("models", "Sphere.orbit_volume"):
+        "oracle of test_models' reduced_rule weights",
+    ("models", "CotangentCircle.orbit_volume"):
+        "oracle of test_models' reduced_rule weights",
+    ("models", "LinearCotangent.orbit_volume"):
+        "oracle of test_models' reduced_rule weights and the "
+        "Xi-determinant identity",
+    ("models", "Sphere.xi_map"):
+        "the Xi map of test_models' examples",
+    ("models", "CotangentCircle.xi_map"):
+        "the Xi map of test_models' examples",
+    ("models", "LinearCotangent.xi_map"):
+        "oracle of the Xi-determinant identity in test_models, "
+        "test_resolution and the acceptance suite",
+    ("mpoly", "MPoly.variable"):
+        "builds test_mpoly's polynomials",
+    ("mpoly", "MPoly.degree_in"):
+        "test_mpoly's check that diff lowers the degree",
+    ("piecewise", "PiecewisePoly.piecewise_equal"):
+        "the chamber equality of test_localization and test_piecewise",
+    ("ratexp", "RatExp.eval_complex"):
+        "the numerical value of a fixed-point sum in test_localization "
+        "and test_piecewise",
+    ("resolution", "CritWitness.all_conditions"):
+        "test_resolution's check of the critical conditions at a witness",
+    ("scalars", "TwoPi.is_real"):
+        "test_piecewise's check that a DH density is real",
+    ("symmat", "SymMat.identity"):
+        "builds test_ldlt's matrices",
+    ("symmat", "SymMat.congruent"):
+        "test_ldlt's congruence invariance of the inertia",
+    ("symmat", "LDLTResult.reconstruct"):
+        "test_ldlt's exact reconstruction L D L^T",
+}
+
+
+def test_every_test_only_definition_is_declared():
+    """Tests count as users above, so code that only tests use would
+    survive unseen: each definition no module under src/ names has its
+    reason in TEST_ONLY, and each entry of TEST_ONLY is still such a
+    definition."""
+    found = {(m, name) for m, name, _ in
+             _unreferenced(_definitions, dirs=("src",)) +
+             _unreferenced(_methods, _attribute_references, dirs=("src",))}
+    assert not found - set(TEST_ONLY), \
+        "used by tests only, not in TEST_ONLY: " + ", ".join(
+            f"{m}.{name}" for m, name in sorted(found - set(TEST_ONLY)))
+    assert not set(TEST_ONLY) - found, \
+        "TEST_ONLY entries that src/ uses or that are gone: " + ", ".join(
+            f"{m}.{name}" for m, name in sorted(set(TEST_ONLY) - found))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from equiloc.localization import (EquivariantForm, NoFixedPointsError,
                                   bv_term, calibrate, dh_measure,
                                   euler_inverse, jk_residue, kirwan_integral,
                                   l_alpha, l_alpha_batch, pairing_constant,
-                                  smeared_limit, u_f_symbolic, weyl_factor)
+                                  smeared_limit, u_f_symbolic)
 from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
     _fold, make_model
-from equiloc.mpoly import LinForm, MPoly
+from equiloc.mpoly import LinForm
 from equiloc.oracles import (cotangent_l_alpha, mc_pushforward_sphere,
                              sphere_bv_oracle)
 from equiloc.scalars import TwoPi
@@ -29,8 +29,8 @@ def test_euler_inverse_examples():
                  if f.j_value.coeffs == (Fraction(1),))
     assert euler_inverse(north, [Fraction(2)]) == Fraction(-1, 2)
     fc = FixedComponent(points=(0,), j_value=LinForm([0]),
-                        weights=((LinForm([1]), 1), (LinForm([-1]), 1)),
-                        rank_nf=4).validate()
+                        weights=((LinForm([1]), 1), (LinForm([-1]), 1)))
+    assert fc.rank_nf == 4
     assert euler_inverse(fc, [Fraction(3)]) == Fraction(-1, 9)
     with pytest.raises(RegularityError):
         euler_inverse(fc, [Fraction(0)])
@@ -72,16 +72,6 @@ def test_u_f_scaling_by_rational():
     for y in (0.7, 2.2):
         assert u3.eval_complex((y,)) == pytest.approx(
             Fraction(3, 7) * u1.eval_complex((y,)), abs=1e-13)
-
-
-def test_weyl_factor_examples():
-    phi, phi2 = weyl_factor([])
-    assert phi == MPoly.constant(1, Fraction(1))
-    phi, phi2 = weyl_factor([LinForm([2])])
-    assert phi == MPoly(1, {(1,): Fraction(2)})
-    assert phi2 == MPoly(1, {(2,): Fraction(4)})
-    phi, _ = weyl_factor([LinForm([1, -1]), LinForm([1, 1])])
-    assert phi == MPoly(2, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
 
 
 def test_dh_measure_sphere():
@@ -159,15 +149,25 @@ def test_rank_two_is_refused_before_any_algebra():
             call()
 
 
-def test_pairing_residue_smeared_kirwan_sphere():
-    s = Sphere(1)
+@pytest.mark.parametrize("radius", [1, 2])
+def test_pairing_residue_smeared_kirwan_sphere(radius):
+    # vol G = 2 pi R, so at R = 2 the pairing constant (2 pi)^d is not
+    # vol G: the residue must still pair to the smeared limit
+    s = Sphere(radius)
     sm = smeared_limit(s, RHO1)
     kw = kirwan_integral(s, RHO1)
-    assert kw == pytest.approx(4 * math.pi ** 2, rel=1e-12)
-    assert sm.extrapolated == pytest.approx(4 * math.pi ** 2, rel=1e-4)
+    assert kw == pytest.approx(4 * math.pi ** 2 * radius, rel=1e-12)
+    assert sm.extrapolated == pytest.approx(kw, rel=1e-4)
     res = float(jk_residue(s, RHO1, (1,)))
     assert res * pairing_constant(s) == pytest.approx(sm.extrapolated,
                                                       rel=1e-4)
+
+
+def test_smeared_limit_refuses_a_ladder_that_does_not_halve():
+    # the Richardson steps assume eps halves along the ladder
+    for eps in ([0.3, 0.2, 0.1, 0.05], [0.1, 0.2], [0.8]):
+        with pytest.raises(ValueError, match="eps ladder"):
+            smeared_limit(Sphere(1), RHO1, eps_list=eps)
 
 
 def test_pairing_cotangent_circle():

@@ -1,0 +1,68 @@
+"""Every certificate can fail: inject one error into the formula it
+guards and the certificate goes red, and the run exits 2.
+
+Each case patches one function of the package with a wrong version and
+runs one CLI command.  The same command without the patch passes, so the
+patch alone turns the named certificates red.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from equiloc import localization
+from equiloc.cli import EXIT_CERT, EXIT_OK, main
+
+
+def _scaled(f, factor):
+    return lambda *args, **kwargs: f(*args, **kwargs) * factor
+
+
+def _negated(f):
+    return lambda *args, **kwargs: -f(*args, **kwargs)
+
+
+# id -> (argv, function of localization, its wrong version, the
+# certificates that must go red: a name, or a prefix ending in *)
+MUTATIONS = {
+    "pairing_constant_times_1.02": (
+        ["residue", "--model", "sphere"], "pairing_constant",
+        lambda f: _scaled(f, 1.02), ["residue_pairing_vs_smeared"]),
+    # residue_direction_independence alone cannot see this: both
+    # directions flip
+    "jk_residue_negated": (
+        ["residue", "--model", "sphere"], "jk_residue", _negated,
+        ["residue_pairing_vs_smeared"]),
+    # a conjugated term would pass: the sphere's sum is real
+    "bv_term_negated": (
+        ["localize", "--model", "sphere"], "bv_term", _negated,
+        ["bv_vs_oracle_y_*"]),
+}
+
+
+def _certificates(out: Path):
+    (report,) = out.glob("run-*/report.json")
+    return json.loads(report.read_text())["certificates"]
+
+
+def _named(certs, pattern):
+    if pattern.endswith("*"):
+        return [c for c in certs if c["name"].startswith(pattern[:-1])]
+    return [c for c in certs if c["name"] == pattern]
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_mutation_turns_its_certificate_red(case, tmp_path, monkeypatch):
+    argv, name, mutate, patterns = MUTATIONS[case]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == EXIT_OK
+    clean = _certificates(tmp_path / "clean")
+    monkeypatch.setattr(localization, name,
+                        mutate(getattr(localization, name)))
+    assert main(argv + ["--out", str(tmp_path / "mutant")]) == EXIT_CERT
+    mutant = _certificates(tmp_path / "mutant")
+    for pattern in patterns:
+        assert _named(clean, pattern) and \
+            all(c["passed"] for c in _named(clean, pattern))
+        assert _named(mutant, pattern) and \
+            not any(c["passed"] for c in _named(mutant, pattern))

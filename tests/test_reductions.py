@@ -25,8 +25,6 @@ ALLOWED = {
         "an n x n matrix on one point's q and p",
     ("models", "LinearCotangent.gram"):
         "the k x k Gram matrix of one point's fundamental fields",
-    ("models", "LinearCotangent.lie_derivative_map"):
-        "n x n commutators and their fields at one point",
     ("oscillatory", "CleanPhase.validate"):
         "one d-vector against itself",
     ("oscillatory", "_h_callable.h"):
