@@ -3,11 +3,11 @@ asymptotics for a catalog of model Hamiltonian group actions, with every
 formula cross-validated against independent brute-force quadrature.
 """
 
-from .scalars import CRat, Rat, TwoPi
+from .scalars import CRat, TwoPi
 from .mpoly import LinForm, MPoly
 from .symmat import SymMat, ldlt
 from .ratexp import RatExp, RatTerm
-from .piecewise import Atom, Piece, PiecewisePoly, ft_shifted
+from .piecewise import Piece, PiecewisePoly, ft_shifted
 from .bumps import Bump, BumpHat, SmearingKernel
 from .models import (Amplitude, CotangentCircle, FixedComponent, GroupData,
                      LinearCotangent, ModelError, Sphere, make_model,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bumps import Bump
-from .localization import SMEAR_EPS, ladder_problem
+from .localization import SMEAR_EPS, RegularityError, ladder_problem
 from .models import MODELS, ModelError, make_model
 from .oscillatory import fit_problem
 from .quadrature import BudgetExceeded
@@ -550,7 +550,7 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def _invalid_config(exc) -> int:
-    """Print the problems of a ConfigError or ModelError; exit 4."""
+    """Print the problems of an invalid config, model or Y; exit 4."""
     problems = exc.problems if isinstance(exc, ConfigError) else [str(exc)]
     print("invalid config:", file=sys.stderr)
     for p in problems:
@@ -598,7 +598,7 @@ def run(cfg: RunConfig, out_dir: Path,
              "detail": str(exc)}, indent=2, sort_keys=True))
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, ModelError) as exc:
+    except (ConfigError, ModelError, RegularityError) as exc:
         return _invalid_config(exc)
     elapsed = time.time() - t0
     if not certs:

@@ -26,7 +26,6 @@ import numpy as np
 from .bumps import Bump, SmearingKernel
 from .models import (Amplitude, FixedComponent, ModelError, Sphere,
                      reduced_integral)
-from .mpoly import MPoly
 from .oscillatory import CleanPhase, BaseNode, sp_coefficients
 from .piecewise import PiecewisePoly, _require_rank_one, ft_shifted
 from .quadrature import composite_gl
@@ -73,8 +72,7 @@ def euler_inverse(fc: FixedComponent, y):
     exact = all(not isinstance(v, float) for v in y)
     out = Fraction(1) if exact else 1.0
     for form, mult in fc.weights:
-        lam = form([Fraction(v) for v in y]) if exact else float(
-            form([Fraction(v).limit_denominator(10 ** 12) for v in y]))
+        lam = form([Fraction(v) for v in y]) if exact else float(form(y))
         if lam == 0:
             raise RegularityError(f"Y on the weight hyperplane {form}")
         out = out / lam ** mult
@@ -88,8 +86,7 @@ def _bv_constant(rank_nf: int) -> complex:
 def bv_term(model, fc: FixedComponent, rho: EquivariantForm, y) -> complex:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     inv = euler_inverse(fc, list(y))
-    jval = float(fc.j_value(
-        [Fraction(v).limit_denominator(10 ** 12) for v in y]))
+    jval = float(fc.j_value(list(y)))
     val = rho.value_at([float(f) for f in fc.points])
     return _bv_constant(fc.rank_nf) * complex(
         math.cos(jval), math.sin(jval)) * val * float(inv)
@@ -110,8 +107,7 @@ def u_f_symbolic(model, fc: FixedComponent,
     d = model.group.d
     coeff = TwoPi.of(i_power(fc.rank_nf // 2) * CRat(rho.scale),
                      fc.rank_nf // 2)
-    term = RatTerm(coeff, fc.j_value,
-                   MPoly.constant(d, Fraction(1)), list(fc.weights))
+    term = RatTerm(coeff, fc.j_value, list(fc.weights))
     return RatExp(d, [term])
 
 

@@ -48,10 +48,6 @@ class LinForm:
     def __sub__(self, other: "LinForm") -> "LinForm":
         return self + (-other)
 
-    def scale(self, c) -> "LinForm":
-        c = Fraction(c)
-        return LinForm([c * a for a in self.coeffs])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -90,12 +86,6 @@ class MPoly:
     @staticmethod
     def constant(dim: int, c) -> "MPoly":
         return MPoly(dim, {tuple([0] * dim): c})
-
-    @staticmethod
-    def variable(dim: int, i: int) -> "MPoly":
-        e = [0] * dim
-        e[i] = 1
-        return MPoly(dim, {tuple(e): Fraction(1)})
 
     @staticmethod
     def zero(dim: int) -> "MPoly":
@@ -170,16 +160,6 @@ class MPoly:
             n >>= 1
         return out
 
-    def diff(self, var: int) -> "MPoly":
-        tt = {}
-        for e, c in self.terms.items():
-            if e[var] == 0:
-                continue
-            e2 = list(e)
-            e2[var] -= 1
-            tt[tuple(e2)] = c * e[var]
-        return MPoly(self.dim, tt)
-
     def eval(self, point: Sequence):
         """Exact evaluation at a rational point."""
         point = [Fraction(x) for x in point]
@@ -207,9 +187,6 @@ class MPoly:
                 v *= float(x) ** k
             out += v
         return out
-
-    def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
 
     def map_coeffs(self, f: Callable) -> "MPoly":
         return MPoly(self.dim, {e: f(c) for e, c in self.terms.items()})

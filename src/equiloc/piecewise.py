@@ -9,10 +9,10 @@ with the contour pushed so every denominator of u is nonvanishing on the
 open cone Lambda, a half-line, which is a sign: side = +1 for Y > 0, -1 for
 Y < 0.  A nonzero rank-1 form never vanishes there.  A simple-pole term
 e^{i a Y}/Y then transforms to a step at the cut xi = -a, supported on the
-side of the cut that the cone's sign selects.  Repeated denominators follow
-by differentiating the simple-pole transform in the phase offset, which is
-the polynomial ladder below; a polynomial numerator of degree >= the pole
-order leaves point atoms delta^{(j)}(xi + a).
+side of the cut that the cone's sign selects.  A pole of order R follows
+by differentiating the simple-pole transform in the phase offset: one
+half-line step of degree R - 1.  Every fixed-point term is such a pole,
+so the measure has no point atoms.
 
 Only rank 1 (a circle torus) is implemented: a rank-2 transform would
 need its own oracle, and no catalog command makes one.
@@ -39,7 +39,7 @@ def _require_rank_one(dim: int):
 
 
 # ---------------------------------------------------------------------------
-# pieces, atoms, chambers
+# pieces and chambers
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ class Piece:
 
     def covers(self, x: Fraction) -> bool:
         return self.side * (x - self.cut) > 0
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Point atom coeff * delta^{(order)}(xi - location), excluded from the
-    absolutely continuous chambers and from residues."""
-    location: tuple
-    order: int
-    coeff: TwoPi
 
 
 def _cells(cuts):
@@ -77,16 +68,14 @@ def _cells(cuts):
 
 
 class PiecewisePoly:
-    """Sum of half-line polynomial densities on the line, plus point atoms.
+    """Sum of half-line polynomial densities on the line.
 
     Pieces overlap (they add); canonical() resolves them into the chambers
     between the cuts.
     """
 
-    def __init__(self, pieces: Sequence[Piece] = (),
-                 atoms: Sequence[Atom] = ()):
+    def __init__(self, pieces: Sequence[Piece] = ()):
         self.pieces = [p for p in pieces if not p.density.is_zero()]
-        self.atoms = list(atoms)
 
     # -- evaluation -------------------------------------------------------
 
@@ -123,7 +112,7 @@ class PiecewisePoly:
         return out
 
     def piecewise_equal(self, other: "PiecewisePoly") -> bool:
-        """Exact equality as piecewise densities (atoms not compared)."""
+        """Exact equality as piecewise densities."""
         return all(self.density_at((x,)) == other.density_at((x,))
                    for _, _, x in _cells(self.cuts() + other.cuts()))
 
@@ -142,8 +131,7 @@ class PiecewisePoly:
     def residue_ray(self, direction) -> TwoPi:
         """Limit of the density along t*direction as t -> 0+.
 
-        Atoms are excluded.  A piece whose cut is 0 counts when the ray
-        leaves 0 into its side.
+        A piece whose cut is 0 counts when the ray leaves 0 into its side.
         """
         d = Fraction(direction[0])
         if d == 0:
@@ -169,7 +157,8 @@ class PiecewisePoly:
     def to_json_dict(self) -> dict:
         """Each chamber with one wall [[n], -n*cut] per cut, in the pieces'
         order, oriented into the chamber (n = +1 when the chamber lies
-        above the cut)."""
+        above the cut).  `atoms` is always empty: no fixed-point term
+        makes one."""
         chambers = []
         for lo, _, dens in self.canonical():
             coeff_pow = _common_two_pi_power(dens)
@@ -197,9 +186,7 @@ class PiecewisePoly:
             "dim": 1,
             "support": self.support_kind(),
             "chambers": chambers,
-            "atoms": [{"kind": "point", "order": a.order,
-                       "location": [str(x) for x in a.location]}
-                      for a in self.atoms],
+            "atoms": [],
         }
 
     def to_json(self) -> str:
@@ -245,33 +232,25 @@ def _integrate_1d(dens: MPoly, lo: Fraction, hi: Fraction) -> TwoPi:
 
 def ft_shifted(u: RatExp, side: int = 1) -> PiecewisePoly:
     """Cone-shifted Fourier transform of u as a PiecewisePoly, in closed
-    form, for the cone side * Y > 0: each term e^{iaY} c Y^e / prod
-    l_q(Y)^{m_q} is a step of degree sum m_q - e - 1 at xi = -a, or a point
-    atom there if that is negative.
+    form, for the cone side * Y > 0: each term e^{iaY} c / prod
+    l_q(Y)^{m_q} is one step of degree sum m_q - 1 at xi = -a.  A term
+    with no denominator would transform to a point atom; no fixed point
+    makes one, so it is refused.
     """
     _require_rank_one(u.dim)
     if side not in (1, -1):
         raise ValueError(f"cone side must be +1 or -1, not {side!r}")
     pieces: List[Piece] = []
-    atoms: List[Atom] = []
     for t in u.terms:
-        a = t.phase.coeffs[0]
+        if not t.denoms:
+            raise ValueError("a term without a pole transforms to an atom")
         R = sum(m for _, m in t.denoms)
         unit = Fraction(1)
         for form, m in t.denoms:
             unit *= form.coeffs[0] ** m
-        base = t.coeff.scale(CRat(1) / CRat(unit))
-        for (e,), c in t.num.terms.items():
-            k = R - e
-            cc = base.scale(c)
-            if k > 0:
-                pieces.append(_step_piece(cc, a, k, side))
-            else:
-                # e^{iaY} Y^j -> (-i)^j delta^{(j)}(xi + a)
-                j = -k
-                atoms.append(Atom(location=(-a,), order=j,
-                                  coeff=cc.scale(i_power(-j))))
-    return PiecewisePoly(pieces, atoms)
+        pieces.append(_step_piece(t.coeff.scale(CRat(1) / CRat(unit)),
+                                  t.phase.coeffs[0], R, side))
+    return PiecewisePoly(pieces)
 
 
 def _step_piece(coeff: TwoPi, a: Fraction, k: int, side: int) -> Piece:

@@ -1,21 +1,21 @@
-"""Exponential-rational expressions: sums of c * e^{i a(Y)} P(Y) / prod l_j(Y)^{r_j}.
-
-This is the exact carrier for fixed-point contributions; the shifted
-Fourier transform in piecewise.py consumes it.
+"""Exponential-rational expressions: sums of c * e^{i a(Y)} / prod
+l_j(Y)^{r_j}, one pure pole per isolated fixed point (its Euler form
+below, numerator 1); the shifted Fourier transform in piecewise.py
+consumes them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .mpoly import LinForm, MPoly
+from .mpoly import LinForm
 from .scalars import TwoPi
 
 
 class RatTerm:
-    __slots__ = ("coeff", "phase", "num", "denoms")
+    __slots__ = ("coeff", "phase", "denoms")
 
-    def __init__(self, coeff: TwoPi, phase: LinForm, num: MPoly,
+    def __init__(self, coeff: TwoPi, phase: LinForm,
                  denoms: Sequence[Tuple[LinForm, int]]):
         dd = []
         for form, mult in denoms:
@@ -24,12 +24,11 @@ class RatTerm:
                 raise ValueError("denominator multiplicity must be positive")
             if form.is_zero():
                 raise ValueError("zero linear form in denominator")
-            if form.dim != phase.dim or num.dim != phase.dim:
+            if form.dim != phase.dim:
                 raise ValueError("dimension mismatch in RatTerm")
             dd.append((form, mult))
         object.__setattr__(self, "coeff", TwoPi.coerce(coeff))
         object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "num", num)
         object.__setattr__(self, "denoms", tuple(dd))
 
     def __setattr__(self, *a):
@@ -39,16 +38,11 @@ class RatTerm:
     def dim(self) -> int:
         return self.phase.dim
 
-    def scale(self, c) -> "RatTerm":
-        return RatTerm(self.coeff * TwoPi.coerce(c), self.phase, self.num,
-                       self.denoms)
-
     def eval_complex(self, point) -> complex:
         """Numerical value at a real point off every denominator hyperplane."""
         import cmath
         z = complex(self.coeff)
         z *= cmath.exp(1j * float(self.phase(point)))
-        z *= self.num.eval_float(point)
         for form, mult in self.denoms:
             v = float(form(point))
             if v == 0.0:
@@ -74,9 +68,6 @@ class RatExp:
         if self.dim != other.dim:
             raise ValueError("RatExp dimension mismatch")
         return RatExp(self.dim, self.terms + other.terms)
-
-    def scale(self, c) -> "RatExp":
-        return RatExp(self.dim, [t.scale(c) for t in self.terms])
 
     def eval_complex(self, point) -> complex:
         return sum((t.eval_complex(point) for t in self.terms), complex(0))

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -67,17 +67,6 @@ class LDLTResult:
     singular: bool
     transform: tuple = ()     # C with C m C^T = diag(pivots, 0...)
 
-    def reconstruct(self) -> SymMat:
-        """C^{-1} diag(pivots) C^{-T}; equals the input exactly."""
-        n = len(self.transform)
-        cinv = _invert(self.transform, n)
-        d = [Fraction(0)] * n
-        for i, p in enumerate(self.pivots):
-            d[i] = p
-        out = [[sum(cinv[i][k] * d[k] * cinv[j][k] for k in range(n))
-                for j in range(n)] for i in range(n)]
-        return SymMat(out)
-
 
 def ldlt(m: SymMat) -> LDLTResult:
     """Exact symmetric decomposition: determinant, signature, inverse.
@@ -85,6 +74,8 @@ def ldlt(m: SymMat) -> LDLTResult:
     Elimination by congruence transforms only (row swap + matching column
     swap, or adding row j to row i with the matching column move), so the
     pivot signs give the signature and the pivot product the determinant.
+    The transform C with C m C^T = D = diag(pivots) gives the inverse
+    m^{-1} = C^T D^{-1} C without a second elimination.
     """
     n = m.dim
     a = [list(row) for row in m.entries]
@@ -140,23 +131,11 @@ def ldlt(m: SymMat) -> LDLTResult:
         1 for d in pivots if d < 0)
     inverse = None
     if not singular:
-        inverse = SymMat(_invert(m.entries, n))
+        inverse = SymMat([[sum(c[k][i] * c[k][j] / pivots[k]
+                               for k in range(n)) for j in range(n)]
+                          for i in range(n)])
     return LDLTResult(det=det, signature=signature, rank=rank,
                       pivots=tuple(pivots), inverse=inverse,
                       singular=singular,
                       transform=tuple(tuple(row) for row in c))
 
-
-def _invert(entries, n):
-    aug = [[Fraction(entries[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        p = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[p] = aug[p], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

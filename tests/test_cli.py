@@ -530,6 +530,28 @@ def test_localize_past_the_sphere_oracle_rule_exits_4(tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))
 
 
+def test_localize_at_a_tiny_y(tmp_path):
+    # a float Y was once rounded to a fraction of denominator at most
+    # 1e12, so 1e-13 landed on the weight hyperplane: a traceback, exit 1
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere"},
+                               "y_values": [1e-13]}))
+    assert run(["localize", "--config", str(cfg)], tmp_path) == 0
+    (cert,) = latest_report(tmp_path)["certificates"]
+    assert cert["name"] == "bv_vs_oracle_y_1e-13" and cert["passed"]
+
+
+def test_localize_on_a_weight_hyperplane_exits_4(tmp_path, capsys):
+    # 5e-324 / 3 underflows to 0, so this Y lies on a weight hyperplane
+    cfg = tmp_path / "wall.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere", "radius": 3},
+                               "y_values": [5e-324]}))
+    assert run(["localize", "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "weight hyperplane" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
 def _t2_config(tmp_path, name, planes):
     """A linear-cotangent T^2 on R^4; planes[g] maps an axis pair to the
     speed at which generator g rotates it."""

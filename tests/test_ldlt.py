@@ -78,11 +78,19 @@ def test_signature_congruence_invariant():
 
 
 def test_reconstruction_is_exact():
+    # C m C^T = diag(pivots, 0, ...), singular matrices included
     rng = random.Random(33)
-    for _ in range(40):
+    singular = 0
+    for k in range(40):
         n = rng.choice([2, 3, 4])
         m = rand_sym(rng, n)
+        if k % 3 == 0:
+            # repeat the first row and column: singular
+            eye = SymMat.identity(n).entries
+            m = m.congruent(eye[:-1] + (eye[0],))
         res = ldlt(m)
-        if res.singular:
-            continue
-        assert res.reconstruct() == m
+        singular += res.singular
+        d = list(res.pivots) + [0] * (n - res.rank)
+        assert m.congruent(res.transform) == SymMat(
+            [[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    assert singular >= 14

@@ -30,28 +30,23 @@ def test_ring_axioms_randomized():
 
 def test_poly_ops_examples():
     y1sq = MPoly(1, {(2,): Fraction(1)})
-    y1 = MPoly.variable(1, 0)
+    y1 = MPoly(1, {(1,): Fraction(1)})
     assert y1sq + y1 == MPoly(1, {(2,): Fraction(1), (1,): Fraction(1)})
-    y1y2 = MPoly(2, {(1, 1): Fraction(1)})
-    assert y1y2.diff(0) == MPoly.variable(2, 1)
 
 
 def test_dim_mismatch_errors():
-    p = MPoly.variable(1, 0)
-    q = MPoly.variable(2, 0)
+    p = MPoly(1, {(1,): Fraction(1)})
+    q = MPoly(2, {(1, 0): Fraction(1)})
     with pytest.raises(ValueError):
         p + q
     with pytest.raises(ValueError):
         p.eval([1, 2])
 
 
-def test_diff_reduces_degree_and_eval_exact():
+def test_eval_exact():
     rng = random.Random(9)
     for _ in range(50):
         p = rand_poly(rng, 2)
-        v = rng.choice([0, 1])
-        if p.degree_in(v) > 0:
-            assert p.diff(v).degree_in(v) == p.degree_in(v) - 1
         pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
               for _ in range(2)]
         direct = sum(c * pt[0] ** e[0] * pt[1] ** e[1]

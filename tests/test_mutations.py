@@ -13,6 +13,7 @@ import pytest
 
 from equiloc import localization
 from equiloc.cli import EXIT_CERT, EXIT_OK, main
+from equiloc.piecewise import Piece, PiecewisePoly
 
 
 def _scaled(f, factor):
@@ -21,6 +22,13 @@ def _scaled(f, factor):
 
 def _negated(f):
     return lambda *args, **kwargs: -f(*args, **kwargs)
+
+
+def _densities_negated(f):
+    def mutant(*args, **kwargs):
+        return PiecewisePoly([Piece(p.cut, p.side, -p.density)
+                              for p in f(*args, **kwargs).pieces])
+    return mutant
 
 
 # id -> (argv, function of localization, its wrong version, the
@@ -33,6 +41,14 @@ MUTATIONS = {
     # directions flip
     "jk_residue_negated": (
         ["residue", "--model", "sphere"], "jk_residue", _negated,
+        ["residue_pairing_vs_smeared"]),
+    # the transform of the fixed-point terms; a flipped cone side would
+    # pass, as both sides give the sphere the same measure
+    "ft_shifted_densities_negated_dh": (
+        ["dh", "--model", "sphere"], "ft_shifted", _densities_negated,
+        ["dh_total_mass_vs_area", "dh_bins_vs_monte_carlo"]),
+    "ft_shifted_densities_negated_residue": (
+        ["residue", "--model", "sphere"], "ft_shifted", _densities_negated,
         ["residue_pairing_vs_smeared"]),
     # a conjugated term would pass: the sphere's sum is real
     "bv_term_negated": (

@@ -12,9 +12,8 @@ from equiloc.ratexp import RatExp, RatTerm
 from equiloc.scalars import CRat, TwoPi, I
 
 
-def term(c, power, a, denoms, num=None, dim=1):
-    return RatTerm(TwoPi.of(c, power), LinForm(a),
-                   num or MPoly.constant(dim, Fraction(1)), denoms)
+def term(c, power, a, denoms):
+    return RatTerm(TwoPi.of(c, power), LinForm(a), denoms)
 
 
 def test_simple_pole_step():
@@ -31,15 +30,11 @@ def test_simple_pole_step():
     assert U.support_kind() == "half-bounded"
 
 
-def test_polynomial_gives_atoms_only():
-    u = RatExp(1, [term(CRat(1), 0, [0], [],
-                        num=MPoly.constant(1, Fraction(1)))])
-    U = ft_shifted(u, 1)
-    assert not U.pieces
-    assert len(U.atoms) == 1
-    assert U.atoms[0].location == (Fraction(0),)
-    assert U.to_json_dict()["atoms"] == [
-        {"kind": "point", "order": 0, "location": ["0"]}]
+def test_a_term_without_a_pole_is_refused():
+    # its transform would be a point atom, which no fixed point makes
+    u = RatExp(1, [term(CRat(1), 0, [0], [])])
+    with pytest.raises(ValueError, match="pole"):
+        ft_shifted(u, 1)
 
 
 def sphere_pair(radius=1):
@@ -137,12 +132,11 @@ def test_csv_export():
 # to_json() of three measures, pinned byte for byte by its sha256: the
 # piecewise JSON of docs/formats.md, walls of both orientations included
 def four_chambers():
-    """Sphere pair at R = 3/2, -2 pi e^{iY/2}/Y^2, 2 pi i e^{-iY/3}/(2Y)^3
-    and e^{5iY/7}: cuts -3/2, -1/2, 1/3, 3/2 and an atom at -5/7."""
+    """Sphere pair at R = 3/2, -2 pi e^{iY/2}/Y^2 and 2 pi i
+    e^{-iY/3}/(2Y)^3: cuts -3/2, -1/2, 1/3, 3/2."""
     return sphere_pair(Fraction(3, 2)) + RatExp(1, [
         term(CRat(-1), 1, [Fraction(1, 2)], [(LinForm([1]), 2)]),
-        term(I, 1, [Fraction(-1, 3)], [(LinForm([2]), 3)]),
-        term(CRat(1), 0, [Fraction(5, 7)], [])])
+        term(I, 1, [Fraction(-1, 3)], [(LinForm([2]), 3)])])
 
 
 def _sha(text):
@@ -157,11 +151,12 @@ def test_json_pin_sphere_radius_2():
         "4e90653fcae665423653de813d968afaec366542267d74771b7121faea9f2768")
 
 
-def test_json_pin_four_chambers_and_an_atom():
+def test_json_pin_four_chambers():
     U = ft_shifted(four_chambers(), 1)
     assert len(U.to_json_dict()["chambers"]) == 4
+    assert U.to_json_dict()["atoms"] == []
     assert _sha(U.to_json()) == (
-        "ad4b5c82f8f1a5e2fd5dfb1a7fa778ba3bfd17df15680a22b2943582bc8d81f8")
+        "7807efbc20e8a4e6145b23268001c5e3b9ffbf57405ae10ace0ca09be0d67efc")
 
 
 def test_json_pin_side_minus_one_in_increasing_xi():
@@ -173,4 +168,4 @@ def test_json_pin_side_minus_one_in_increasing_xi():
         [["-1"], "-3/2"], [["-1"], "3/2"], [["-1"], "-1/2"],
         [["-1"], "1/3"]]
     assert _sha(U.to_json()) == (
-        "3fbd366a3d53d013293935dcddf619f305b37d0b1b3dc18f8aa75041113c9b23")
+        "a1c4dc534be1a1da59e59c6249620493c2c8182210cd02a65cc9aeab94dacd33")

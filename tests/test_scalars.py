@@ -64,10 +64,3 @@ def test_twopi_shift_and_float():
     except ValueError:
         pass
 
-
-def test_rat_is_normalized_fraction():
-    from equiloc.scalars import Rat
-    q = Rat(6, -4)
-    assert q.denominator > 0
-    assert math.gcd(abs(q.numerator), q.denominator) == 1
-    assert q == Rat(-3, 2)
