@@ -293,7 +293,10 @@ def _cmd_localize(model, cfg: RunConfig):
     rows = []
     certs = []
     for y in cfg.y_values:
-        val = bv_sum(model, rho, y)
+        try:
+            val = bv_sum(model, rho, y)
+        except RegularityError as exc:
+            raise ConfigError([f"y_values: {exc}"]) from None
         orc = sphere_bv_oracle(float(model.radius), y)
         err = abs(val - orc)
         rows.append({"y": y, "bv_re": val.real, "bv_im": val.imag,

@@ -96,7 +96,11 @@ def bv_sum(model, rho: EquivariantForm, y) -> complex:
     comps = model.fixed_components()
     if not comps:
         raise NoFixedPointsError()
-    return sum(bv_term(model, fc, rho, y) for fc in comps)
+    total = sum(bv_term(model, fc, rho, y) for fc in comps)
+    if not np.isfinite(total):      # the terms overflow below Y ~ 1e-308
+        raise RegularityError(f"Y = {y:g}: the fixed-point sum {total} is "
+                              "not finite, its terms overflow a float")
+    return total
 
 
 def u_f_symbolic(model, fc: FixedComponent,

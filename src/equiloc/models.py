@@ -32,7 +32,7 @@ import numpy as np
 
 from .bumps import Bump, BumpHat
 from .mpoly import LinForm
-from .quadrature import composite_gl
+from .quadrature import composite_gl, row_blocks
 from .symmat import SymMat
 
 LEVEL_NODES = 2048         # midpoints of a level circle in reduced_rule
@@ -141,11 +141,14 @@ class MomentumProfile:
         return re + 1j * im
 
     def l_alpha_batch(self, xs: np.ndarray) -> np.ndarray:
-        """A closed form's cosine transform over an array of X: half the
-        cosines of l_alpha."""
+        """A closed form's cosine transform over a 1-D array of X: half the
+        cosines of l_alpha, X taken in `row_blocks`."""
         pos, a_even, _ = _fold(self.s, self.a)
-        block = np.multiply.outer(xs, pos)
-        return _weigh(np.cos(block, out=block), a_even)
+        out = np.empty(len(xs))
+        for blk in row_blocks(len(xs), len(pos)):
+            block = np.multiply.outer(xs[blk], pos)
+            out[blk] = _weigh(np.cos(block, out=block), a_even)
+        return out
 
 
 # ---------------------------------------------------------------------------

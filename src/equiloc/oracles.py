@@ -32,7 +32,8 @@ import numpy as np
 
 from .bumps import Bump, BumpHat
 from .models import ModelError
-from .quadrature import composite_gl, cosine_panels, cosine_sum, gauss_legendre
+from .quadrature import (composite_gl, cosine_panels, cosine_sum,
+                         gauss_legendre, row_blocks)
 
 # the pushforward integral's lower limit in t = ln x: int_0^{e^t} K_0 is
 # below 3e-16 rho there
@@ -166,12 +167,16 @@ def sphere_bv_oracle(radius: float, y: float) -> complex:
 def mc_pushforward_sphere(radius: float, n_samples: int, seed: int,
                           bins: int = 20):
     """Monte Carlo pushforward of the area measure under the height:
-    uniform sphere points from normalized Gaussians, histogram of z."""
+    uniform sphere points from normalized Gaussians, histogram of z, both
+    by `row_blocks` (the draws of one pass, in turn)."""
     rng = np.random.default_rng(seed)
-    a, b, c = rng.normal(size=(n_samples, 3)).T
-    z = c / np.sqrt(a * a + b * b + c * c) * radius
+    hist = 0
+    for blk in row_blocks(n_samples, 3):
+        a, b, c = rng.normal(size=(blk.stop - blk.start, 3)).T
+        z = c / np.sqrt(a * a + b * b + c * c) * radius
+        block, edges = np.histogram(z, bins=bins, range=(-radius, radius))
+        hist = hist + block
     area = 4 * math.pi * radius ** 2
-    hist, edges = np.histogram(z, bins=bins, range=(-radius, radius))
     masses = hist / n_samples * area
     return masses, edges
 
@@ -370,7 +375,7 @@ class Linrot2Oracle:
         ln(|v|/2) (x = 0), cut at PF_T_MIN (what it drops is below
         3e-16 rho), to x = 40, on max(2, ceil(span / 2.5)) Gauss
         panels: 2 to 18 per v, within 1e-14 of pi^2 e^{-2|v|} for
-        0 <= v <= 25.
+        0 <= v <= 25.  The v of a panel count go by `row_blocks`.
         """
         v = np.abs(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore"):
@@ -381,14 +386,17 @@ class Linrot2Oracle:
         # one rule per panel count, so each v gets the same rule whatever
         # array it comes in (counted with bincount: np.unique would import
         # numpy.ma, 10 ms, at its first call)
+        v, lo, span, flat = v.ravel(), lo.ravel(), span.ravel(), out.ravel()
         for n in np.flatnonzero(np.bincount(panels.ravel())):
-            sel = panels == n
             u, du = composite_gl(0.0, 1.0, int(n))
-            t = lo[sel, None] + span[sel, None] * u
-            e = np.exp(t)
-            r = e + 0.25 * v[sel, None] ** 2 / e
-            out[sel] = np.einsum("ij,j->i", bessel_k0(2.0 * r) * r,
-                                 du) * span[sel]
+            rows = np.flatnonzero(panels.ravel() == n)
+            for blk in row_blocks(len(rows), len(u)):
+                sel = rows[blk]
+                t = lo[sel, None] + span[sel, None] * u
+                e = np.exp(t)
+                r = e + 0.25 * v[sel, None] ** 2 / e
+                flat[sel] = np.einsum("ij,j->i", bessel_k0(2.0 * r) * r,
+                                      du) * span[sel]
         return 4.0 * math.pi * out
 
     @cached_property

@@ -2,18 +2,21 @@
 
 The 1-D driver builds the phase table once per integral, splits it into
 zones at stationary points and sizes panels by accumulated phase
-variation; both refine passes read that table.  A monotone zone carrying
-more than _GUARD * refine radians (32 pi, then 64 pi) switches from Gauss
-panels to a Filon-type rule (phase substitution + Chebyshev amplitude
-interpolation against exact oscillatory moments), and one weight vector
-serves all its chunks.  Cells are reduced in a fixed pairwise order, so
-results are run-to-run identical.  One integral uses at most MAX_POINTS
-points, over both refine passes, Gauss panels and Filon chunks alike.
+variation; both refine passes read that table.  It holds psi alone (16
+MB at its 2,000,000-point cap): the points, psi' and the variation are
+recomputed where read, to the bit of np.linspace, np.gradient and
+np.cumsum.  A monotone zone carrying more than _GUARD * refine radians
+(32 pi, then 64 pi) switches from Gauss panels to a Filon-type rule
+(phase substitution + Chebyshev amplitude interpolation against exact
+oscillatory moments), and one weight vector serves all its chunks.
+Cells are reduced in a fixed pairwise order, so results are run-to-run
+identical.  One integral uses at most MAX_POINTS points, over both refine
+passes, Gauss panels and Filon chunks alike.
 
 The 2-D and 3-D tensor rule streams its grid in blocks of BLOCK_POINTS
 points, whole rows along the last axis, so it holds one block and one axis
 at a time; its budget still counts every grid point.  BLOCK_POINTS is the
-block of every streamed grid in the package.
+block of every streamed grid in the package, and `row_blocks` cuts them.
 
 A cosine transform on equal Gauss panels (`cosine_panels`,
 `cosine_sum`) is summed by angle addition over the panels.
@@ -43,6 +46,14 @@ GL_NEWTON_STEPS = 10              # root passes before gauss_legendre raises
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of range(rows) of at most BLOCK_POINTS entries (at least one
+    row) of rows `width` entries long; zero rows give one empty slice."""
+    step = max(1, BLOCK_POINTS // width)
+    return (slice(r, min(r + step, rows))
+            for r in range(0, max(rows, 1), step))
 
 
 @dataclass
@@ -175,16 +186,19 @@ def cosine_sum(table, xs) -> np.ndarray:
     cos(X (c_p + h t_j)) = cos(X c_p) cos(X h t_j)
                            - sin(X c_p) sin(X h t_j):
     2 (P + PANEL_NODES / 2) transcendentals per X instead of
-    PANEL_NODES P."""
+    PANEL_NODES P.  X is taken in `row_blocks` of P."""
     mid, ht, even, odd = table
-    arg = np.multiply.outer(xs, mid)
-    sin_c = np.sin(arg)
-    cos_c = np.cos(arg, out=arg)
-    arg = np.multiply.outer(xs, ht)
-    return (np.einsum("ij,ij->i", np.cos(arg),
-                      np.einsum("ip,jp->ij", cos_c, even))
-            - np.einsum("ij,ij->i", np.sin(arg),
-                        np.einsum("ip,jp->ij", sin_c, odd)))
+    out = np.empty(len(xs))
+    for blk in row_blocks(len(xs), len(mid)):
+        arg = np.multiply.outer(xs[blk], mid)
+        sin_c = np.sin(arg)
+        cos_c = np.cos(arg, out=arg)
+        arg = np.multiply.outer(xs[blk], ht)
+        out[blk] = (np.einsum("ij,ij->i", np.cos(arg),
+                              np.einsum("ip,jp->ij", cos_c, even))
+                    - np.einsum("ij,ij->i", np.sin(arg),
+                                np.einsum("ip,jp->ij", sin_c, odd)))
+    return out
 
 
 def pairwise_sum(values: Sequence[complex]) -> complex:
@@ -213,16 +227,70 @@ def panel_gauss(f: Callable, a: float, b: float, panels: int) -> complex:
     return pairwise_sum(list(cell))
 
 
+def _grid(a, b, n, k):
+    """np.linspace(a, b, n)[k]: its k h + a, and b at k = n - 1."""
+    return np.where(k == n - 1, b, k * ((b - a) / (n - 1)) + a)
+
+
 def _phase_table(phase: Callable, a: float, b: float, mu: float):
     base, cap = 513, 2_000_000
-    s = np.linspace(a, b, base)
-    psi = np.asarray(phase(s), dtype=float)
+    psi = np.asarray(phase(np.linspace(a, b, base)), dtype=float)
     var = float(np.abs(np.diff(psi)).sum()) / mu
     n = int(min(cap, max(base, 8 * var / math.pi + 64)))
     if n > base:
-        s = np.linspace(a, b, n)
-        psi = np.asarray(phase(s), dtype=float)
-    return s, psi
+        psi = np.empty(n)
+        for blk in row_blocks(n, 1):
+            psi[blk] = phase(_grid(a, b, n, np.arange(blk.start, blk.stop)))
+    return psi
+
+
+def _dpsi(psi, h, k):
+    """np.gradient(psi, h)[k]: central differences, one-sided at the ends."""
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(psi) - 1)
+    return (psi[hi] - psi[lo]) / np.where(hi - lo == 2, 2.0 * h, h)
+
+
+def _cum(psi, j, carry):
+    """The variation sum_{0 < m <= i} |psi[m] - psi[m - 1]| on table block
+    j, summed on from `carry` in np.cumsum's (sequential) order."""
+    k0 = j * BLOCK_POINTS
+    d = np.diff(psi[max(k0 - 1, 0):k0 + BLOCK_POINTS],
+                prepend=psi[:1] if k0 == 0 else ())
+    return np.cumsum(np.abs(np.append(carry, d)))[1:]
+
+
+def _cum_search(block, last, n, x):
+    """np.searchsorted(cum, x), cum n points long, block j of it block(j)
+    and ending in last[j]."""
+    j = int(np.searchsorted(last, x))
+    return n if j == len(last) else \
+        j * BLOCK_POINTS + int(np.searchsorted(block(j), x))
+
+
+def _grid_cell(a, b, n, lo, hi, x):
+    """lo - 1 + searchsorted(linspace(a, b, n)[lo:hi + 1], x, "right"),
+    estimated, then moved until the grid points bracket x."""
+    k = np.nan_to_num(np.clip(np.floor((x - a) / ((b - a) / (n - 1))),
+                              lo - 1, hi), nan=hi).astype(int)
+    while np.any(up := (k < hi) & (_grid(a, b, n, k + 1) <= x)):
+        k = k + up
+    while np.any(down := (k >= lo) & (_grid(a, b, n, k) > x)):
+        k = k - down
+    return k
+
+
+def _interp(x, j, lo, hi, xp, fp):
+    """np.interp(x, xp[lo:hi + 1], fp[lo:hi + 1]), xp and fp read at cell
+    ends, given the cells j = lo - 1 + searchsorted(xp[lo:hi + 1], x,
+    "right"): interp's own formula, f0 on a node, the end values outside
+    and NaN at NaN."""
+    c = np.clip(j, lo, hi - 1)
+    x0, f0, f1 = xp(c), fp(c), fp(c + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):    # masked below
+        y = np.where(x == x0, f0,
+                     (f1 - f0) / (xp(c + 1) - x0) * (x - x0) + f0)
+    y = np.where(j < lo, fp(lo), np.where(j >= hi, fp(hi), y))
+    return np.where(np.isnan(x), x, y)
 
 
 def _osc_moments(omega: float, deg: int):
@@ -257,26 +325,32 @@ _GUARD = 32.0 * math.pi  # phase radians kept on Gauss panels around a
 
 
 def _zone_table(phase, a, b, mu):
-    """(s, psi, dpsi, cum, zones) of [a, b]: the phase table, psi', the
-    accumulated phase variation / mu, and zones (i0, i1, kind) that tile
-    the table indices 0..n-1.  A "gl" zone holds every table point within
-    _GUARD radians of a stationary point (sign change of psi'); the
-    "mono" zones between them are monotone in psi."""
-    s, psi = _phase_table(phase, a, b, mu)
-    last = len(s) - 1
-    dpsi = np.gradient(psi, (b - a) / last)     # s is a uniform linspace
-    # np.sign, not signbit: an exact zero of psi' borders a sign change
-    flips = np.flatnonzero(np.diff(np.sign(dpsi)))
-    cum = np.empty_like(psi)        # built in place: no n-sized temporaries
-    cum[0] = 0.0
-    np.subtract(psi[1:], psi[:-1], out=cum[1:])
-    np.abs(cum, out=cum)
-    np.cumsum(cum, out=cum)
-    cum /= mu
-    stat = cum[flips + 1]
+    """(a, b, psi, carries, zones) of [a, b]: the phase table, the
+    accumulated phase variation before each table block and at the end,
+    and zones (i0, i1, kind, variation / mu) that tile the table indices
+    0..n-1.  A "gl" zone holds every table point within _GUARD radians of a
+    stationary point (sign change of psi'); the "mono" zones between them
+    are monotone in psi.  psi' and the variation are read by block."""
+    psi = _phase_table(phase, a, b, mu)
+    last = len(psi) - 1
+    h = (b - a) / last          # the table's points are a uniform linspace
+    flips, carries = [], [0.0]
+    for blk in row_blocks(len(psi), 1):
+        k = np.arange(blk.start, min(blk.stop + 1, len(psi)))
+        # np.sign, not signbit: an exact zero of psi' borders a sign change
+        flips.append(blk.start + np.flatnonzero(np.diff(np.sign(
+            _dpsi(psi, h, k)))))
+        carries.append(_cum(psi, len(carries) - 1, carries[-1])[-1])
+    carries = np.array(carries)
+    # cum / mu on a block, re-summed from its carry; guards and zone ends
+    # re-read a few blocks, so the last 8 are kept
+    block = lru_cache(maxsize=8)(lambda j: _cum(psi, j, carries[j]) / mu)
+    cum_at = lambda i: block(i // BLOCK_POINTS)[i % BLOCK_POINTS]
     ends = [(0, None)]      # (end index, kind) of each zone in turn
-    for lo, hi in np.searchsorted(cum, [stat - _GUARD, stat + _GUARD]
-                                  ).T.tolist():
+    for i in np.concatenate(flips).tolist():
+        stat = cum_at(i + 1)
+        lo, hi = (_cum_search(block, carries[1:] / mu, len(psi), x)
+                  for x in (stat - _GUARD, stat + _GUARD))
         end = ends[-1][0]
         if ends[-1][1] == "gl" and lo <= end:   # overlaps that guard
             ends[-1] = (max(end, min(hi, last)), "gl")
@@ -286,19 +360,18 @@ def _zone_table(phase, a, b, mu):
         ends.append((min(hi, last), "gl"))
     if ends[-1][0] < last:
         ends.append((last, "mono"))
-    zones = [(i0, i1, kind) for (i0, _), (i1, kind) in zip(ends, ends[1:])
-             if i1 > i0]
-    return s, psi, dpsi, cum, zones
+    zones = [(i0, i1, kind, float(cum_at(i1) - cum_at(i0)))
+             for (i0, _), (i1, kind) in zip(ends, ends[1:]) if i1 > i0]
+    return a, b, psi, carries, zones
 
 
 def _osc_pass(amp, phase, mu, table, refine: int, budget: int):
     """(value, points) of one refine pass; each zone, Gauss or Filon, is
     charged against `budget` before its work is done."""
-    s, psi, dpsi, cum, zones = table
+    a, b, psi, carries, zones = table
     pieces, npts = [], 0
-    for i0, i1, kind in zones:
-        lo, hi = float(s[i0]), float(s[i1])
-        var = float(cum[i1] - cum[i0])
+    for i0, i1, kind, var in zones:
+        lo, hi = (float(_grid(a, b, len(psi), i)) for i in (i0, i1))
         if kind == "gl" or var <= _GUARD * refine:
             panels = max(1, int(var / math.pi) + 1) * refine
             npts += panels * PANEL_NODES
@@ -309,7 +382,7 @@ def _osc_pass(amp, phase, mu, table, refine: int, budget: int):
             nchunk, nodes = _filon_plan(i1 - i0 + 1, abs(psi[i1] - psi[i0]),
                                         mu, refine)
             npts += nchunk * nodes
-            work = lambda: _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine)
+            work = lambda: _filon_zone(amp, a, b, psi, i0, i1, mu, refine)
         if npts > budget:
             raise BudgetExceeded("oscillatory quadrature budget")
         pieces.append(work())
@@ -327,23 +400,26 @@ def _filon_plan(size: int, span: float, mu: float, refine: int):
     return nchunk, FILON_DEGREE + 2 * (refine - 1) + 1
 
 
-def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
+def _filon_zone(amp, a, b, psi, i0, i1, mu, refine) -> complex:
     """Filon rule on a monotone zone: in t = psi(s) the integrand is
     e^{it/mu} g(t), g = amp(s(t))/|psi'(s(t))|.  Every chunk has width
     2*half and the same Chebyshev nodes x, so one weight vector
     w = V(x)^-T m(half/mu) against the exact moments m serves them all:
-    chunk c contributes e^{i mid_c/mu} half (g_c . w)."""
-    ss = s[i0:i1 + 1]       # increasing in s
-    pp = psi[i0:i1 + 1]
-    dd = dpsi[i0:i1 + 1]
-    rev = slice(None, None, -1 if pp[0] > pp[-1] else 1)
-    tt, st = pp[rev], ss[rev]       # increasing in t
+    chunk c contributes e^{i mid_c/mu} half (g_c . w).  The nodes s(t)
+    are table interpolations (`_interp`) with one Newton step."""
+    n = len(psi)
+    grid = lambda k: _grid(a, b, n, k)
+    dpsi = lambda k: _dpsi(psi, (b - a) / (n - 1), k)
+    pp = psi[i0:i1 + 1]       # s increases along the table
+    rev = pp[0] > pp[-1]
+    tt = pp[::-1] if rev else pp      # increasing in t
     t_lo, t_hi = float(tt[0]), float(tt[-1])
-    nchunk, nodes = _filon_plan(len(ss), t_hi - t_lo, mu, refine)
-    if len(ss) < 4:
-        return panel_gauss(lambda x: np.asarray(amp(x)) *
-                           np.exp(1j * np.interp(x, s, psi) / mu),
-                           float(ss[0]), float(ss[-1]), nchunk)
+    nchunk, nodes = _filon_plan(len(pp), t_hi - t_lo, mu, refine)
+    if len(pp) < 4:
+        return panel_gauss(lambda x: np.asarray(amp(x)) * np.exp(
+            1j * _interp(x, _grid_cell(a, b, n, 0, n - 1, x), 0, n - 1,
+                         grid, psi.__getitem__) / mu),
+            float(grid(i0)), float(grid(i1)), nchunk)
     edges = np.linspace(t_lo, t_hi, nchunk + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (t_hi - t_lo) / nchunk
@@ -352,9 +428,13 @@ def _filon_zone(amp, s, psi, dpsi, i0, i1, mu, refine) -> complex:
     w = np.linalg.solve(np.vander(xc, increasing=True).T,
                         _osc_moments(half / mu, deg))
     tn = (mid[:, None] + half * xc[None, :]).ravel()
-    sn = np.interp(tn, tt, st)
-    sn = sn - (np.interp(sn, ss, pp) - tn) / np.interp(sn, ss, dd)  # Newton
-    g = np.asarray(amp(sn), dtype=complex) / np.abs(np.interp(sn, ss, dd))
+    sn = _interp(tn, np.searchsorted(tt, tn, "right") - 1, 0, len(tt) - 1,
+                 tt.__getitem__, lambda r: grid(i1 - r if rev else i0 + r))
+    cell = _grid_cell(a, b, n, i0, i1, sn)
+    sn = sn - (_interp(sn, cell, i0, i1, grid, psi.__getitem__) - tn) / \
+        _interp(sn, cell, i0, i1, grid, dpsi)           # Newton
+    g = np.asarray(amp(sn), dtype=complex) / np.abs(_interp(
+        sn, _grid_cell(a, b, n, i0, i1, sn), i0, i1, grid, dpsi))
     vals = np.exp(1j * mid / mu) * half * np.einsum(
         "ij,j->i", g.reshape(nchunk, -1), w)
     return pairwise_sum(list(vals))
@@ -398,10 +478,9 @@ def tensor_oscillatory(amp: Callable, phase: Callable,
     lead = tuple(len(x) for x in axes_pts[:-1])
     x_last, w_last = axes_pts[-1], axes_w[-1]
     nrows, width = math.prod(lead), len(x_last)
-    step = max(1, BLOCK_POINTS // width)
     sums = []
-    for r0 in range(0, nrows, step):
-        rows = np.unravel_index(np.arange(r0, min(r0 + step, nrows)), lead)
+    for blk in row_blocks(nrows, width):
+        rows = np.unravel_index(np.arange(blk.start, blk.stop), lead)
         pts = np.empty((dims, len(rows[0]), width))
         w_lead = np.ones(len(rows[0]))
         for ax, idx in enumerate(rows):

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .models import Amplitude, LinearCotangent, ModelError, reduced_integral
-from .quadrature import BLOCK_POINTS, composite_gl, pairwise_sum
+from .quadrature import composite_gl, pairwise_sum, row_blocks
 from .oscillatory import OrderFit, order_fit
 
 
@@ -575,7 +575,6 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
     # partition weight v_rho^2 times the smooth Jacobian, both
     # 1/(1+theta^2), and d theta = sec^2 phi d phi
     w_theta = (1.0 / (1.0 + thetas ** 2)) ** 2 * wph / np.cos(phis) ** 2
-    step = max(1, BLOCK_POINTS // (n_ang * n_s))
     g0 = float(amplitude.g_factor(0.0))
     total_parts = []
     for chart in charts:
@@ -588,8 +587,7 @@ def resolved_leading(model, charts: Sequence[BlowupChart],
         exp_surv = chart.chain.jacobian_exponents()[0] - kappa
         w_tau = np.abs(taus) ** exp_surv * wtau
         blocks = []
-        for t0 in range(0, n_tau, step):
-            part = slice(t0, t0 + step)
+        for part in row_blocks(n_tau, n_ang * n_s):
             coords = chart.crit_batch(taus[part], thetas, svals)
             vals = amplitude.eta_factor(coords.reshape(4, -1))
             blocks.append(np.einsum("tas,t,a,s->",
@@ -720,9 +718,8 @@ def crit_equivalence_scan(chart: BlowupChart, rng,
     pts = np.concatenate([crit_pts,
                           uniform_points(chart.domain, rng,
                                          n - len(crit_pts))])
-    m = max(1, BLOCK_POINTS // len(chart.domain) ** 2)
-    grads = np.concatenate([chart.gradient(pts[i:i + m])
-                            for i in range(0, len(pts), m)])
+    grads = np.concatenate([chart.gradient(pts[blk]) for blk in
+                            row_blocks(len(pts), len(chart.domain) ** 2)])
     # the same rounding as np.linalg.norm of each gradient on its own
     grad_zero = np.sqrt(np.vecdot(grads, grads)) <= 1e-6
     res = chart.conditions(pts)

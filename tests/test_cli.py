@@ -532,13 +532,31 @@ def test_localize_past_the_sphere_oracle_rule_exits_4(tmp_path, capsys):
 
 def test_localize_at_a_tiny_y(tmp_path):
     # a float Y was once rounded to a fraction of denominator at most
-    # 1e12, so 1e-13 landed on the weight hyperplane: a traceback, exit 1
+    # 1e12, so 1e-13 landed on the weight hyperplane: a traceback, exit 1.
+    # At 1e-300 the two fixed-point terms, about 6e300 each, still cancel
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps({"model": {"kind": "sphere"},
-                               "y_values": [1e-13]}))
+                               "y_values": [1e-13, 1e-300]}))
     assert run(["localize", "--config", str(cfg)], tmp_path) == 0
-    (cert,) = latest_report(tmp_path)["certificates"]
-    assert cert["name"] == "bv_vs_oracle_y_1e-13" and cert["passed"]
+    certs = latest_report(tmp_path)["certificates"]
+    assert [c["name"] for c in certs] == ["bv_vs_oracle_y_1e-13",
+                                          "bv_vs_oracle_y_1e-300"]
+    assert all(c["passed"] for c in certs)
+
+
+@pytest.mark.parametrize("y", [1e-308, 3e-309, 1e-320])
+def test_localize_where_the_fixed_point_terms_overflow_exits_4(
+        y, tmp_path, capsys):
+    # the terms +-e^{+-iY}/Y overflowed, so the certificate read nan
+    # (1e-308, a normal float) or inf, and the run exited 2
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"model": {"kind": "sphere"},
+                               "y_values": [0.5, y]}))
+    assert run(["localize", "--config", str(cfg)], tmp_path) == 4
+    err = capsys.readouterr().err
+    assert "y_values" in err and "not finite" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_localize_on_a_weight_hyperplane_exits_4(tmp_path, capsys):

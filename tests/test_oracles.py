@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import j0, k0
 
-from equiloc import EquivariantForm, l_alpha, make_model, oracles
+from equiloc import (EquivariantForm, Sphere, l_alpha, make_model, oracles,
+                     quadrature, smeared_limit)
 from equiloc.bumps import Bump, BumpHat
+from equiloc.localization import default_kernel
 from equiloc.models import Amplitude, CotangentCircle, ModelError
 from equiloc.oracles import bessel_j0, bessel_k0, linrot2_oracle
 from equiloc.quadrature import composite_gl
@@ -336,11 +339,62 @@ def test_cotangent_sweep_refuses_an_amplitude_without_factors():
 
 
 def test_mc_pushforward_normalises_the_height_column_to_the_same_bits():
-    # the whole (n, 3) sample was once divided by its row norms
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(1_000_000, 3))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    hist, edges = np.histogram(g[:, 2] * 2.0, bins=20, range=(-2.0, 2.0))
-    masses, got_edges = oracles.mc_pushforward_sphere(2.0, 1_000_000, 3)
-    assert np.array_equal(masses, hist / 1_000_000 * (16 * math.pi))
-    assert np.array_equal(got_edges, edges)
+    # the whole (n, 3) sample was once divided by its row norms; it is
+    # now drawn in blocks of rows, the last one short
+    for n in (1_000_000, 3 * 5461 + 1):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(n, 3))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        hist, edges = np.histogram(g[:, 2] * 2.0, bins=20,
+                                   range=(-2.0, 2.0))
+        masses, got_edges = oracles.mc_pushforward_sphere(2.0, n, 3)
+        assert np.array_equal(masses, hist / n * (16 * math.pi))
+        assert np.array_equal(got_edges, edges)
+
+
+def _one_block(monkeypatch):
+    """Every row_blocks loop takes its whole array in one block."""
+    monkeypatch.setattr(quadrature, "BLOCK_POINTS", 1 << 40)
+
+
+def test_blocked_l_alpha_batch_and_pushforward_are_one_pass(monkeypatch):
+    profile = Sphere(1).profile(EquivariantForm())
+    rows = quadrature.BLOCK_POINTS // (len(profile.s) // 2)
+    xs = [np.linspace(0.0, 600.0, 5 * rows + 3),
+          np.linspace(0.0, 600.0, 3 * rows + 1)]
+    # panel counts of 2 to 18 per v, 1024 / count v a block
+    vs = [np.concatenate([np.geomspace(1e-17, 1e-1, 3001),
+                          np.linspace(0.0, 25.0, 19_999)]).reshape(23, -1),
+          np.float64(0.3)]
+    orc = linrot2_oracle(G_BUMP)
+    batch = [profile.l_alpha_batch(x) for x in xs]
+    rho = [orc.pushforward_density(v) for v in vs]
+    _one_block(monkeypatch)
+    for x, want in zip(xs, batch):
+        assert np.array_equal(profile.l_alpha_batch(x), want)
+    for v, want in zip(vs, rho):
+        got = orc.pushforward_density(v)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(v)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_smeared_limits_and_monte_carlo_hold_no_full_grid(monkeypatch):
+    """Each held one array an entry per point: the linrot2 pushforward
+    table's (15,360, up to 288) node grid, 48 MB; the sphere profile's
+    (3,056, 1,024) cosines, 25 MB; the 10^6 x 3 samples, 41 MB."""
+    default_kernel()        # built once per process, by either limit
+    monkeypatch.setattr(oracles, "_LINROT2_CACHE", {})
+    assert _traced_peak(lambda: smeared_limit(
+        make_model("linrot2"), EquivariantForm())) < 8e6
+    assert _traced_peak(lambda: smeared_limit(
+        Sphere(1), EquivariantForm())) < 4e6
+    assert _traced_peak(
+        lambda: oracles.mc_pushforward_sphere(1, 10 ** 6, 1)) < 4e6

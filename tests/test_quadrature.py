@@ -188,7 +188,9 @@ ZONE_PHASES = {
 @pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3, 1e-4])
 def test_zones_tile_the_table(name, mu, monkeypatch):
     phase, dphase, (a, b) = ZONE_PHASES[name]
-    s, psi, dpsi, cum, zones = quadrature._zone_table(phase, a, b, mu)
+    table = quadrature._zone_table(phase, a, b, mu)
+    psi, zones = table[2], table[4]
+    s = np.linspace(a, b, len(psi))
     assert zones[0][0] == 0 and zones[-1][1] == len(s) - 1
     assert all(z[1] > z[0] for z in zones)
     assert all(z0[1] == z1[0] for z0, z1 in zip(zones, zones[1:]))
@@ -198,18 +200,190 @@ def test_zones_tile_the_table(name, mu, monkeypatch):
     flips = np.nonzero(np.diff(np.sign(dphase(s))) != 0)[0]
     assert len(flips) > 0
     for i in flips:
-        home = [kind for i0, i1, kind in zones if i0 <= i and i + 1 <= i1]
+        home = [z[2] for z in zones if z[0] <= i and i + 1 <= z[1]]
         assert home == ["gl"]
     again = quadrature._zone_table(phase, a, b, mu)
-    assert again[4] == zones
-    for x, y in zip(again[:4], (s, psi, dpsi, cum)):
+    assert again[:2] == table[:2] and again[4] == zones
+    for x, y in zip(again[2:4], table[2:4]):
         assert np.array_equal(x, y)
     # psi' by the table's scalar spacing gives the zones of the
     # non-uniform-spacing gradient np.gradient(psi, s); at mu = 1e-3 the
     # Fresnel flip at s = 0 moves by one table cell and the zones do not
-    grad = np.gradient
-    monkeypatch.setattr(np, "gradient", lambda f, h: grad(f, s))
+    grad = np.gradient(psi, s)
+    monkeypatch.setattr(quadrature, "_dpsi", lambda psi, h, k: grad[k])
     assert quadrature._zone_table(phase, a, b, mu)[4] == zones
+
+
+# (phase, [a, b], mu) whose tables span several BLOCK_POINTS blocks and
+# end in a partial one; the Fresnel one is at the 2,000,000-point cap
+STREAMED = [(lambda s: 0.5 * s ** 2, (-20.0, 20.0), 3.1622776601683795e-4),
+            (lambda s: np.sin(3 * s), (-3.0, 5.0), 1e-4),
+            (lambda s: -0.5 * s ** 2 - s ** 3, (-0.25, 0.25), 3e-6)]
+
+
+def _one_pass_zones(psi, h, mu):
+    """The zones as the table held psi', cum and the points whole."""
+    last, guard = len(psi) - 1, quadrature._GUARD
+    flips = np.flatnonzero(np.diff(np.sign(np.gradient(psi, h))))
+    cum = np.concatenate([[0.0], np.abs(psi[1:] - psi[:-1])]).cumsum() / mu
+    stat = cum[flips + 1]
+    ends = [(0, None)]
+    for lo, hi in np.searchsorted(cum, [stat - guard, stat + guard]
+                                  ).T.tolist():
+        end = ends[-1][0]
+        if ends[-1][1] == "gl" and lo <= end:
+            ends[-1] = (max(end, min(hi, last)), "gl")
+            continue
+        if lo > end:
+            ends.append((lo, "mono"))
+        ends.append((min(hi, last), "gl"))
+    if ends[-1][0] < last:
+        ends.append((last, "mono"))
+    return [(i0, i1, kind, float(cum[i1] - cum[i0]))
+            for (i0, _), (i1, kind) in zip(ends, ends[1:]) if i1 > i0]
+
+
+@pytest.mark.parametrize("phase,ab,mu", STREAMED)
+def test_the_streamed_table_is_the_one_pass_table(phase, ab, mu):
+    """psi on blocks equals psi on one linspace, the block carries equal
+    np.cumsum of |diff psi| at each block's end, and the zones are those
+    of the whole psi', cum and np.searchsorted."""
+    a, b = ab
+    _, _, psi, carries, zones = quadrature._zone_table(phase, a, b, mu)
+    n, block = len(psi), quadrature.BLOCK_POINTS
+    assert n > 2 * block and n % block
+    assert np.array_equal(psi, phase(np.linspace(a, b, n)))
+    cum = np.empty(n)
+    cum[0] = 0.0
+    cum[1:] = np.abs(psi[1:] - psi[:-1])
+    np.cumsum(cum, out=cum)
+    assert np.array_equal(carries, [0.0] + cum[block - 1::block].tolist()
+                          + [cum[-1]])
+    assert zones == _one_pass_zones(psi, (b - a) / (n - 1), mu)
+
+
+def _walk(n, seed):
+    """A random psi with flat stretches, so its variation has ties."""
+    rng = np.random.default_rng(seed)
+    psi = np.cumsum(rng.normal(size=n))
+    psi[100:400] = psi[99]
+    psi[-300:] = psi[-301]
+    return psi
+
+
+def test_dpsi_is_np_gradient_at_every_index():
+    psi, h = _walk(3 * quadrature.BLOCK_POINTS + 7, 1), 0.37
+    k = np.arange(len(psi))
+    assert np.array_equal(quadrature._dpsi(psi, h, k), np.gradient(psi, h))
+    assert quadrature._dpsi(psi, h, 0) == np.gradient(psi, h)[0]
+
+
+def test_block_variation_and_its_search_are_cumsum_and_searchsorted():
+    block, mu = quadrature.BLOCK_POINTS, 1e-3
+    psi = _walk(3 * block + 11, 2)
+    cum = np.empty(len(psi))
+    cum[0] = 0.0
+    cum[1:] = np.abs(psi[1:] - psi[:-1])
+    np.cumsum(cum, out=cum)
+    parts, carry = [], 0.0
+    for j in range(4):
+        parts.append(quadrature._cum(psi, j, carry))
+        carry = parts[-1][-1]
+    assert np.array_equal(np.concatenate(parts), cum)
+    cum /= mu
+    blocks = [p / mu for p in parts]
+    x = np.concatenate([cum[::97], cum[[0, 99, 100, 399, block - 1, block,
+                                        len(cum) - 1]],
+                        [-1.0, cum[-1] + 1.0], 0.5 * (cum[1:] + cum[:-1])
+                        [::89]])
+    got = [quadrature._cum_search(blocks.__getitem__,
+                                  [b[-1] for b in blocks], len(cum), v)
+           for v in x.tolist()]
+    assert got == np.searchsorted(cum, x).tolist()
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 2000), (37, 38), (500, 1999)])
+def test_grid_cells_and_interpolation_are_np_interp(lo, hi):
+    a, b, n = -1.3, 2.9, 2001
+    s = np.linspace(a, b, n)
+    psi = _walk(n, 3)
+    grid = lambda k: quadrature._grid(a, b, n, k)
+    assert np.array_equal(grid(np.arange(n)), s)
+    rng = np.random.default_rng(4)
+    # nodes, cell midpoints, points just off the nodes and outside the zone
+    x = np.concatenate([s, 0.5 * (s[1:] + s[:-1]), np.nextafter(s, 9.0),
+                        np.nextafter(s, -9.0), [a - 1.0, b + 1.0, np.inf,
+                                                -np.inf, np.nan],
+                        rng.uniform(a - 0.5, b + 0.5, 3000)])
+    cell = quadrature._grid_cell(a, b, n, lo, hi, x)
+    assert np.array_equal(cell, lo - 1 + np.searchsorted(
+        s[lo:hi + 1], x, "right"))
+    dpsi = np.gradient(psi, s[1] - s[0])
+    for f, fp in ((psi, psi.__getitem__),
+                  (dpsi, lambda k: quadrature._dpsi(psi, s[1] - s[0], k))):
+        want = np.interp(x, s[lo:hi + 1], f[lo:hi + 1])
+        assert np.array_equal(
+            quadrature._interp(x, cell, lo, hi, grid, fp), want,
+            equal_nan=True)
+    # a decreasing table, read reversed as a Filon zone reads its psi
+    decreasing = np.sort(psi)[::-1]
+    tt = decreasing[::-1]
+    t = np.concatenate([tt, 0.5 * (tt[1:] + tt[:-1]), [tt[0] - 1.0,
+                                                       tt[-1] + 1.0]])
+    j = np.searchsorted(tt, t, "right") - 1
+    assert np.array_equal(
+        quadrature._interp(t, j, 0, n - 1, tt.__getitem__,
+                           lambda r: grid(n - 1 - r)),
+        np.interp(t, tt, s[::-1]))
+
+
+def _one_pass_filon(amp, s, psi, dpsi, i0, i1, mu, refine):
+    """The Filon zone as it read whole s, psi and psi' by np.interp."""
+    ss, pp, dd = s[i0:i1 + 1], psi[i0:i1 + 1], dpsi[i0:i1 + 1]
+    rev = slice(None, None, -1 if pp[0] > pp[-1] else 1)
+    tt, st = pp[rev], ss[rev]
+    nchunk, nodes = quadrature._filon_plan(len(ss), tt[-1] - tt[0], mu,
+                                           refine)
+    if len(ss) < 4:
+        return panel_gauss(lambda x: amp(x) * np.exp(
+            1j * np.interp(x, s, psi) / mu), ss[0], ss[-1], nchunk)
+    edges = np.linspace(tt[0], tt[-1], nchunk + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (tt[-1] - tt[0]) / nchunk
+    xc = np.cos(math.pi * np.arange(nodes) / (nodes - 1))[::-1]
+    w = np.linalg.solve(np.vander(xc, increasing=True).T,
+                        quadrature._osc_moments(half / mu, nodes - 1))
+    tn = (mid[:, None] + half * xc[None, :]).ravel()
+    sn = np.interp(tn, tt, st)
+    sn = sn - (np.interp(sn, ss, pp) - tn) / np.interp(sn, ss, dd)
+    g = amp(sn) / np.abs(np.interp(sn, ss, dd))
+    return pairwise_sum(list(np.exp(1j * mid / mu) * half * np.einsum(
+        "ij,j->i", g.reshape(nchunk, -1), w)))
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_filon_zones_are_the_one_pass_rule(refine):
+    amp = lambda s: np.exp(-s * s / 50.0) * (1.0 + 0.3j * s)
+    phase, a, b, mu = lambda s: 0.5 * s ** 2, -20.0, 20.0, 1e-3
+    _, _, psi, _, zones = quadrature._zone_table(phase, a, b, mu)
+    s = np.linspace(a, b, len(psi))
+    dpsi = np.gradient(psi, (b - a) / (len(psi) - 1))
+    mono = [z[:2] for z in zones if z[2] == "mono"]
+    assert psi[mono[0][0]] > psi[mono[0][1]]        # one zone decreasing
+    for i0, i1 in mono + [(5, 7), (len(psi) - 3, len(psi) - 1)]:
+        assert quadrature._filon_zone(amp, a, b, psi, i0, i1, mu, refine) \
+            == _one_pass_filon(amp, s, psi, dpsi, i0, i1, mu, refine)
+
+
+def test_cosine_sum_in_blocks_is_one_pass(monkeypatch):
+    table = quadrature.cosine_panels(lambda x: np.exp(-x * x), 0.0, 6.0, 700)
+    rows = quadrature.BLOCK_POINTS // 700
+    for count in (3 * rows + 5, 2 * rows + 1):
+        xs = np.linspace(0.0, 300.0, count)
+        blocked = quadrature.cosine_sum(table, xs)
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", 1 << 40)
+        assert np.array_equal(quadrature.cosine_sum(table, xs), blocked)
+        monkeypatch.undo()
+    assert quadrature.cosine_sum(table, np.empty(0)).shape == (0,)
 
 
 def test_one_table_per_integral_and_one_solve_per_filon_zone(monkeypatch):
@@ -361,7 +535,7 @@ def test_tensor_rule_streams_the_saddle_grid():
 
 def test_fresnel_table_memory_and_value_at_the_smallest_benchmark_mu():
     """The Fresnel phase table at mu = 10^-3.5 has 2 million points; the
-    engine holds s, psi, psi' and the accumulated variation of it.  The
+    engine holds psi (16 MB) and one block of the rest.  The
     value is pinned to round-off against the one the rule gave with psi'
     from the non-uniform-spacing gradient (its true error, 1e-9 to 1e-8,
     is too large to pin round-off)."""
@@ -369,7 +543,7 @@ def test_fresnel_table_memory_and_value_at_the_smallest_benchmark_mu():
     res, peak = _traced_peak(lambda: oscillatory_quad_1d(
         bump, lambda s: 0.5 * np.asarray(s) ** 2, -20.0, 20.0,
         3.1622776601683795e-4))
-    assert peak < 100e6
+    assert peak < 24e6
     recorded = 0.03151928076980441 + 0.03151908284092822j
     assert abs(res.value - recorded) <= 1e-12 * abs(recorded)
     assert res.points == 61_332
