@@ -27,7 +27,8 @@ for fc in sphere.fixed_components():
     u = u_f_symbolic(sphere, fc, rho)
     t = u.terms[0]
     print(f"  J-value {fc.j_value.coeffs}, weight "
-          f"{fc.weights[0][0].coeffs}: coefficient {t.coeff!r}")
+          f"{fc.weights[0][0].coeffs}: coefficient {t.coeff!r} "
+          f"* (2pi)^{u.two_pi_power}")
 
 print("\nTriangle bound: |sum| <= 4 pi / |Y|")
 for y in (10.0, 40.0, 160.0):

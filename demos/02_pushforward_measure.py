@@ -10,12 +10,13 @@ from fractions import Fraction
 
 from equiloc import EquivariantForm, Sphere, dh_measure
 from equiloc.oracles import mc_pushforward_sphere
+from equiloc.scalars import two_pi_float
 
 for radius in (1, 2):
     sphere = Sphere(radius)
     U = dh_measure(sphere, EquivariantForm())
     print(f"radius {radius}: {U.to_json()}")
-    print(f"  mass = {float(U.mass()):.12f} "
+    print(f"  mass = {two_pi_float(U.mass(), U.two_pi_power):.12f} "
           f"(area {4 * np.pi * radius ** 2:.12f})")
 
 U = dh_measure(Sphere(1), EquivariantForm())

@@ -15,18 +15,20 @@ from equiloc import (Bump, CotangentCircle, EquivariantForm,
                      NoFixedPointsError, Sphere, bv_sum, calibrate,
                      jk_residue, kirwan_integral, pairing_constant,
                      smeared_limit)
+from equiloc.scalars import two_pi_float
 
 sphere = Sphere(1)
 rho = EquivariantForm()
 plus = jk_residue(sphere, rho, (1,))
 minus = jk_residue(sphere, rho, (-1,))
-print(f"residue along +1: {float(plus):.12f}")
-print(f"residue along -1: {float(minus):.12f}   (equal exactly: "
+print(f"residue along +1: {two_pi_float(*plus):.12f}")
+print(f"residue along -1: {two_pi_float(*minus):.12f}   (equal exactly: "
       f"{plus == minus})")
 sm = smeared_limit(sphere, rho)
 kw = kirwan_integral(sphere, rho)
 print(f"pairing constant: {pairing_constant(sphere):.12f}")
-print(f"residue * pairing = {float(plus) * pairing_constant(sphere):.8f}")
+print(f"residue * pairing = "
+      f"{two_pi_float(*plus) * pairing_constant(sphere):.8f}")
 print(f"smeared limit     = {sm.extrapolated:.8f}")
 print(f"Kirwan integral   = {kw:.8f}   (4 pi^2 = "
       f"{4 * np.pi ** 2:.8f})")

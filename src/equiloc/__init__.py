@@ -3,7 +3,7 @@ asymptotics for a catalog of model Hamiltonian group actions, with every
 formula cross-validated against independent brute-force quadrature.
 """
 
-from .scalars import CRat, TwoPi
+from .scalars import CRat
 from .mpoly import LinForm, MPoly
 from .symmat import SymMat, ldlt
 from .ratexp import RatExp, RatTerm

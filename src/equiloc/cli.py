@@ -28,6 +28,7 @@ from .localization import SMEAR_EPS, RegularityError, ladder_problem
 from .models import MODELS, ModelError, make_model
 from .oscillatory import fit_problem
 from .quadrature import BudgetExceeded
+from .scalars import two_pi_float
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -265,7 +266,7 @@ def _cmd_dh(model, cfg: RunConfig):
     radius = float(model.radius)
     masses, edges = mc_pushforward_sphere(radius, cfg.mc_samples, cfg.seed,
                                           cfg.bins)
-    exact_mass = float(U.mass())
+    exact_mass = two_pi_float(U.mass(), U.two_pi_power)
     area = 4 * math.pi * radius ** 2
     certs = [Certificate("dh_total_mass_vs_area",
                          abs(exact_mass - area) / area, 0.01,
@@ -317,8 +318,8 @@ def _cmd_residue(model, cfg: RunConfig):
     certs = []
     rho = EquivariantForm(density=model.residue_density)
     try:
-        plus = float(jk_residue(model, rho, (1,)))
-        minus = float(jk_residue(model, rho, (-1,)))
+        plus = two_pi_float(*jk_residue(model, rho, (1,)))
+        minus = two_pi_float(*jk_residue(model, rho, (-1,)))
         results["residue_plus"] = plus
         results["residue_minus"] = minus
         certs.append(Certificate("residue_direction_independence",

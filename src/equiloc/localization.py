@@ -30,7 +30,7 @@ from .oscillatory import CleanPhase, BaseNode, sp_coefficients
 from .piecewise import PiecewisePoly, _require_rank_one, ft_shifted
 from .quadrature import composite_gl
 from .ratexp import RatExp, RatTerm
-from .scalars import CRat, TwoPi, i_power
+from .scalars import CRat, i_power, two_pi_float
 
 
 class NoFixedPointsError(RuntimeError):
@@ -80,7 +80,8 @@ def euler_inverse(fc: FixedComponent, y):
 
 
 def _bv_constant(rank_nf: int) -> complex:
-    return complex(TwoPi.of(i_power(rank_nf // 2), rank_nf // 2))
+    R = rank_nf // 2
+    return complex(i_power(R)) * (2.0 * math.pi) ** R
 
 
 def bv_term(model, fc: FixedComponent, rho: EquivariantForm, y) -> complex:
@@ -105,26 +106,24 @@ def bv_sum(model, rho: EquivariantForm, y) -> complex:
 
 def u_f_symbolic(model, fc: FixedComponent,
                  rho: EquivariantForm) -> RatExp:
-    """Exact fixed-point term: phase = J-value, denominators = weights."""
+    """Exact fixed-point term i^R (2 pi)^R c e^{i J_F(Y)} / e_F(Y), with
+    R = rank_nf / 2: phase = J-value, denominators = weights."""
     if rho.density is not None:
         raise ModelError("symbolic route needs a constant form")
-    d = model.group.d
-    coeff = TwoPi.of(i_power(fc.rank_nf // 2) * CRat(rho.scale),
-                     fc.rank_nf // 2)
-    term = RatTerm(coeff, fc.j_value, list(fc.weights))
-    return RatExp(d, [term])
+    R = fc.rank_nf // 2
+    term = RatTerm(i_power(R) * CRat(rho.scale), fc.j_value, list(fc.weights))
+    return RatExp(model.group.d, [term], R)
 
 
 def _fixed_point_sum(model, rho: EquivariantForm) -> RatExp:
-    """sum_F u_F over the fixed components of a rank-1 model."""
+    """sum_F u_F over the fixed components of a rank-1 model; the terms
+    share one power of 2 pi, and a sum of two powers is refused."""
     comps = model.fixed_components()
     if not comps:
         raise NoFixedPointsError()
     _require_rank_one(model.group.d)
-    u = RatExp(model.group.d, [])
-    for fc in comps:
-        u = u + u_f_symbolic(model, fc, rho)
-    return u
+    first, *rest = (u_f_symbolic(model, fc, rho) for fc in comps)
+    return sum(rest, first)
 
 
 def dh_measure(model, rho: EquivariantForm, side: int = 1) -> PiecewisePoly:
@@ -133,12 +132,14 @@ def dh_measure(model, rho: EquivariantForm, side: int = 1) -> PiecewisePoly:
     return ft_shifted(_fixed_point_sum(model, rho), side)
 
 
-def jk_residue(model, rho: EquivariantForm, direction) -> TwoPi:
+def jk_residue(model, rho: EquivariantForm, direction) -> Tuple[CRat, int]:
     """sum_F Res^{Lambda, sigma} of the transformed u_F terms, in the
     pushforward normalization (multiply by the pairing constant to match
     the smeared limit): on a torus the Weyl factor Phi^2 is 1, so this is
-    the DH measure's limit along the ray `direction`."""
-    return dh_measure(model, rho).residue_ray(direction)
+    the DH measure's limit along the ray `direction`.  Returned exactly, as
+    (c, k) for c * (2 pi)^k; two_pi_float(c, k) is its value."""
+    U = dh_measure(model, rho)
+    return U.residue_ray(direction), U.two_pi_power
 
 
 def pairing_constant(model) -> float:
@@ -268,7 +269,7 @@ def calibrate() -> CalibrationStamp:
     return CalibrationStamp(
         pairing_constant=pairing_constant(sphere),
         measured=sm.extrapolated,
-        ratio=sm.extrapolated / float(jk_residue(sphere, rho, (1,))))
+        ratio=sm.extrapolated / two_pi_float(*jk_residue(sphere, rho, (1,))))
 
 
 # ---------------------------------------------------------------------------

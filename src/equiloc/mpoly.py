@@ -1,19 +1,19 @@
 """Exact multivariate polynomials and linear forms over the rationals.
 
 Coefficients are Fractions by default but any ring with +, -, *, and a
-zero test works (CRat, TwoPi); the piecewise-transform code relies on that.
+zero test works (CRat); the piecewise-transform code relies on that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .scalars import CRat, TwoPi
+from .scalars import CRat
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, (CRat, TwoPi)):
+    if isinstance(c, CRat):
         return c.is_zero()
     return c == 0
 
@@ -179,17 +179,11 @@ class MPoly:
     def eval_float(self, point: Sequence) -> complex:
         out = 0.0 + 0.0j
         for e, c in self.terms.items():
-            if isinstance(c, (CRat, TwoPi)):
-                v = complex(c)
-            else:
-                v = complex(float(c))
+            v = complex(c)
             for x, k in zip(point, e):
                 v *= float(x) ** k
             out += v
         return out
-
-    def map_coeffs(self, f: Callable) -> "MPoly":
-        return MPoly(self.dim, {e: f(c) for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

@@ -1,6 +1,10 @@
 """Piecewise-polynomial measures on the line and the cone-shifted Fourier
 transform of rank-1 rational-exponential sums, in closed form.
 
+A measure is (2*pi)^two_pi_power times densities over CRat: the power is
+one integer of the measure, taken from the transformed sum, and `value_at`,
+`residue_ray` and `mass` return the exact coefficient of that power.
+
 Convention (pinned by the calibration oracle, see localization.py):
 
     F(u)(xi) = (2*pi)^{-1} * integral u(Y) e^{+i xi Y} dY,
@@ -28,7 +32,7 @@ from typing import Dict, List, Sequence
 
 from .mpoly import MPoly
 from .ratexp import RatExp
-from .scalars import CRat, TwoPi, i_power
+from .scalars import CRat, i_power, two_pi_float
 
 
 def _require_rank_one(dim: int):
@@ -47,7 +51,7 @@ class Piece:
     """A density on the open half-line side * (xi - cut) > 0."""
     cut: Fraction
     side: int             # +1 or -1
-    density: MPoly        # TwoPi coefficients
+    density: MPoly        # CRat coefficients
 
     def covers(self, x: Fraction) -> bool:
         return self.side * (x - self.cut) > 0
@@ -71,11 +75,13 @@ class PiecewisePoly:
     """Sum of half-line polynomial densities on the line.
 
     Pieces overlap (they add); canonical() resolves them into the chambers
-    between the cuts.
+    between the cuts.  Every density is a coefficient of
+    (2*pi)^two_pi_power.
     """
 
-    def __init__(self, pieces: Sequence[Piece] = ()):
+    def __init__(self, pieces: Sequence[Piece] = (), two_pi_power: int = 0):
         self.pieces = [p for p in pieces if not p.density.is_zero()]
+        self.two_pi_power = int(two_pi_power)
 
     # -- evaluation -------------------------------------------------------
 
@@ -89,11 +95,11 @@ class PiecewisePoly:
                 out = out + p.density
         return out
 
-    def value_at(self, point) -> TwoPi:
-        return TwoPi.coerce(self.density_at(point).eval(point))
+    def value_at(self, point) -> CRat:
+        return CRat.coerce(self.density_at(point).eval(point))
 
     def value_float(self, point) -> float:
-        return float(self.value_at(point))
+        return two_pi_float(self.value_at(point), self.two_pi_power)
 
     # -- cuts / chambers ----------------------------------------------------
 
@@ -112,9 +118,11 @@ class PiecewisePoly:
         return out
 
     def piecewise_equal(self, other: "PiecewisePoly") -> bool:
-        """Exact equality as piecewise densities."""
-        return all(self.density_at((x,)) == other.density_at((x,))
-                   for _, _, x in _cells(self.cuts() + other.cuts()))
+        """Exact equality as piecewise measures: the same power of 2*pi
+        and the same densities."""
+        return self.two_pi_power == other.two_pi_power and all(
+            self.density_at((x,)) == other.density_at((x,))
+            for _, _, x in _cells(self.cuts() + other.cuts()))
 
     # -- support ------------------------------------------------------------
 
@@ -128,7 +136,7 @@ class PiecewisePoly:
 
     # -- residues -------------------------------------------------------------
 
-    def residue_ray(self, direction) -> TwoPi:
+    def residue_ray(self, direction) -> CRat:
         """Limit of the density along t*direction as t -> 0+.
 
         A piece whose cut is 0 counts when the ray leaves 0 into its side.
@@ -136,16 +144,16 @@ class PiecewisePoly:
         d = Fraction(direction[0])
         if d == 0:
             raise ValueError("zero direction")
-        total = TwoPi.of(0)
+        total = CRat(0)
         for p in self.pieces:
             if p.covers(Fraction(0)) or (p.cut == 0 and p.side * d > 0):
-                total = total + TwoPi.coerce(p.density.eval((Fraction(0),)))
+                total = total + p.density.eval((Fraction(0),))
         return total
 
     # -- integration ----------------------------------------------------------
 
-    def mass(self) -> TwoPi:
-        total = TwoPi.of(0)
+    def mass(self) -> CRat:
+        total = CRat(0)
         for lo, hi, dens in self.canonical():
             if lo is None or hi is None:
                 raise ValueError("mass of unbounded support")
@@ -158,19 +166,17 @@ class PiecewisePoly:
         """Each chamber with one wall [[n], -n*cut] per cut, in the pieces'
         order, oriented into the chamber (n = +1 when the chamber lies
         above the cut).  `atoms` is always empty: no fixed-point term
-        makes one."""
+        makes one.  Each chamber repeats the measure's one two_pi_power."""
         chambers = []
         for lo, _, dens in self.canonical():
-            coeff_pow = _common_two_pi_power(dens)
             density = {}
             for e, c in dens.terms.items():
-                c = TwoPi.coerce(c)
-                mono = c.shift(-coeff_pow).monomial()
-                if mono is None or mono[0].im != 0:
+                c = CRat.coerce(c)
+                if c.im != 0:
                     raise ValueError(
-                        "density not a single real 2pi grade; cannot "
-                        "serialize under the rational schema")
-                q = mono[0].re
+                        "density not real; cannot serialize under the "
+                        "rational schema")
+                q = c.re
                 key = ",".join(str(k) for k in e)
                 density[key] = [q.numerator, q.denominator]
             walls = []
@@ -179,7 +185,7 @@ class PiecewisePoly:
                 walls.append([[str(n)], str(-n * cut)])
             chambers.append({
                 "walls": walls,
-                "two_pi_power": coeff_pow,
+                "two_pi_power": self.two_pi_power,
                 "density": density,
             })
         return {
@@ -205,24 +211,10 @@ class PiecewisePoly:
         return rows
 
 
-def _common_two_pi_power(dens: MPoly) -> int:
-    pows = set()
-    for c in dens.terms.values():
-        mono = TwoPi.coerce(c).monomial()
-        if mono is None:
-            return 0
-        pows.add(mono[1])
-    if len(pows) == 1:
-        return pows.pop()
-    return 0
-
-
-def _integrate_1d(dens: MPoly, lo: Fraction, hi: Fraction) -> TwoPi:
-    total = TwoPi.of(0)
+def _integrate_1d(dens: MPoly, lo: Fraction, hi: Fraction) -> CRat:
+    total = CRat(0)
     for (e,), c in dens.terms.items():
-        c = TwoPi.coerce(c)
-        total = total + c.scale(Fraction(hi ** (e + 1) - lo ** (e + 1),
-                                         e + 1))
+        total = total + c * Fraction(hi ** (e + 1) - lo ** (e + 1), e + 1)
     return total
 
 
@@ -235,7 +227,7 @@ def ft_shifted(u: RatExp, side: int = 1) -> PiecewisePoly:
     form, for the cone side * Y > 0: each term e^{iaY} c / prod
     l_q(Y)^{m_q} is one step of degree sum m_q - 1 at xi = -a.  A term
     with no denominator would transform to a point atom; no fixed point
-    makes one, so it is refused.
+    makes one, so it is refused.  The measure carries u's power of 2*pi.
     """
     _require_rank_one(u.dim)
     if side not in (1, -1):
@@ -248,16 +240,15 @@ def ft_shifted(u: RatExp, side: int = 1) -> PiecewisePoly:
         unit = Fraction(1)
         for form, m in t.denoms:
             unit *= form.coeffs[0] ** m
-        pieces.append(_step_piece(t.coeff.scale(CRat(1) / CRat(unit)),
-                                  t.phase.coeffs[0], R, side))
-    return PiecewisePoly(pieces)
+        pieces.append(_step_piece(t.coeff / unit, t.phase.coeffs[0], R,
+                                  side))
+    return PiecewisePoly(pieces, u.two_pi_power)
 
 
-def _step_piece(coeff: TwoPi, a: Fraction, k: int, side: int) -> Piece:
+def _step_piece(coeff: CRat, a: Fraction, k: int, side: int) -> Piece:
     # e^{iaY} Y^{-k}  ->  i^k * side * (xi+a)^{k-1}/(k-1)! on the
     # side-half-line of the cut xi = -a (the transform's 2 pi cancels the
     # convention's (2 pi)^{-1})
-    c = coeff.scale(i_power(k) * CRat(Fraction(side, factorial(k - 1))))
+    c = coeff * i_power(k) * Fraction(side, factorial(k - 1))
     shifted = MPoly(1, {(1,): Fraction(1), (0,): a}) ** (k - 1)
-    density = shifted.map_coeffs(lambda q: c.scale(q))
-    return Piece(-a, side, density)
+    return Piece(-a, side, shifted.scale(c))

@@ -1,7 +1,10 @@
-"""Exact scalar types: complex rationals and Laurent scalars in 2*pi.
+"""Exact complex rationals, and the one conversion of c * (2*pi)**k to a
+float.
 
-Every quantity in the symbolic pipeline is a complex rational times integer
-powers of 2*pi; keeping the 2*pi grading symbolic is what lets chamber
+Every quantity in the symbolic pipeline is a complex rational times
+(2*pi)**R, with R = dim M / 2 the same for every fixed point of a
+connected M.  The exact layer carries the rational; the power is one
+integer on the RatExp or PiecewisePoly that holds it, so chamber
 densities and residues compare exactly.
 """
 
@@ -113,122 +116,10 @@ def i_power(k: int) -> CRat:
     return (I ** (k % 4))
 
 
-class TwoPi:
-    """Laurent polynomial in 2*pi with CRat coefficients.
-
-    Exact carrier for constants like (2*pi*i)^{rk/2} and for chamber
-    densities in the calibrated Fourier transform.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        tt = {}
-        if terms:
-            for k, c in terms.items():
-                c = CRat.coerce(c)
-                if not c.is_zero():
-                    tt[int(k)] = c
-        object.__setattr__(self, "terms", tt)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TwoPi is immutable")
-
-    @staticmethod
-    def of(c, power: int = 0) -> "TwoPi":
-        return TwoPi({power: CRat.coerce(c)})
-
-    @staticmethod
-    def coerce(x) -> "TwoPi":
-        if isinstance(x, TwoPi):
-            return x
-        if isinstance(x, (int, Fraction, CRat)):
-            return TwoPi.of(x)
-        raise TypeError(f"cannot coerce {x!r} to TwoPi")
-
-    def __add__(self, other):
-        other = TwoPi.coerce(other)
-        tt = dict(self.terms)
-        for k, c in other.terms.items():
-            s = tt.get(k, CRat(0)) + c
-            if s.is_zero():
-                tt.pop(k, None)
-            else:
-                tt[k] = s
-        return TwoPi(tt)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TwoPi({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-TwoPi.coerce(other))
-
-    def __rsub__(self, other):
-        return TwoPi.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = TwoPi.coerce(other)
-        tt = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = tt.get(k, CRat(0)) + c1 * c2
-                if s.is_zero():
-                    tt.pop(k, None)
-                else:
-                    tt[k] = s
-        return TwoPi(tt)
-
-    __rmul__ = __mul__
-
-    def shift(self, dk: int) -> "TwoPi":
-        """Multiply by (2*pi)**dk."""
-        return TwoPi({k + dk: c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "TwoPi":
-        c = CRat.coerce(c)
-        return TwoPi({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.terms.values())
-
-    def monomial(self):
-        """(coefficient, power) if a single 2*pi power, else None."""
-        if len(self.terms) == 1:
-            (k, c), = self.terms.items()
-            return c, k
-        return None
-
-    def __eq__(self, other):
-        try:
-            other = TwoPi.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __complex__(self):
-        tau = 2.0 * math.pi
-        return sum((complex(c) * tau ** k for k, c in self.terms.items()),
-                   complex(0))
-
-    def __float__(self):
-        z = complex(self)
-        if abs(z.imag) > 1e-12 * (1 + abs(z.real)):
-            raise ValueError(f"TwoPi value not real: {z}")
-        return z.real
-
-    def __repr__(self):
-        if not self.terms:
-            return "TwoPi(0)"
-        bits = []
-        for k in sorted(self.terms):
-            bits.append(f"({self.terms[k]!r})*(2pi)^{k}")
-        return " + ".join(bits)
+def two_pi_float(c, k: int) -> float:
+    """The real number c * (2*pi)**k, for an exact c; a value whose
+    imaginary part is not negligible is refused."""
+    z = complex(c) * (2.0 * math.pi) ** k
+    if abs(z.imag) > 1e-12 * (1 + abs(z.real)):
+        raise ValueError(f"c * (2pi)^{k} not real: {z}")
+    return z.real

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -64,6 +65,22 @@ def test_localize_command_and_reproducibility(tmp_path):
     ra = next(Path(a).glob("run-*/report.json")).read_bytes()
     rb = next(Path(b).glob("run-*/report.json")).read_bytes()
     assert ra == rb
+
+
+# report.json of the three sphere commands of the exact layer at seed 1,
+# pinned byte for byte by its sha256
+@pytest.mark.parametrize("command,sha", [
+    ("dh",
+     "b9c166450c853cee840b548d8210142deec91ce90256b5e6675ddeffbb020583"),
+    ("localize",
+     "34f16080f0d904ff1a6cb68870c55e78596c47fc8268814d2429612ffe9b7751"),
+    ("residue",
+     "af67756470787b131b223ab55a7d3b123aa3930c3bc03c7656919fce2a7bff67"),
+])
+def test_report_pin_sphere_seed_1(command, sha, tmp_path):
+    assert run([command, "--model", "sphere", "--seed", "1"], tmp_path) == 0
+    report = next(Path(tmp_path).glob("run-*/report.json")).read_bytes()
+    assert hashlib.sha256(report).hexdigest() == sha
 
 
 def test_invalid_config_exit_code(tmp_path):

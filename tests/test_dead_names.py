@@ -167,8 +167,6 @@ TEST_ONLY = {
         "and test_piecewise",
     ("resolution", "CritWitness.all_conditions"):
         "test_resolution's check of the critical conditions at a witness",
-    ("scalars", "TwoPi.is_real"):
-        "test_piecewise's check that a DH density is real",
     ("symmat", "SymMat.identity"):
         "builds test_ldlt's matrices",
     ("symmat", "SymMat.congruent"):

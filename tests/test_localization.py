@@ -17,7 +17,7 @@ from equiloc.models import CotangentCircle, FixedComponent, Sphere, \
 from equiloc.mpoly import LinForm
 from equiloc.oracles import (cotangent_l_alpha, mc_pushforward_sphere,
                              sphere_bv_oracle)
-from equiloc.scalars import TwoPi
+from equiloc.scalars import CRat, two_pi_float
 
 
 RHO1 = EquivariantForm()
@@ -79,14 +79,17 @@ def test_dh_measure_sphere():
     U = dh_measure(s, RHO1)
     cells = U.canonical()
     assert len(cells) == 1
-    assert U.value_at((Fraction(0),)) == TwoPi.of(1, 1)   # constant 2 pi
-    assert float(U.mass()) == pytest.approx(4 * math.pi, rel=1e-14)
+    # constant 2 pi
+    assert (U.value_at((Fraction(0),)), U.two_pi_power) == (CRat(1), 1)
+    assert two_pi_float(U.mass(), U.two_pi_power) == pytest.approx(
+        4 * math.pi, rel=1e-14)
     assert U.value_at((Fraction(3, 2),)).is_zero()
     # radius 2: support [-2, 2]
     U2 = dh_measure(Sphere(2), RHO1)
     assert not U2.value_at((Fraction(3, 2),)).is_zero()
     assert U2.value_at((Fraction(5, 2),)).is_zero()
-    assert float(U2.mass()) == pytest.approx(16 * math.pi, rel=1e-14)
+    assert two_pi_float(U2.mass(), U2.two_pi_power) == pytest.approx(
+        16 * math.pi, rel=1e-14)
 
 
 def test_dh_measure_cone_flip_identity():
@@ -137,7 +140,8 @@ def test_jk_residue_direction_and_wall():
     plus = jk_residue(s, RHO1, (1,))
     minus = jk_residue(s, RHO1, (-1,))
     assert plus == minus            # exact chamber equality
-    assert float(plus) == pytest.approx(2 * math.pi, rel=1e-14)
+    assert plus == (CRat(1), 1)
+    assert two_pi_float(*plus) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
 def test_rank_two_is_refused_before_any_algebra():
@@ -158,7 +162,7 @@ def test_pairing_residue_smeared_kirwan_sphere(radius):
     kw = kirwan_integral(s, RHO1)
     assert kw == pytest.approx(4 * math.pi ** 2 * radius, rel=1e-12)
     assert sm.extrapolated == pytest.approx(kw, rel=1e-4)
-    res = float(jk_residue(s, RHO1, (1,)))
+    res = two_pi_float(*jk_residue(s, RHO1, (1,)))
     assert res * pairing_constant(s) == pytest.approx(sm.extrapolated,
                                                       rel=1e-4)
 

@@ -7,6 +7,7 @@ patch alone turns the named certificates red.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from equiloc import localization
 from equiloc.cli import EXIT_CERT, EXIT_OK, main
 from equiloc.piecewise import Piece, PiecewisePoly
+from equiloc.ratexp import RatExp
 
 
 def _scaled(f, factor):
@@ -24,10 +26,25 @@ def _negated(f):
     return lambda *args, **kwargs: -f(*args, **kwargs)
 
 
+def _coefficient_negated(f):
+    def mutant(*args, **kwargs):
+        c, k = f(*args, **kwargs)
+        return -c, k
+    return mutant
+
+
 def _densities_negated(f):
     def mutant(*args, **kwargs):
+        U = f(*args, **kwargs)
         return PiecewisePoly([Piece(p.cut, p.side, -p.density)
-                              for p in f(*args, **kwargs).pieces])
+                              for p in U.pieces], U.two_pi_power)
+    return mutant
+
+
+def _two_pi_power_raised(f):
+    def mutant(*args, **kwargs):
+        u = f(*args, **kwargs)
+        return RatExp(u.dim, u.terms, u.two_pi_power + 1)
     return mutant
 
 
@@ -40,8 +57,8 @@ MUTATIONS = {
     # residue_direction_independence alone cannot see this: both
     # directions flip
     "jk_residue_negated": (
-        ["residue", "--model", "sphere"], "jk_residue", _negated,
-        ["residue_pairing_vs_smeared"]),
+        ["residue", "--model", "sphere"], "jk_residue",
+        _coefficient_negated, ["residue_pairing_vs_smeared"]),
     # the transform of the fixed-point terms; a flipped cone side would
     # pass, as both sides give the sphere the same measure
     "ft_shifted_densities_negated_dh": (
@@ -50,6 +67,16 @@ MUTATIONS = {
     "ft_shifted_densities_negated_residue": (
         ["residue", "--model", "sphere"], "ft_shifted", _densities_negated,
         ["residue_pairing_vs_smeared"]),
+    # the one power of 2 pi of the fixed-point sum, off by one
+    "u_f_symbolic_two_pi_power_plus_one_dh": (
+        ["dh", "--model", "sphere"], "u_f_symbolic", _two_pi_power_raised,
+        ["dh_total_mass_vs_area", "dh_bins_vs_monte_carlo"]),
+    "u_f_symbolic_two_pi_power_plus_one_residue": (
+        ["residue", "--model", "sphere"], "u_f_symbolic",
+        _two_pi_power_raised, ["residue_pairing_vs_smeared"]),
+    "bv_constant_two_pi_power_plus_one": (
+        ["localize", "--model", "sphere"], "_bv_constant",
+        lambda f: _scaled(f, 2 * math.pi), ["bv_vs_oracle_y_*"]),
     # a conjugated term would pass: the sphere's sum is real
     "bv_term_negated": (
         ["localize", "--model", "sphere"], "bv_term", _negated,

@@ -9,39 +9,39 @@ import pytest
 from equiloc.mpoly import LinForm, MPoly
 from equiloc.piecewise import ft_shifted, Piece, PiecewisePoly
 from equiloc.ratexp import RatExp, RatTerm
-from equiloc.scalars import CRat, TwoPi, I
+from equiloc.scalars import CRat, I, two_pi_float
 
 
-def term(c, power, a, denoms):
-    return RatTerm(TwoPi.of(c, power), LinForm(a), denoms)
+def term(c, a, denoms):
+    return RatTerm(c, LinForm(a), denoms)
 
 
 def test_simple_pole_step():
     # e^{iY}/(iY) = -i e^{iY}/Y: step at xi = -1 with positive constant
-    u = RatExp(1, [term(CRat(0, -1), 0, [1], [(LinForm([1]), 1)])])
+    u = RatExp(1, [term(CRat(0, -1), [1], [(LinForm([1]), 1)])])
     U = ft_shifted(u, 1)
     assert U.cuts() == [-1]
     assert [(lo, hi) for lo, hi, _ in U.canonical()] == [(-1, None)]
     assert U.to_json_dict()["chambers"][0]["walls"] == [[["1"], "1"]]
     # constant density, real, positive
-    val = U.value_at((Fraction(0),))
-    assert val.is_real() and float(val) > 0
+    assert U.value_at((Fraction(0),)).im == 0
+    assert U.value_float((Fraction(0),)) > 0
     assert U.value_at((Fraction(-2),)).is_zero()
     assert U.support_kind() == "half-bounded"
 
 
 def test_a_term_without_a_pole_is_refused():
     # its transform would be a point atom, which no fixed point makes
-    u = RatExp(1, [term(CRat(1), 0, [0], [])])
+    u = RatExp(1, [term(CRat(1), [0], [])])
     with pytest.raises(ValueError, match="pole"):
         ft_shifted(u, 1)
 
 
 def sphere_pair(radius=1):
     r = Fraction(radius)
-    n = term(I, 1, [r], [(LinForm([-Fraction(1) / r]), 1)])
-    s = term(I, 1, [-r], [(LinForm([Fraction(1) / r]), 1)])
-    return RatExp(1, [n, s])
+    n = term(I, [r], [(LinForm([-Fraction(1) / r]), 1)])
+    s = term(I, [-r], [(LinForm([Fraction(1) / r]), 1)])
+    return RatExp(1, [n, s], 1)
 
 
 def test_sphere_pair_indicator():
@@ -49,9 +49,11 @@ def test_sphere_pair_indicator():
     U = ft_shifted(u, 1)
     cells = U.canonical()
     assert len(cells) == 1
-    assert float(U.value_at((Fraction(0),))) == pytest.approx(
+    assert U.value_at((Fraction(0),)) == CRat(1)
+    assert U.value_float((Fraction(0),)) == pytest.approx(
         2 * math.pi, rel=1e-15)
-    assert float(U.mass()) == pytest.approx(4 * math.pi, rel=1e-15)
+    assert two_pi_float(U.mass(), U.two_pi_power) == pytest.approx(
+        4 * math.pi, rel=1e-15)
     assert U.support_kind() == "bounded"
     # cone flip gives the identical measure
     U2 = ft_shifted(u, -1)
@@ -77,23 +79,23 @@ def test_numeric_inverse_transform_matches_u():
             vals = np.array([dens.eval_float((x,)) for x in xi])
             total += 0.5 * (hi - lo) * np.dot(
                 vals * np.exp(-1j * xi * y), ws)
+        total *= (2 * math.pi) ** U.two_pi_power
         direct = u.eval_complex((y,))
         assert abs(total - direct) <= 1e-6 * abs(direct)
 
 
 def test_repeated_pole_ramp():
     # e^{iaY}/Y^2: density proportional to (xi + a) on the cone side
-    u = RatExp(1, [term(CRat(-1), 0, [Fraction(1, 2)],
-                        [(LinForm([1]), 2)])])
+    u = RatExp(1, [term(CRat(-1), [Fraction(1, 2)], [(LinForm([1]), 2)])])
     U = ft_shifted(u, 1)
-    v1 = float(U.value_at((Fraction(1, 2),)))
-    v2 = float(U.value_at((Fraction(3, 2),)))
+    v1 = U.value_float((Fraction(1, 2),))
+    v2 = U.value_float((Fraction(3, 2),))
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
     assert U.value_at((Fraction(-1),)).is_zero()
 
 
 def test_residue_ray_examples():
-    c = TwoPi.of(Fraction(7, 3))
+    c = CRat(Fraction(7, 3))
     one = MPoly.constant(1, c)
     # the indicator of (-1, 1) as a step up at -1 and a step down at 1
     ind = PiecewisePoly([Piece(-1, 1, one), Piece(1, 1, -one)])
@@ -103,7 +105,7 @@ def test_residue_ray_examples():
     assert step.residue_ray((-1,)).is_zero()
     # the ray leaves 0 into the chamber whose wall passes through 0
     assert step.residue_ray((1,)) == c
-    xi = MPoly(1, {(1,): TwoPi.of(1)})
+    xi = MPoly(1, {(1,): CRat(1)})
     ramp = PiecewisePoly([Piece(0, 1, xi), Piece(2, 1, -xi)])
     assert ramp.residue_ray((1,)).is_zero()
 
@@ -117,6 +119,33 @@ def test_json_roundtrip_schema():
     assert ch["two_pi_power"] == 1
     assert ch["density"] == {"0": [1, 1]}
     assert len(ch["walls"]) == 2
+
+
+def test_a_sum_of_two_powers_of_two_pi_is_refused():
+    # every fixed point of a connected M has the same dim M / 2
+    flat = RatExp(1, [term(CRat(1), [0], [(LinForm([1]), 1)])])
+    with pytest.raises(ValueError, match="power"):
+        sphere_pair() + flat
+    # pole orders may differ: four_chambers has orders 1, 2 and 3
+    assert four_chambers().two_pi_power == 1
+
+
+def test_ft_shifted_carries_the_power_of_its_input():
+    for k in (-1, 0, 1, 3):
+        u = RatExp(1, sphere_pair().terms, k)
+        for side in (1, -1):
+            U = ft_shifted(u, side)
+            assert U.two_pi_power == k
+            assert U.value_at((Fraction(0),)) == CRat(1)
+            assert U.to_json_dict()["chambers"][0]["two_pi_power"] == k
+
+
+def test_measures_of_different_powers_are_unequal():
+    U = ft_shifted(sphere_pair(), 1)
+    V = ft_shifted(RatExp(1, sphere_pair().terms, 2), 1)
+    assert U.canonical() == V.canonical()
+    assert not U.piecewise_equal(V) and not V.piecewise_equal(U)
+    assert U.piecewise_equal(ft_shifted(sphere_pair(), -1))
 
 
 def test_csv_export():
@@ -135,8 +164,8 @@ def four_chambers():
     """Sphere pair at R = 3/2, -2 pi e^{iY/2}/Y^2 and 2 pi i
     e^{-iY/3}/(2Y)^3: cuts -3/2, -1/2, 1/3, 3/2."""
     return sphere_pair(Fraction(3, 2)) + RatExp(1, [
-        term(CRat(-1), 1, [Fraction(1, 2)], [(LinForm([1]), 2)]),
-        term(I, 1, [Fraction(-1, 3)], [(LinForm([2]), 3)])])
+        term(CRat(-1), [Fraction(1, 2)], [(LinForm([1]), 2)]),
+        term(I, [Fraction(-1, 3)], [(LinForm([2]), 3)])], 1)
 
 
 def _sha(text):

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from equiloc.scalars import CRat, TwoPi, I, i_power
+from equiloc.scalars import CRat, I, i_power, two_pi_float
 
 
 def rand_frac(rng, big=30):
@@ -39,28 +39,13 @@ def test_crat_powers_and_i():
     assert i_power(7) == i_power(-1)
 
 
-def test_twopi_ring_and_eval():
-    rng = random.Random(5)
-    for _ in range(100):
-        a = TwoPi({rng.randint(-2, 2): rand_crat(rng),
-                   rng.randint(-2, 2): rand_crat(rng)})
-        b = TwoPi({rng.randint(-2, 2): rand_crat(rng)})
-        c = TwoPi({rng.randint(-2, 2): rand_crat(rng)})
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        za = complex(a)
-        zb = complex(b)
-        assert abs(complex(a * b) - za * zb) < 1e-9 * (1 + abs(za * zb))
-
-
-def test_twopi_shift_and_float():
-    one = TwoPi.of(1, 1)
-    assert abs(float(one) - 2 * math.pi) < 1e-15
-    assert one.shift(-1) == TwoPi.of(1)
-    assert one.monomial() == (CRat(1), 1)
+def test_two_pi_float():
+    assert two_pi_float(CRat(1), 1) == 2 * math.pi
+    assert two_pi_float(Fraction(3, 2), 0) == 1.5
+    assert two_pi_float(I * I, 2) == -(2 * math.pi) ** 2
+    # i (2 pi)^1 has no real value
     try:
-        float(TwoPi.of(I))
-        assert False, "imaginary TwoPi should not cast to float"
+        two_pi_float(I, 1)
+        assert False, "imaginary value should not cast to float"
     except ValueError:
         pass
-
